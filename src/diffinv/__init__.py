@@ -29,6 +29,7 @@ from .inversion import (
     fixed_point_map,
     invert_trajectory,
     iterative_invert_step,
+    round_trip,
 )
 from .metrics import l2, mse, psnr, relative_l2
 from .predictor import (
@@ -57,7 +58,6 @@ from .schedule import (
     build_schedule,
     load_alpha_bar,
     schedule_from_alpha_bar,
-    subsample,
 )
 
 __all__ = [
@@ -103,12 +103,12 @@ __all__ = [
     "psnr",
     "reconstruct",
     "relative_l2",
+    "round_trip",
     "sample_trajectory",
     "schedule_from_alpha_bar",
     "sigmoid",
     "soft_mask",
     "spectral_norm",
     "stochastic_step",
-    "subsample",
     "synthetic_attention",
 ]

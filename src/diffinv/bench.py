@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inversion import FixedPointConfig, FixedPointVariant, invert_trajectory
-from .metrics import psnr, relative_l2
+from .inversion import FixedPointConfig, FixedPointVariant, round_trip
+from .metrics import psnr
 from .predictor import ContractivePredictor, NoisePredictor, PromptId
-from .sampler import sample_trajectory
 from .schedule import build_schedule
 
 METHODS = ("anderson", "averaged", "euler", "plain")
@@ -98,15 +97,14 @@ def run_grid(grid: ExperimentGrid) -> list[GridRow]:
             cfg = method_config(method, steps, grid.iters, grid.window)
             for omega in sorted(grid.omegas):
                 start = time.perf_counter()
-                z_t, report = invert_trajectory(schedule, pred, z_0, PromptId.SOURCE, omega, cfg)
-                z_rec = sample_trajectory(schedule, pred, z_t, PromptId.SOURCE, omega)[-1]
+                _, z_rec, report = round_trip(schedule, pred, z_0, PromptId.SOURCE, omega, cfg)
                 wall_ms = (time.perf_counter() - start) * 1e3
                 rows.append(
                     GridRow(
                         method=method,
                         steps=steps,
                         omega=float(omega),
-                        round_trip_relative_l2=relative_l2(z_rec, z_0),
+                        round_trip_relative_l2=report.round_trip_l2,
                         psnr=psnr(z_rec, z_0),
                         nfe=report.nfe,
                         wall_ms=wall_ms,

@@ -17,10 +17,8 @@ from .editing import EditConfig, edit, write_scores_csv
 from .errors import NumericsError
 from .fileio import load_tensor, parse_kv_file, save_tensor
 from .guidance import MaskNormConfig, Polarity, attention_from_array
-from .inversion import invert_trajectory
-from .metrics import relative_l2
+from .inversion import round_trip
 from .predictor import ContractivePredictor, PromptId, load_predictor
-from .sampler import sample_trajectory
 from .schedule import build_schedule
 
 
@@ -113,12 +111,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         merged.update(_GRID_DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            raw = parse_kv_file(config_path)
-        except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        raw = _read(parse_kv_file, config_path, "config file")
         for key, value in raw.items():
             key = _CONFIG_KEY_ALIASES.get(key, key)
             if key not in merged:
@@ -129,6 +122,16 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         if flag_value is not None:
             merged[key] = flag_value
     return merged
+
+
+def _read(load, path, what: str):
+    """load(path), with unreadable or malformed files reported as usage errors."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _to_int(opts, key) -> int:
@@ -157,25 +160,22 @@ def _to_bool(opts, key) -> bool:
     raise UsageError(f"--{key.replace('_', '-')} expects a boolean, got {value!r}")
 
 
+def _comma_list(opts, key, parse, kind: str) -> tuple:
+    try:
+        return tuple(parse(tok) for tok in str(opts[key]).split(",") if tok.strip())
+    except ValueError:
+        raise UsageError(f"--{key} expects a comma list of {kind}, got {opts[key]!r}")
+
+
 def _load_input(opts) -> np.ndarray:
     if not opts["in_path"]:
         raise UsageError("--in <tensor file> is required")
-    try:
-        return load_tensor(opts["in_path"])
-    except OSError as exc:
-        raise UsageError(f"cannot read input tensor: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _read(load_tensor, opts["in_path"], "input tensor")
 
 
 def _load_pred(opts, dim: int):
     if opts["predictor"]:
-        try:
-            return load_predictor(opts["predictor"])
-        except OSError as exc:
-            raise UsageError(f"cannot read predictor spec: {exc}") from exc
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return _read(load_predictor, opts["predictor"], "predictor spec")
     return ContractivePredictor.default(dim, seed=0)
 
 
@@ -203,9 +203,7 @@ def cmd_invert(opts, reconstruct_out: bool = False) -> int:
     pred = _load_pred(opts, z_0.size)
     schedule = build_schedule().subsample(steps)
     cfg = _fixed_point(opts, steps)
-    z_t, report = invert_trajectory(schedule, pred, z_0, PromptId.SOURCE, omega, cfg)
-    z_rec = sample_trajectory(schedule, pred, z_t, PromptId.SOURCE, omega)[-1]
-    report.round_trip_l2 = relative_l2(z_rec, z_0)
+    z_t, z_rec, report = round_trip(schedule, pred, z_0, PromptId.SOURCE, omega, cfg)
     if opts["out_path"]:
         _save(opts["out_path"], z_rec if reconstruct_out else z_t)
     name = "reconstruct" if reconstruct_out else "invert"
@@ -228,12 +226,9 @@ def cmd_edit(opts) -> int:
         raise UsageError(f"--polarity must be positive or negative, got {polarity_text!r}")
     attention = None
     if opts["attention"]:
-        try:
-            attention = attention_from_array(load_tensor(opts["attention"]))
-        except OSError as exc:
-            raise UsageError(f"cannot read attention map: {exc}") from exc
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        attention = _read(
+            lambda path: attention_from_array(load_tensor(path)), opts["attention"], "attention map"
+        )
     delta = _to_float(opts, "delta") if opts["delta"] is not None else None
     try:
         cfg = EditConfig(
@@ -263,33 +258,14 @@ def cmd_edit(opts) -> int:
 def cmd_grid(opts) -> int:
     if not opts["out_path"]:
         raise UsageError("--out <csv file> is required for grid")
-
-    def int_list(key):
-        try:
-            return tuple(int(tok) for tok in str(opts[key]).split(",") if tok.strip())
-        except ValueError:
-            raise UsageError(f"--{key} expects a comma list of integers, got {opts[key]!r}")
-
-    def float_list(key):
-        try:
-            return tuple(float(tok) for tok in str(opts[key]).split(",") if tok.strip())
-        except ValueError:
-            raise UsageError(f"--{key} expects a comma list of numbers, got {opts[key]!r}")
-
-    methods = tuple(tok.strip() for tok in str(opts["method"]).split(",") if tok.strip())
     predictor = None
     if opts["predictor"]:
-        try:
-            predictor = load_predictor(opts["predictor"])
-        except OSError as exc:
-            raise UsageError(f"cannot read predictor spec: {exc}") from exc
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        predictor = _read(load_predictor, opts["predictor"], "predictor spec")
     try:
         grid = ExperimentGrid(
-            step_counts=int_list("steps"),
-            omegas=float_list("omega"),
-            methods=methods,
+            step_counts=_comma_list(opts, "steps", int, "integers"),
+            omegas=_comma_list(opts, "omega", float, "numbers"),
+            methods=_comma_list(opts, "method", str.strip, "names"),
             dim=_to_int(opts, "dim"),
             seed=_to_int(opts, "seed"),
             predictor=predictor,

@@ -23,9 +23,10 @@ from .guidance import (
     blended_scale_field,
     normalize_map,
     soft_mask,
+    spatial_shape,
     synthetic_attention,
 )
-from .inversion import FixedPointConfig, InversionReport, invert_trajectory
+from .inversion import FixedPointConfig, InversionReport, round_trip
 from .metrics import relative_l2
 from .predictor import NoisePredictor, PromptId
 from .sampler import StochasticConfig, sample_trajectory
@@ -84,27 +85,17 @@ class EditResult:
         return self.candidates[self.best_index]
 
 
-def _attention_provider(cfg: EditConfig, latent_shape) -> Callable[[int], AttentionMap]:
+def _step_masks(schedule: NoiseSchedule, cfg: EditConfig, latent_shape) -> list[SoftMask]:
+    """Soft mask per sampling step (decreasing timesteps) from the attention source."""
     attention = cfg.attention
     if attention is None:
-        h, w = _grid_shape(latent_shape)
+        h, w = spatial_shape(latent_shape)
         attention = synthetic_attention((h, w), blob_sigma=max(h, w) / 4.0)
-    if isinstance(attention, AttentionMap):
-        static = attention
-        return lambda t: static
-    return attention
-
-
-def _grid_shape(latent_shape):
-    shape = tuple(latent_shape)
-    if len(shape) >= 2:
-        return shape[-2], shape[-1]
-    return 1, shape[0]
-
-
-def step_mask(cfg: EditConfig, provider, t: int) -> SoftMask:
-    """Soft mask for one scheduled timestep from the attention source."""
-    return soft_mask(normalize_map(provider(t), cfg.mask), cfg.mask.polarity)
+    masks = []
+    for t, _ in schedule.sampling_pairs():
+        amap = attention if isinstance(attention, AttentionMap) else attention(t)
+        masks.append(soft_mask(normalize_map(amap, cfg.mask), cfg.mask.polarity))
+    return masks
 
 
 def reconstruct(
@@ -120,11 +111,8 @@ def reconstruct(
     with decreasing timesteps) that the edit branch consumes.
     """
     z_0 = np.asarray(z_0, dtype=np.float64)
-    z_t, _ = invert_trajectory(schedule, pred, z_0, source_prompt, cfg.omega, cfg.fixed_point)
-    states = sample_trajectory(schedule, pred, z_t, source_prompt, cfg.omega)
-    provider = _attention_provider(cfg, z_0.shape)
-    masks = [step_mask(cfg, provider, t) for t, _ in schedule.sampling_pairs()]
-    return states[-1], masks
+    _, z_rec, _ = round_trip(schedule, pred, z_0, source_prompt, cfg.omega, cfg.fixed_point)
+    return z_rec, _step_masks(schedule, cfg, z_0.shape)
 
 
 def edit(
@@ -140,42 +128,35 @@ def edit(
     The inversion and the reconstruction run once regardless of
     n_candidates; every candidate restarts sampling from the shared
     inverted noise vector.  With eta = 0 all candidates coincide with the
-    single deterministic edit.  target == source with omega_e == omega and
-    eta == 0 reproduces the reconstruction bit-exactly.
+    single deterministic edit, so it is sampled once and copied.
+    target == source with omega_e == omega and eta == 0 reproduces the
+    reconstruction bit-exactly.
     """
     z_0 = np.asarray(z_0, dtype=np.float64)
-    z_t, report = invert_trajectory(
+    z_t, reconstruction, report = round_trip(
         schedule, pred, z_0, source_prompt, cfg.omega, cfg.fixed_point
     )
-
-    rec_states = sample_trajectory(schedule, pred, z_t, source_prompt, cfg.omega)
-    reconstruction = rec_states[-1]
-    provider = _attention_provider(cfg, z_0.shape)
-    masks = [step_mask(cfg, provider, t) for t, _ in schedule.sampling_pairs()]
-
+    masks = _step_masks(schedule, cfg, z_0.shape)
     mask_arrays = [m.for_latent(z_0.shape) for m in masks]
     fields = [blended_scale_field(m, cfg.omega, cfg.omega_e) for m in mask_arrays]
 
-    candidates: list[np.ndarray] = []
+    stochastic = StochasticConfig(eta=cfg.eta, seed=cfg.seed)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_candidates)
-    for k in range(cfg.n_candidates):
-        if cfg.eta > 0.0:
-            rng = np.random.default_rng(seeds[k])
-            states = sample_trajectory(
-                schedule,
-                pred,
-                z_t,
-                target_prompt,
-                scale_fields=fields,
-                stochastic=StochasticConfig(eta=cfg.eta, seed=cfg.seed),
-                masks=mask_arrays,
-                rng=rng,
-            )
-        else:
-            states = sample_trajectory(
-                schedule, pred, z_t, target_prompt, scale_fields=fields
-            )
-        candidates.append(states[-1])
+    n_sampled = cfg.n_candidates if cfg.eta > 0.0 else 1
+    candidates = [
+        sample_trajectory(
+            schedule,
+            pred,
+            z_t,
+            target_prompt,
+            scale_fields=fields,
+            stochastic=stochastic,
+            masks=mask_arrays,
+            rng=np.random.default_rng(seed),
+        )[-1]
+        for seed in seeds[:n_sampled]
+    ]
+    candidates += [candidates[0].copy() for _ in range(cfg.n_candidates - n_sampled)]
 
     try:
         scores = [float(cfg.scorer(c, z_0)) for c in candidates]

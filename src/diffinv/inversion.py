@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
+from .metrics import relative_l2
 from .predictor import CallCounter, NoisePredictor, PromptId, guided_epsilon
+from .sampler import _ddim_update, sample_trajectory
 from .schedule import NoiseSchedule, inversion_eps_coeff
 
 
@@ -69,8 +71,8 @@ class InversionReport:
 
     `step_traces` holds (timestep, residual norms per iteration); the
     baseline records empty traces.  `nfe` counts noise-predictor calls
-    (two per guided evaluation).  `round_trip_l2` is filled once a caller
-    resamples and measures the reconstruction.
+    (two per guided evaluation).  `round_trip_l2` is filled by `round_trip`,
+    which resamples and measures the reconstruction.
     """
 
     step_traces: list[tuple[int, list[float]]] = field(default_factory=list)
@@ -115,8 +117,7 @@ def euler_invert_step(
     ab_n = float(schedule.alpha_bar[t_next])
     if ab_t <= 0.0:
         raise ValueError(f"alpha_bar[{t}] must be positive")
-    z0_hat = (z_t - math.sqrt(1.0 - ab_t) * eps) / math.sqrt(ab_t)
-    return math.sqrt(ab_n) * z0_hat + math.sqrt(1.0 - ab_n) * eps
+    return _ddim_update(z_t, eps, ab_t, ab_n)
 
 
 def fixed_point_map(
@@ -269,3 +270,22 @@ def invert_trajectory(
         step_traces=traces, nfe=counter.calls, wall_ms=wall_ms, z_final=z
     )
     return z, report
+
+
+def round_trip(
+    schedule: NoiseSchedule,
+    pred: NoisePredictor,
+    z_0,
+    cond: PromptId,
+    omega: float = 1.0,
+    cfg: FixedPointConfig | None = None,
+) -> tuple[np.ndarray, np.ndarray, InversionReport]:
+    """Invert a clean latent, then resample it under the same prompt and scale.
+
+    Returns the noise vector, the reconstruction and the inversion report
+    with `round_trip_l2` set to the reconstruction's relative L2 error.
+    """
+    z_t, report = invert_trajectory(schedule, pred, z_0, cond, omega, cfg)
+    z_rec = sample_trajectory(schedule, pred, z_t, cond, omega)[-1]
+    report.round_trip_l2 = relative_l2(z_rec, z_0)
+    return z_t, z_rec, report

@@ -59,10 +59,15 @@ def spectral_norm(matrix: np.ndarray, iters: int = 200, tol: float = 1e-13) -> f
     return prev
 
 
-def _normalized_matrix(rng: np.random.Generator, dim: int, target_norm: float) -> np.ndarray:
-    raw = rng.standard_normal((dim, dim))
-    sn = spectral_norm(raw)
-    return raw * (target_norm / sn)
+def _random_weights(
+    rng: np.random.Generator, dim: int, norms: dict[PromptId, float]
+) -> dict[PromptId, np.ndarray]:
+    """One standard-normal dim x dim matrix per prompt, scaled to its spectral norm."""
+    weights = {}
+    for p in PromptId:
+        raw = rng.standard_normal((dim, dim))
+        weights[p] = raw * (norms[p] / spectral_norm(raw))
+    return weights
 
 
 class ZeroPredictor(NoisePredictor):
@@ -149,7 +154,7 @@ class AffinePredictor(NoisePredictor):
         if norms is None:
             norms = {PromptId.NULL: 0.02, PromptId.SOURCE: 0.05, PromptId.TARGET: 0.05}
         rng = np.random.default_rng(seed)
-        weights = {p: _normalized_matrix(rng, dim, norms[p]) for p in PromptId}
+        weights = _random_weights(rng, dim, norms)
         biases = {p: bias_scale * rng.standard_normal(dim) for p in PromptId}
         return cls(weights, biases, max(norms.values()))
 
@@ -215,9 +220,7 @@ class ContractivePredictor(NoisePredictor):
         prompted ones.
         """
         norms = {PromptId.NULL: 0.1, PromptId.SOURCE: 0.4, PromptId.TARGET: 0.4}
-        rng = np.random.default_rng(seed)
-        weights = {p: _normalized_matrix(rng, dim, norms[p]) for p in PromptId}
-        return cls(scale=0.1, weights=weights)
+        return cls(scale=0.1, weights=_random_weights(np.random.default_rng(seed), dim, norms))
 
     def lipschitz(self, prompt: PromptId) -> float:
         return self.scale * spectral_norm(self.weights[prompt])
@@ -250,14 +253,8 @@ class CallCounter(NoisePredictor):
         return self.inner.predict(z, prompt, t)
 
 
-def guided_epsilon(
-    pred: NoisePredictor, z: np.ndarray, cond: PromptId, omega: float, t: int
-) -> np.ndarray:
-    """Classifier-free guided noise: omega * eps_cond + (1 - omega) * eps_null.
-
-    Affine in omega, so omega = 1 returns the conditional prediction
-    bit-exactly and omega = 0 the null-conditioned one.
-    """
+def _cond_null(pred: NoisePredictor, z: np.ndarray, cond: PromptId, t: int):
+    """The conditional and the null-prompt predictions of one guided evaluation."""
     if cond is PromptId.NULL:
         raise ValueError("conditioning prompt must not be the null prompt")
     eps_cond = pred.predict(z, cond, t)
@@ -266,6 +263,18 @@ def guided_epsilon(
         raise ValueError(
             f"conditional/unconditional shape mismatch: {eps_cond.shape} vs {eps_null.shape}"
         )
+    return eps_cond, eps_null
+
+
+def guided_epsilon(
+    pred: NoisePredictor, z: np.ndarray, cond: PromptId, omega: float, t: int
+) -> np.ndarray:
+    """Classifier-free guided noise: omega * eps_cond + (1 - omega) * eps_null.
+
+    Affine in omega, so omega = 1 returns the conditional prediction
+    bit-exactly and omega = 0 the null-conditioned one.
+    """
+    eps_cond, eps_null = _cond_null(pred, z, cond, t)
     omega = float(omega)
     return omega * eps_cond + (1.0 - omega) * eps_null
 
@@ -315,9 +324,7 @@ def load_predictor(path) -> NoisePredictor:
             p: float(spec.get(f"norm_{p.value}", default))
             for p, default in zip(PromptId, (0.1, 0.4, 0.4))
         }
-        rng = np.random.default_rng(seed)
-        weights = {p: _normalized_matrix(rng, dim, norms[p]) for p in PromptId}
-        return ContractivePredictor(scale, weights)
+        return ContractivePredictor(scale, _random_weights(np.random.default_rng(seed), dim, norms))
     if kind == "affine":
         weights = {p: tensor(f"a_{p.value}") for p in PromptId}
         biases = {p: tensor(f"b_{p.value}") for p in PromptId}
@@ -348,8 +355,6 @@ def blended_epsilon(
     `scale_field` must broadcast to the latent shape.  A uniform field
     degenerates to `guided_epsilon` bit-exactly.
     """
-    if cond is PromptId.NULL:
-        raise ValueError("conditioning prompt must not be the null prompt")
     z = np.asarray(z, dtype=np.float64)
     field = np.asarray(scale_field, dtype=np.float64)
     try:
@@ -359,10 +364,5 @@ def blended_epsilon(
         raise ValueError(
             f"scale field of shape {field.shape} does not broadcast to latent shape {z.shape}"
         ) from None
-    eps_cond = pred.predict(z, cond, t)
-    eps_null = pred.predict(z, PromptId.NULL, t)
-    if eps_cond.shape != eps_null.shape:
-        raise ValueError(
-            f"conditional/unconditional shape mismatch: {eps_cond.shape} vs {eps_null.shape}"
-        )
+    eps_cond, eps_null = _cond_null(pred, z, cond, t)
     return field * eps_cond + (1.0 - field) * eps_null

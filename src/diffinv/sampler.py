@@ -11,8 +11,6 @@ from .errors import NumericsError
 from .predictor import NoisePredictor, PromptId, blended_epsilon, guided_epsilon
 from .schedule import NoiseSchedule
 
-SIGMA_RULE_DDIM = "ddim"
-
 
 @dataclass(frozen=True)
 class StochasticConfig:
@@ -26,13 +24,10 @@ class StochasticConfig:
 
     eta: float = 0.0
     seed: int = 0
-    sigma_rule: str = SIGMA_RULE_DDIM
 
     def __post_init__(self):
         if self.eta < 0.0:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if self.sigma_rule != SIGMA_RULE_DDIM:
-            raise ValueError(f"unknown sigma rule: {self.sigma_rule!r}")
 
 
 def _as_state(z, name: str) -> np.ndarray:
@@ -40,6 +35,18 @@ def _as_state(z, name: str) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError(f"{name} contains non-finite entries")
     return z
+
+
+def _ddim_update(z_t, eps, ab_t: float, ab_to: float, c=None) -> np.ndarray:
+    """sqrt(ab_to) * z0_hat + c * eps, with z0_hat = (z_t - sqrt(1 - ab_t) * eps) / sqrt(ab_t).
+
+    c defaults to sqrt(1 - ab_to), the deterministic DDIM update from the
+    noise level ab_t to ab_to in either direction.
+    """
+    if c is None:
+        c = math.sqrt(1.0 - ab_to)
+    z0_hat = (z_t - math.sqrt(1.0 - ab_t) * eps) / math.sqrt(ab_t)
+    return math.sqrt(ab_to) * z0_hat + c * eps
 
 
 def ddim_sigma(schedule: NoiseSchedule, t: int, t_prev: int) -> float:
@@ -76,8 +83,7 @@ def ddim_step(
     ab_p = float(schedule.alpha_bar[t_prev])
     if ab_t <= 0.0:
         raise NumericsError(f"alpha_bar[{t}] must be positive")
-    z0_hat = (z_t - math.sqrt(1.0 - ab_t) * eps) / math.sqrt(ab_t)
-    return math.sqrt(ab_p) * z0_hat + math.sqrt(1.0 - ab_p) * eps
+    return _ddim_update(z_t, eps, ab_t, ab_p)
 
 
 def one_step_noise(schedule: NoiseSchedule, z_0, t: int, noise) -> np.ndarray:
@@ -139,8 +145,7 @@ def stochastic_step(
             f"negative square-root argument at step t={t} -> t_prev={t_prev}: "
             f"eta * sigma_t^2 * mask exceeds 1 - alpha_bar[{t_prev}]"
         )
-    z0_hat = (z_t - math.sqrt(1.0 - ab_t) * eps) / math.sqrt(ab_t)
-    mean = math.sqrt(ab_p) * z0_hat + np.sqrt(sqrt_arg) * eps
+    mean = _ddim_update(z_t, eps, ab_t, ab_p, np.sqrt(sqrt_arg))
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     return mean + np.sqrt(var) * rng.standard_normal(z_t.shape)

@@ -119,10 +119,6 @@ def build_schedule(
     return NoiseSchedule(alpha_bar, big_t, np.arange(1, big_t + 1, dtype=np.int64))
 
 
-def subsample(schedule: NoiseSchedule, n_steps: int) -> NoiseSchedule:
-    return schedule.subsample(n_steps)
-
-
 def schedule_from_alpha_bar(values) -> NoiseSchedule:
     """Build a schedule from explicit alpha_bar values for t = 1..T.
 
