@@ -85,17 +85,26 @@ class EditResult:
         return self.candidates[self.best_index]
 
 
-def _step_masks(schedule: NoiseSchedule, cfg: EditConfig, latent_shape) -> list[SoftMask]:
-    """Soft mask per sampling step (decreasing timesteps) from the attention source."""
+def _step_masks(schedule: NoiseSchedule, cfg: EditConfig, latent_shape):
+    """Soft masks, latent-shaped mask arrays and blended scale fields per sampling step.
+
+    Steps run in decreasing timestep order.  A static attention map is
+    processed once and every step shares the result.
+    """
     attention = cfg.attention
     if attention is None:
         h, w = spatial_shape(latent_shape)
         attention = synthetic_attention((h, w), blob_sigma=max(h, w) / 4.0)
-    masks = []
-    for t, _ in schedule.sampling_pairs():
-        amap = attention if isinstance(attention, AttentionMap) else attention(t)
-        masks.append(soft_mask(normalize_map(amap, cfg.mask), cfg.mask.polarity))
-    return masks
+
+    def stages(amap):
+        mask = soft_mask(normalize_map(amap, cfg.mask), cfg.mask.polarity)
+        array = mask.for_latent(latent_shape)
+        return mask, array, blended_scale_field(array, cfg.omega, cfg.omega_e)
+
+    steps = [t for t, _ in schedule.sampling_pairs()]
+    if isinstance(attention, AttentionMap):
+        return [[x] * len(steps) for x in stages(attention)]
+    return [list(x) for x in zip(*(stages(attention(t)) for t in steps))]
 
 
 def reconstruct(
@@ -112,7 +121,7 @@ def reconstruct(
     """
     z_0 = np.asarray(z_0, dtype=np.float64)
     _, z_rec, _ = round_trip(schedule, pred, z_0, source_prompt, cfg.omega, cfg.fixed_point)
-    return z_rec, _step_masks(schedule, cfg, z_0.shape)
+    return z_rec, _step_masks(schedule, cfg, z_0.shape)[0]
 
 
 def edit(
@@ -136,9 +145,7 @@ def edit(
     z_t, reconstruction, report = round_trip(
         schedule, pred, z_0, source_prompt, cfg.omega, cfg.fixed_point
     )
-    masks = _step_masks(schedule, cfg, z_0.shape)
-    mask_arrays = [m.for_latent(z_0.shape) for m in masks]
-    fields = [blended_scale_field(m, cfg.omega, cfg.omega_e) for m in mask_arrays]
+    masks, mask_arrays, fields = _step_masks(schedule, cfg, z_0.shape)
 
     stochastic = StochasticConfig(eta=cfg.eta, seed=cfg.seed)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_candidates)

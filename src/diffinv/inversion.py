@@ -78,7 +78,6 @@ class InversionReport:
     step_traces: list[tuple[int, list[float]]] = field(default_factory=list)
     nfe: int = 0
     wall_ms: float = 0.0
-    z_final: np.ndarray | None = None
     round_trip_l2: float | None = None
 
     def to_csv(self, path) -> None:
@@ -266,9 +265,7 @@ def invert_trajectory(
             )
             traces.append((t, trace))
     wall_ms = (time.perf_counter() - start) * 1e3
-    report = InversionReport(
-        step_traces=traces, nfe=counter.calls, wall_ms=wall_ms, z_final=z
-    )
+    report = InversionReport(step_traces=traces, nfe=counter.calls, wall_ms=wall_ms)
     return z, report
 
 

@@ -16,6 +16,7 @@ from diffinv import (
     ZeroPredictor,
     default_scorer,
     edit,
+    invert_trajectory,
     reconstruct,
     relative_l2,
     synthetic_attention,
@@ -112,7 +113,7 @@ class TestEditLinearOracle:
         cfg = EditConfig(omega=1.0, omega_e=1.0, eta=0.0, fixed_point=fp_cfg(8))
         result = edit(schedule10, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
 
-        z = result.report.z_final.copy()  # shared inverted noise vector
+        z, _ = invert_trajectory(schedule10, pred, z_0, PromptId.SOURCE, 1.0, fp_cfg(8))
         a = pred.weights[PromptId.TARGET]
         b = pred.biases[PromptId.TARGET]
         for t, t_prev in schedule10.sampling_pairs():

@@ -1,8 +1,10 @@
 """The shared pipeline stages: the invert/resample round trip and candidate sampling."""
 
 import numpy as np
+import pytest
 
 from diffinv import (
+    AttentionMap,
     CallCounter,
     ContractivePredictor,
     EditConfig,
@@ -16,7 +18,9 @@ from diffinv import (
     relative_l2,
     round_trip,
     sample_trajectory,
+    synthetic_attention,
 )
+from diffinv import editing
 
 
 class TestRoundTrip:
@@ -100,3 +104,43 @@ class TestStochasticCandidates:
                 rng=np.random.default_rng(seed),
             )[-1]
             np.testing.assert_array_equal(result.candidates[k], expected)
+
+
+class TestStepMasks:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of each mask stage: masking, resampling and blending."""
+        counts = {"soft_mask": 0, "for_latent": 0, "blended_scale_field": 0}
+
+        def counted(name, inner):
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+            return wrapper
+
+        monkeypatch.setattr(editing, "soft_mask", counted("soft_mask", editing.soft_mask))
+        monkeypatch.setattr(editing, "blended_scale_field",
+                            counted("blended_scale_field", editing.blended_scale_field))
+        monkeypatch.setattr(editing.SoftMask, "for_latent",
+                            counted("for_latent", editing.SoftMask.for_latent))
+        return counts
+
+    def run_edit(self, schedule, attention):
+        pred = ContractivePredictor.default(16, seed=3)
+        z_0 = np.random.default_rng(17).standard_normal((4, 4))
+        cfg = EditConfig(omega_e=3.0, attention=attention, fixed_point=FixedPointConfig(iters=2))
+        return edit(schedule, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
+
+    def test_static_map_is_processed_once(self, schedule10, calls):
+        result = self.run_edit(schedule10, synthetic_attention((4, 4), blob_sigma=1.0))
+        assert calls == {"soft_mask": 1, "for_latent": 1, "blended_scale_field": 1}
+        assert len(result.masks) == 10
+        assert all(m is result.masks[0] for m in result.masks)
+
+    def test_time_varying_map_is_processed_per_step(self, schedule10, calls):
+        def attention(t):
+            return AttentionMap(np.full((4, 4), 1.0 + t) + np.eye(4))
+
+        result = self.run_edit(schedule10, attention)
+        assert calls == {"soft_mask": 10, "for_latent": 10, "blended_scale_field": 10}
+        assert len({id(m) for m in result.masks}) == 10

@@ -13,6 +13,7 @@ from diffinv import (
     load_predictor,
     spectral_norm,
 )
+from diffinv import predictor
 from diffinv.fileio import save_tensor
 
 
@@ -54,6 +55,15 @@ class TestToyPredictors:
         biases = {p: np.zeros(8) for p in PromptId}
         with pytest.raises(ValueError, match="spectral bound"):
             AffinePredictor(weights, biases, spectral_bound=spectral_norm(a) * 0.5)
+
+    def test_affine_rejects_bound_just_below_exact_norm(self):
+        # a 256 x 256 Gaussian: a 200-step power iteration undershoots by
+        # ~3e-5, far more than the constructor's 1e-8 tolerance
+        a = np.random.default_rng(0).standard_normal((256, 256))
+        weights = {p: a for p in PromptId}
+        biases = {p: np.zeros(256) for p in PromptId}
+        with pytest.raises(ValueError, match="spectral bound"):
+            AffinePredictor(weights, biases, spectral_bound=np.linalg.norm(a, 2) * (1 - 1e-6))
 
     def test_affine_accepts_declared_bound(self):
         pred = AffinePredictor.random(8, seed=1)
@@ -216,3 +226,51 @@ class TestLoadPredictor:
         spec.write_text("kind = contractive\nw_null = w.txt\n")
         with pytest.raises(ValueError, match="all of"):
             load_predictor(spec)
+
+    @pytest.mark.parametrize("kind", ["contractive", "affine"])
+    @pytest.mark.parametrize("norm", ["-50", "nan", "inf"])
+    def test_generated_weights_reject_bad_norms(self, tmp_path, kind, norm):
+        # A generated matrix scaled by -50 has spectral norm 50; storing -50
+        # would let it pass the contraction-margin and affine bound checks.
+        spec = tmp_path / "p.cfg"
+        spec.write_text(f"kind = {kind}\ndim = 8\nnorm_source = {norm}\nnorm_target = {norm}\n")
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            load_predictor(spec)
+
+    def test_random_rejects_negative_norm(self):
+        norms = {PromptId.NULL: 0.02, PromptId.SOURCE: -50.0, PromptId.TARGET: 0.05}
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            AffinePredictor.random(8, norms=norms)
+
+
+class TestMeasureOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of `spectral_norm` and of the generator's power-iteration normalizer."""
+        counts = {"spectral_norm": 0, "_power_norm": 0}
+        for name in counts:
+            inner = getattr(predictor, name)
+
+            def counted(m, _inner=inner, _name=name):
+                counts[_name] += 1
+                return _inner(m)
+
+            monkeypatch.setattr(predictor, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("factory", [ContractivePredictor.default, AffinePredictor.random])
+    def test_generated_weights_are_normalized_once_and_not_measured(self, calls, factory):
+        pred = factory(64)
+        assert calls == {"spectral_norm": 0, "_power_norm": 3}
+        for p in PromptId:
+            pred.lipschitz(p)
+        assert calls == {"spectral_norm": 0, "_power_norm": 3}
+
+    def test_explicit_weights_are_measured_once(self, calls):
+        rng = np.random.default_rng(6)
+        weights = {p: 0.1 * rng.standard_normal((8, 8)) / np.sqrt(8) for p in PromptId}
+        pred = ContractivePredictor(0.1, weights)
+        assert calls == {"spectral_norm": 3, "_power_norm": 0}
+        for p in PromptId:
+            assert pred.lipschitz(p) == pytest.approx(0.1 * np.linalg.norm(weights[p], 2))
+        assert calls == {"spectral_norm": 3, "_power_norm": 0}
