@@ -10,7 +10,6 @@ stochastic inside the masked region and a pluggable scorer ranks them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -139,7 +138,8 @@ def edit(
     inverted noise vector.  With eta = 0 all candidates coincide with the
     single deterministic edit, so it is sampled once and copied.
     target == source with omega_e == omega and eta == 0 reproduces the
-    reconstruction bit-exactly.
+    reconstruction bit-exactly.  The lowest score wins; an exception raised
+    by the scorer reaches the caller.
     """
     z_0 = np.asarray(z_0, dtype=np.float64)
     z_t, reconstruction, report = round_trip(
@@ -165,17 +165,11 @@ def edit(
     ]
     candidates += [candidates[0].copy() for _ in range(cfg.n_candidates - n_sampled)]
 
-    try:
-        scores = [float(cfg.scorer(c, z_0)) for c in candidates]
-        best_index = int(np.argmin(scores))
-    except Exception:
-        # Scorer failure: keep candidate order, mark scores as unknown.
-        scores = [math.nan] * len(candidates)
-        best_index = 0
+    scores = [float(cfg.scorer(c, z_0)) for c in candidates]
     return EditResult(
         candidates=candidates,
         scores=scores,
-        best_index=best_index,
+        best_index=int(np.argmin(scores)),
         reconstruction=reconstruction,
         masks=masks,
         report=report,

@@ -24,10 +24,9 @@ class Polarity(enum.Enum):
 
 @dataclass(frozen=True)
 class AttentionMap:
-    """Nonnegative 2-D saliency grid with its origin recorded."""
+    """Nonnegative 2-D saliency grid."""
 
     values: np.ndarray
-    provenance: str = "synthetic"  # or "file"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -192,8 +191,4 @@ def synthetic_attention(shape, blob_center=None, blob_sigma: float = 2.0) -> Att
     xx = np.arange(w, dtype=np.float64)[None, :]
     dist2 = (yy - cy) ** 2 + (xx - cx) ** 2
     values = np.exp(-dist2 / (2.0 * blob_sigma**2))
-    return AttentionMap(values, provenance="synthetic")
-
-
-def attention_from_array(values, provenance: str = "file") -> AttentionMap:
-    return AttentionMap(np.asarray(values, dtype=np.float64), provenance=provenance)
+    return AttentionMap(values)

@@ -26,8 +26,11 @@ import numpy as np
 from .errors import DivergenceError
 from .metrics import relative_l2
 from .predictor import CallCounter, NoisePredictor, PromptId, guided_epsilon
-from .sampler import _ddim_update, sample_trajectory
+from .sampler import _ddim_update, _require_finite, sample_trajectory
 from .schedule import NoiseSchedule, inversion_eps_coeff
+
+
+_RIDGE = 1e-10  # Tikhonov term of the Anderson normal equations
 
 
 class FixedPointVariant(enum.Enum):
@@ -42,15 +45,13 @@ class FixedPointConfig:
 
     `iters` fixes the number of iterations unless `residual_tol` > 0 stops
     earlier.  `window` is the Anderson history length m (coerced to 1 for
-    the other variants, which do not use it).  `ridge` regularizes the tiny
-    least-squares solve for the Anderson weights.
+    the other variants, which do not use it).
     """
 
     variant: FixedPointVariant = FixedPointVariant.AVERAGED
     iters: int = 6
     window: int = 2
     residual_tol: float = 0.0
-    ridge: float = 1e-10
 
     def __post_init__(self):
         if self.iters < 1:
@@ -59,8 +60,6 @@ class FixedPointConfig:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.residual_tol < 0.0:
             raise ValueError(f"residual_tol must be >= 0, got {self.residual_tol}")
-        if self.ridge < 0.0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
         if self.variant is not FixedPointVariant.ANDERSON and self.window != 1:
             object.__setattr__(self, "window", 1)
 
@@ -106,7 +105,8 @@ def euler_invert_step(
 
     Evaluates the guided noise at the current state with the *next*
     timestep as time argument, then applies the sampling formula towards
-    higher noise.  t may be 0.
+    higher noise.  t may be 0.  A non-finite result raises NumericsError;
+    a non-finite prediction always yields one.
     """
     if not t < t_next:
         raise ValueError(f"need t < t_next, got {t} >= {t_next}")
@@ -116,7 +116,8 @@ def euler_invert_step(
     ab_n = float(schedule.alpha_bar[t_next])
     if ab_t <= 0.0:
         raise ValueError(f"alpha_bar[{t}] must be positive")
-    return _ddim_update(z_t, eps, ab_t, ab_n)
+    z_next = _ddim_update(z_t, eps, ab_t, ab_n)
+    return _require_finite(z_next, f"state after Euler inversion step t={t} -> t={t_next}")
 
 
 def fixed_point_map(
@@ -145,12 +146,12 @@ def fixed_point_map(
     return math.sqrt(ab_t / ab_p) * np.asarray(z_prev, dtype=np.float64) + coeff * eps
 
 
-def anderson_weights(residual_history, ridge: float = 1e-10) -> np.ndarray:
+def anderson_weights(residual_history) -> np.ndarray:
     """Combination weights minimizing || sum_j gamma_j g_j ||_2 with sum(gamma) = 1.
 
     The constraint is eliminated by expressing the last weight as one minus
     the others, leaving an unconstrained least-squares problem on residual
-    differences that is solved via ridge-regularized normal equations (the
+    differences that is solved via `_RIDGE`-regularized normal equations (the
     systems stay tiny, window + 1 entries at most).  Degenerate systems
     fall back to (0, ..., 0, 1), i.e. a plain iteration.
     """
@@ -164,7 +165,7 @@ def anderson_weights(residual_history, ridge: float = 1e-10) -> np.ndarray:
         return np.array([1.0])
     stacked = np.stack(g)
     diffs = (stacked[:-1] - stacked[-1]).T  # n x m
-    normal = diffs.T @ diffs + ridge * np.eye(m1 - 1)
+    normal = diffs.T @ diffs + _RIDGE * np.eye(m1 - 1)
     rhs = -diffs.T @ stacked[-1]
     try:
         beta = np.linalg.solve(normal, rhs)
@@ -230,7 +231,7 @@ def iterative_invert_step(
         else:
             m_i = min(cfg.window, i)
             residuals = [f_hist[j] - z_hist[j] for j in range(i - m_i, i + 1)]
-            gamma = anderson_weights(residuals, cfg.ridge)
+            gamma = anderson_weights(residuals)
             z_next = sum(gamma[j] * f_hist[i - m_i + j] for j in range(m_i + 1))
         z_hist.append(z_next)
     return z_hist[cfg.iters], trace

@@ -70,14 +70,16 @@ class _Weights(dict):
     """One read-only square matrix per prompt, all of one size, with its spectral norm.
 
     Generated weights pass the norms they were scaled to; others are measured exactly.
+    A caller's matrices are copied before they are frozen; `copy=False` freezes in
+    place the ones this module has just built.
     """
 
-    def __init__(self, weights, norms: dict[PromptId, float] | None = None):
+    def __init__(self, weights, norms: dict[PromptId, float] | None = None, copy: bool = True):
         super().__init__()
         for prompt in PromptId:
             if prompt not in weights:
                 raise ValueError(f"missing weights for prompt {prompt.value}")
-            w = np.asarray(weights[prompt], dtype=np.float64)
+            w = (np.array if copy else np.asarray)(weights[prompt], dtype=np.float64)
             if w.ndim != 2 or w.shape[0] != w.shape[1]:
                 raise ValueError("weights must be square matrices")
             w.setflags(write=False)
@@ -110,7 +112,7 @@ def _random_weights(rng: np.random.Generator, dim: int, norms: dict[PromptId, fl
             raise ValueError(f"norm for prompt {p.value} must be finite and >= 0, got {norms[p]}")
         raw = rng.standard_normal((dim, dim))
         weights[p] = raw * (norms[p] / _power_norm(raw))
-    return _Weights(weights, norms)
+    return _Weights(weights, norms, copy=False)
 
 
 class ZeroPredictor(NoisePredictor):
@@ -149,7 +151,7 @@ class AffinePredictor(NoisePredictor):
         for prompt in PromptId:
             if prompt not in biases:
                 raise ValueError(f"missing bias for prompt {prompt.value}")
-            b = np.asarray(biases[prompt], dtype=np.float64)
+            b = np.array(biases[prompt], dtype=np.float64)
             if b.shape != (self.dim,):
                 raise ValueError("bias length must match the weight matrix size")
             b.setflags(write=False)
@@ -287,15 +289,33 @@ def guided_epsilon(
     return omega * eps_cond + (1.0 - omega) * eps_null
 
 
+def _prompt_keys(prefix: str) -> tuple[str, ...]:
+    return tuple(f"{prefix}_{p.value}" for p in PromptId)
+
+
+_GENERATED_KEYS = ("dim", "seed", *_prompt_keys("norm"))
+# The keys besides `kind` that a spec reads, by kind and by whether it names weight files.
+_SPEC_KEYS = {
+    ("zero", False): (),
+    ("constant", False): ("value",),
+    ("contractive", False): ("scale", *_GENERATED_KEYS),
+    ("contractive", True): ("scale", *_prompt_keys("w")),
+    ("affine", False): ("bias_scale", *_GENERATED_KEYS),
+    ("affine", True): ("bound", *_prompt_keys("a"), *_prompt_keys("b")),
+}
+
+
 def load_predictor(path) -> NoisePredictor:
     """Build a predictor from a `key = value` spec file.
 
-    Common keys: `kind` (zero | constant | affine | contractive), `dim`,
-    `seed`.  Weights load from tensor files referenced relative to the spec
-    file (`w_null = w0.txt`, `a_source = ...`, `b_source = ...`), or are
-    generated from `seed` with per-prompt spectral norms
-    (`norm_null = 0.1`, ...).  `scale` sets the contractive amplitude,
-    `value` the constant, `bound` the declared affine spectral bound.
+    `kind` is zero | constant | affine | contractive.  Weights load from
+    tensor files referenced relative to the spec file (`w_null = w0.txt`,
+    `a_source = ...`, `b_source = ...`), or are generated from `dim`, `seed`
+    and per-prompt spectral norms (`norm_null = 0.1`, ...).  `scale` sets
+    the contractive amplitude, `value` the constant, `bound` the declared
+    spectral bound of explicit affine weights and `bias_scale` the spread of
+    generated affine biases.  A key the kind and weight source do not read
+    raises ValueError.
     """
     from pathlib import Path
 
@@ -306,20 +326,21 @@ def load_predictor(path) -> NoisePredictor:
     kind = spec.get("kind")
     if kind is None:
         raise ValueError(f"{path}: missing 'kind'")
+    prefix = {"contractive": "w", "affine": "a"}.get(kind)
+    named = prefix is not None and any(key in spec for key in _prompt_keys(prefix))
+    if (kind, named) not in _SPEC_KEYS:
+        raise ValueError(f"{path}: unknown predictor kind {kind!r}")
+    unread = sorted(set(spec) - {"kind", *_SPEC_KEYS[kind, named]})
+    if unread:
+        source = " with weight files" if named else ""
+        raise ValueError(
+            f"{path}: {kind} predictor{source} does not read: {', '.join(unread)}"
+        )
 
     def tensor(key, default=None):
         if key not in spec:
             return default
         return load_tensor(path.parent / spec[key])
-
-    def explicit(prefix):
-        """The three `<prefix>_*` weight files, or None when none is given."""
-        weights = {p: tensor(f"{prefix}_{p.value}") for p in PromptId}
-        given = [w is not None for w in weights.values()]
-        if any(given) and not all(given):
-            names = "/".join(f"{prefix}_{p.value}" for p in PromptId)
-            raise ValueError(f"{path}: give all of {names} or none")
-        return _Weights(weights) if all(given) else None
 
     def norms(defaults):
         return {p: float(spec.get(f"norm_{p.value}", d)) for p, d in zip(PromptId, defaults)}
@@ -330,23 +351,20 @@ def load_predictor(path) -> NoisePredictor:
         if "value" not in spec:
             raise ValueError(f"{path}: constant predictor needs 'value'")
         return ConstantPredictor(float(spec["value"]))
-
-    dim = int(spec.get("dim", 64))
-    seed = int(spec.get("seed", 0))
+    if named:
+        if not all(key in spec for key in _prompt_keys(prefix)):
+            raise ValueError(f"{path}: give all of {'/'.join(_prompt_keys(prefix))} or none")
+        weights = _Weights({p: tensor(f"{prefix}_{p.value}") for p in PromptId}, copy=False)
+    else:
+        dim, seed = int(spec.get("dim", 64)), int(spec.get("seed", 0))
+        if kind == "affine":
+            bias_scale = float(spec.get("bias_scale", 0.1))
+            return AffinePredictor.random(dim, seed, norms((0.02, 0.05, 0.05)), bias_scale)
+        weights = _random_weights(np.random.default_rng(seed), dim, norms((0.1, 0.4, 0.4)))
     if kind == "contractive":
-        rng = np.random.default_rng(seed)
-        weights = explicit("w") or _random_weights(rng, dim, norms((0.1, 0.4, 0.4)))
         return ContractivePredictor(float(spec.get("scale", 0.1)), weights)
-    if kind == "affine":
-        weights = explicit("a")
-        if weights is None:
-            return AffinePredictor.random(
-                dim, seed, norms((0.02, 0.05, 0.05)), bias_scale=float(spec.get("bias_scale", 0.1))
-            )
-        biases = {p: tensor(f"b_{p.value}", np.zeros(weights.dim)) for p in PromptId}
-        bound = float(spec.get("bound", max(weights.norms.values())))
-        return AffinePredictor(weights, biases, bound)
-    raise ValueError(f"{path}: unknown predictor kind {kind!r}")
+    biases = {p: tensor(f"b_{p.value}", np.zeros(weights.dim)) for p in PromptId}
+    return AffinePredictor(weights, biases, float(spec.get("bound", max(weights.norms.values()))))
 
 
 def blended_epsilon(

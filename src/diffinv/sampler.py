@@ -37,6 +37,13 @@ def _as_state(z, name: str) -> np.ndarray:
     return z
 
 
+def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
+    """x, or NumericsError naming `what` when an entry is not finite."""
+    if not np.all(np.isfinite(x)):
+        raise NumericsError(f"{what} contains non-finite entries")
+    return x
+
+
 def _ddim_update(z_t, eps, ab_t: float, ab_to: float, c=None) -> np.ndarray:
     """sqrt(ab_to) * z0_hat + c * eps, with z0_hat = (z_t - sqrt(1 - ab_t) * eps) / sqrt(ab_t).
 
@@ -170,7 +177,8 @@ def sample_trajectory(
     With a StochasticConfig whose eta > 0, steps use `stochastic_step` with
     the per-step `masks` (ones when absent) and a generator seeded from the
     config unless `rng` is supplied.  Returns every state visited, starting
-    with `z_start` and ending with the clean latent.
+    with `z_start` and ending with the clean latent.  A non-finite noise
+    prediction or state raises NumericsError naming the step.
     """
     pairs = schedule.sampling_pairs()
     if scale_fields is not None and len(scale_fields) != len(pairs):
@@ -189,10 +197,18 @@ def sample_trajectory(
             eps = blended_epsilon(pred, z, cond, scale_fields[k], t)
         else:
             eps = guided_epsilon(pred, z, cond, omega, t)
-        if use_stochastic:
-            mask = None if masks is None else masks[k]
-            z = stochastic_step(schedule, eps, z, t, t_prev, mask, stochastic, rng)
-        else:
-            z = ddim_step(schedule, eps, z, t, t_prev)
+        try:
+            if use_stochastic:
+                mask = None if masks is None else masks[k]
+                z = stochastic_step(schedule, eps, z, t, t_prev, mask, stochastic, rng)
+            else:
+                z = ddim_step(schedule, eps, z, t, t_prev)
+        except ValueError:
+            # The steps reject non-finite input; here it came from the predictor
+            # or an earlier step, which is a numeric failure.
+            _require_finite(eps, f"noise prediction at sampling step t={t}")
+            _require_finite(z, f"state entering sampling step t={t}")
+            raise
         states.append(z)
+    _require_finite(z, "state after the last sampling step")
     return states

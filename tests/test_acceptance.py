@@ -11,6 +11,7 @@ import pytest
 
 from diffinv import (
     AffinePredictor,
+    AttentionMap,
     ContractivePredictor,
     EditConfig,
     FixedPointConfig,
@@ -34,7 +35,6 @@ from diffinv import (
     stochastic_step,
 )
 from diffinv.cli import main as cli_main
-from diffinv.guidance import attention_from_array
 from diffinv.schedule import NoiseSchedule
 
 
@@ -203,11 +203,11 @@ def test_criterion_6_stochastic_selection():
 
 def test_criterion_7_mask_pipeline():
     with criterion(7, "two-sided normalization examples hold to 1e-12 and M = 1e3 masks are binary to 1e-6"):
-        three = attention_from_array(np.array([[0.0, 0.5, 1.0]]))
+        three = AttentionMap(np.array([[0.0, 0.5, 1.0]]))
         out = normalize_map(three, MaskNormConfig(delta=0.5, big_m=10.0))
         np.testing.assert_allclose(out, [[-10.0, 0.0, 10.0]], atol=1e-12)
 
-        four = attention_from_array(np.array([[0.1, 0.2, 0.6, 0.8]]))
+        four = AttentionMap(np.array([[0.1, 0.2, 0.6, 0.8]]))
         out4 = normalize_map(four, MaskNormConfig(delta=0.5, big_m=4.0))
         # frozen from the independent two-segment affine oracle:
         # [0.1, 0.5] -> [-4, 0] and [0.5, 0.8] -> [0, 4]

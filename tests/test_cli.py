@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from diffinv.cli import main
+from diffinv.cli import build_parser, main
 from diffinv.fileio import load_tensor, save_tensor
 
 
@@ -41,6 +43,45 @@ class TestExitCodes:
 
     def test_bad_number_is_usage_error(self, latent_file, capsys):
         assert run_cli("invert", "--in", latent_file, "--steps", "many") == 1
+
+    @pytest.mark.parametrize("command", ["invert", "edit"])
+    def test_non_finite_euler_state_is_exit_two(self, tmp_path, command, capsys):
+        spec = tmp_path / "pred.cfg"
+        spec.write_text("kind = affine\ndim = 8\nnorm_null = 1e200\n"
+                        "norm_source = 1e200\nnorm_target = 1e200\n")
+        z_in = tmp_path / "z.txt"
+        save_tensor(z_in, np.random.default_rng(5).standard_normal(8))
+        with np.errstate(all="ignore"):
+            code = run_cli(command, "--in", z_in, "--method", "euler", "--steps", "10",
+                           "--predictor", spec)
+        assert code == 2
+        assert "Euler inversion step t=" in capsys.readouterr().err
+
+
+COMMAND_OPTIONS = {
+    "invert": {"config", "in", "out", "steps", "omega", "method", "iters", "window", "predictor"},
+    "edit": {"config", "in", "out", "steps", "omega", "method", "iters", "window", "predictor",
+             "seed", "omega_e", "eta", "candidates", "polarity", "mask_m", "delta", "attention"},
+    "grid": {"config", "out", "seed", "dim", "timing", "iters", "window", "predictor",
+             "steps", "omega", "method"},
+}
+COMMAND_OPTIONS["reconstruct"] = COMMAND_OPTIONS["invert"]
+
+
+class TestOptionsPerCommand:
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_each_command_declares_exactly_its_options(self, command):
+        declared = vars(build_parser().subcommands[command].parse_args([]))
+        assert set(declared) == COMMAND_OPTIONS[command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("invert", "--eta", "0.3"), ("reconstruct", "--seed", "9"),
+         ("invert", "--omega-e", "3"), ("grid", "--in", "x"), ("grid", "--eta", "0.3")],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, argv, capsys):
+        assert run_cli(*argv, "--out", tmp_path / "o.txt") == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestInvertReconstruct:
@@ -160,3 +201,55 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"in = {latent_file}\nsteps = 10\n")
         assert run_cli("invert", "--config", cfg) == 0
+
+    def test_key_the_command_does_not_read_is_rejected(self, tmp_path, latent_file, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = 10\ncandidates = 4\n")
+        assert run_cli("invert", "--config", cfg, "--in", latent_file) == 1
+        assert "candidates" in capsys.readouterr().err
+
+    def test_dashed_key_matches_its_flag(self, tmp_path, latent_file, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = 10\nomega-e = 3\nmask_m = 20\n")
+        assert run_cli("edit", "--config", cfg, "--in", latent_file) == 0
+        assert "omega_e=3" in capsys.readouterr().out
+
+    def test_bad_number_in_config_is_usage_error(self, tmp_path, latent_file, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = many\n")
+        assert run_cli("invert", "--config", cfg, "--in", latent_file) == 1
+        assert "--steps" in capsys.readouterr().err
+
+    def test_bad_boolean_in_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timing = maybe\n")
+        assert run_cli("grid", "--config", cfg, "--out", tmp_path / "g.csv", "--dim", "8") == 1
+        assert "--timing" in capsys.readouterr().err
+
+    def test_timing_from_config_records_wall_time(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timing = yes\nsteps = 10\nomega = 0\nmethod = averaged\ndim = 8\n")
+        out = tmp_path / "g.csv"
+        assert run_cli("grid", "--config", cfg, "--out", out) == 0
+        header, row = out.read_text().splitlines()
+        assert float(row.split(",")[header.split(",").index("wall_ms")]) > 0.0
+
+
+class TestBenchmarkArgv:
+    """Every argv the `cli-d256` benchmark workload sends still parses.
+
+    A parser change that rejects one of them fails here instead of turning
+    every benchmark op into a failure.
+    """
+
+    def test_parser_accepts_every_workload_argv(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        workload = workloads.CliD256()
+        workload.setup(1, tmp_path)
+        commands = set()
+        for spec in workload.cycle:
+            args = build_parser().parse_args(workload.argv[spec])
+            commands.add(args.command)
+        assert commands == {"invert", "reconstruct", "edit", "grid"}

@@ -5,6 +5,7 @@ import pytest
 
 from diffinv import (
     AffinePredictor,
+    AttentionMap,
     CallCounter,
     ContractivePredictor,
     EditConfig,
@@ -22,7 +23,6 @@ from diffinv import (
     synthetic_attention,
 )
 from diffinv.editing import write_scores_csv
-from diffinv.guidance import attention_from_array
 
 
 def affine_step_oracle(a, b, ab_t, ab_p):
@@ -138,7 +138,7 @@ class TestMaskLocality:
         attn_values = np.zeros((1, dim))
         hot = [3, 4, 5]
         attn_values[0, hot] = 1.0
-        amap = attention_from_array(attn_values)
+        amap = AttentionMap(attn_values)
 
         mask_cfg = MaskNormConfig(big_m=1e3, polarity=Polarity.POSITIVE)
         bump = np.zeros(dim)
@@ -217,7 +217,7 @@ class TestCandidates:
         assert result.report.nfe == invert_calls
         assert counter.calls == invert_calls + recon_calls + candidate_calls
 
-    def test_scorer_failure_falls_back_to_candidate_order(self, schedule10):
+    def test_scorer_failure_reaches_caller(self, schedule10):
         def broken(candidate, reference):
             raise RuntimeError("no metric today")
 
@@ -225,9 +225,8 @@ class TestCandidates:
         z_0 = np.random.default_rng(10).standard_normal(8)
         cfg = EditConfig(omega=1.0, omega_e=2.0, eta=0.1, n_candidates=3, seed=1,
                          fixed_point=fp_cfg(3), scorer=broken)
-        result = edit(schedule10, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
-        assert result.best_index == 0
-        assert all(math.isnan(s) for s in result.scores)
+        with pytest.raises(RuntimeError, match="no metric today"):
+            edit(schedule10, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
 
     def test_scores_csv(self, tmp_path, schedule10):
         pred = AffinePredictor.random(8, seed=3)

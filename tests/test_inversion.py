@@ -275,8 +275,6 @@ class TestIterativeInvertStep:
             FixedPointConfig(iters=0)
         with pytest.raises(ValueError):
             FixedPointConfig(residual_tol=-1.0)
-        with pytest.raises(ValueError):
-            FixedPointConfig(ridge=-1e-3)
 
 
 class TestInvertTrajectory:

@@ -180,6 +180,12 @@ class TestCallCounter:
         assert counter.calls == 6  # conditional + null
 
 
+WEIGHT_LINES = {
+    prefix: [f"{prefix}_{p.value} = {prefix}_{p.value}.txt" for p in PromptId]
+    for prefix in ("w", "a")
+}
+
+
 class TestLoadPredictor:
     def test_zero_and_constant(self, tmp_path):
         spec = tmp_path / "p.cfg"
@@ -237,6 +243,38 @@ class TestLoadPredictor:
         with pytest.raises(ValueError, match="finite and >= 0"):
             load_predictor(spec)
 
+    @pytest.mark.parametrize(
+        "lines, unread",
+        [
+            (["kind = affine", "dim = 8", "bound = 0.01", "b_source = nope.txt"],
+             "b_source, bound"),
+            (["kind = zero", "dim = 8"], "dim"),
+            (["kind = constant", "value = 1", "steed = 2"], "steed"),
+            (["kind = contractive", "dim = 8", "bias_scale = 0.2"], "bias_scale"),
+            (["kind = affine", "dim = 8", "scale = 0.1"], "scale"),
+            (["kind = contractive", "seed = 1", "norm_null = 0.1", *WEIGHT_LINES["w"]],
+             "norm_null, seed"),
+            (["kind = affine", "dim = 8", "bias_scale = 0.2", *WEIGHT_LINES["a"]],
+             "bias_scale, dim"),
+        ],
+    )
+    def test_rejects_keys_the_kind_does_not_read(self, tmp_path, lines, unread):
+        spec = tmp_path / "p.cfg"
+        spec.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"does not read: {unread}$"):
+            load_predictor(spec)
+
+    def test_explicit_affine_reads_bound_and_biases(self, tmp_path):
+        for p in PromptId:
+            save_tensor(tmp_path / f"a_{p.value}.txt", 0.01 * np.eye(4))
+        save_tensor(tmp_path / "b_source.txt", np.ones(4))
+        spec = tmp_path / "p.cfg"
+        spec.write_text("\n".join(["kind = affine", "bound = 0.02", "b_source = b_source.txt",
+                                   *WEIGHT_LINES["a"]]) + "\n")
+        pred = load_predictor(spec)
+        assert pred.spectral_bound == 0.02
+        np.testing.assert_array_equal(pred.predict(np.zeros(4), PromptId.SOURCE, 1), np.ones(4))
+
     def test_random_rejects_negative_norm(self):
         norms = {PromptId.NULL: 0.02, PromptId.SOURCE: -50.0, PromptId.TARGET: 0.05}
         with pytest.raises(ValueError, match="finite and >= 0"):
@@ -274,3 +312,24 @@ class TestMeasureOnce:
         for p in PromptId:
             assert pred.lipschitz(p) == pytest.approx(0.1 * np.linalg.norm(weights[p], 2))
         assert calls == {"spectral_norm": 3, "_power_norm": 0}
+
+
+class TestCallerArrays:
+    """A predictor copies the arrays a caller passes in before freezing them."""
+
+    def test_contractive_leaves_caller_weights_writable(self):
+        w = 0.1 * np.eye(4)
+        pred = ContractivePredictor(0.1, {p: w for p in PromptId})
+        z = np.ones(4)
+        before = pred.predict(z, PromptId.SOURCE, 1)
+        w[0, 0] = 1.0
+        np.testing.assert_array_equal(pred.predict(z, PromptId.SOURCE, 1), before)
+
+    def test_affine_leaves_caller_weights_and_biases_writable(self):
+        w, b = 0.1 * np.eye(4), np.zeros(4)
+        pred = AffinePredictor({p: w for p in PromptId}, {p: b for p in PromptId}, 0.1)
+        z = np.ones(4)
+        before = pred.predict(z, PromptId.SOURCE, 1)
+        w[0, 0] = 1.0
+        b[0] = 1.0
+        np.testing.assert_array_equal(pred.predict(z, PromptId.SOURCE, 1), before)

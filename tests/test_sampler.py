@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diffinv import (
+    AffinePredictor,
     ConstantPredictor,
     ContractivePredictor,
     NoiseSchedule,
@@ -221,6 +222,12 @@ class TestSampleTrajectory:
             schedule10, pred, z_t, PromptId.SOURCE, 1.0, stochastic=StochasticConfig(eta=0.1, seed=22)
         )
         assert not np.array_equal(a[-1], c[-1])
+
+    def test_non_finite_prediction_is_a_numeric_failure(self):
+        schedule = build_schedule().subsample(10)
+        pred = AffinePredictor.random(8, 0, {p: 1e200 for p in PromptId})
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match="sampling step t="):
+            sample_trajectory(schedule, pred, np.ones(8), PromptId.SOURCE, 1.0)
 
     def test_scale_fields_count_checked(self, schedule10):
         with pytest.raises(ValueError, match="scale field"):
