@@ -40,13 +40,11 @@ from .predictor import (
     NoisePredictor,
     PromptId,
     ZeroPredictor,
-    blended_epsilon,
     guided_epsilon,
     load_predictor,
     spectral_norm,
 )
 from .sampler import (
-    StochasticConfig,
     ddim_sigma,
     ddim_step,
     one_step_noise,
@@ -79,10 +77,8 @@ __all__ = [
     "Polarity",
     "PromptId",
     "SoftMask",
-    "StochasticConfig",
     "ZeroPredictor",
     "anderson_weights",
-    "blended_epsilon",
     "blended_scale_field",
     "build_schedule",
     "ddim_sigma",

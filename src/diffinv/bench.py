@@ -33,16 +33,13 @@ def method_config(method: str, steps: int, iters: int | None = None, window: int
     """FixedPointConfig for a named method, or None for the Euler baseline."""
     if method == "euler":
         return None
+    try:
+        variant = FixedPointVariant(method)
+    except ValueError:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}") from None
     if iters is None:
         iters = DEFAULT_ITERS.get(steps, FALLBACK_ITERS)
-    variants = {
-        "plain": FixedPointVariant.PLAIN,
-        "averaged": FixedPointVariant.AVERAGED,
-        "anderson": FixedPointVariant.ANDERSON,
-    }
-    if method not in variants:
-        raise ValueError(f"unknown method {method!r}; expected one of {('euler',) + tuple(variants)}")
-    return FixedPointConfig(variant=variants[method], iters=iters, window=window)
+    return FixedPointConfig(variant=variant, iters=iters, window=window)
 
 
 @dataclass(frozen=True)

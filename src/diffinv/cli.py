@@ -138,11 +138,15 @@ def _load_input(opts) -> np.ndarray:
     return _read(load_tensor, opts["in"], "input tensor")
 
 
-def _load_pred(opts):
-    """The `--predictor` spec's predictor, or None when no spec is given."""
-    if opts["predictor"]:
-        return _read(load_predictor, opts["predictor"], "predictor spec")
-    return None
+def _predictor(opts, size: int):
+    """The `--predictor` spec's predictor, else the default one, for latents of `size` elements."""
+    if not opts["predictor"]:
+        return ContractivePredictor.default(size, seed=0)
+    pred = _read(load_predictor, opts["predictor"], "predictor spec")
+    dim = getattr(pred, "dim", size)  # the matrix predictors fix their latent size
+    if dim != size:
+        raise UsageError(f"predictor spec has dim {dim}, but the latent has {size} elements")
+    return pred
 
 
 def _save(path, array) -> None:
@@ -155,7 +159,7 @@ def _save(path, array) -> None:
 def cmd_invert(opts: dict, reconstruct_out: bool = False) -> int:
     steps, omega = opts["steps"], opts["omega"]
     z_0 = _load_input(opts)
-    pred = _load_pred(opts) or ContractivePredictor.default(z_0.size, seed=0)
+    pred = _predictor(opts, z_0.size)
     try:
         schedule = build_schedule().subsample(steps)
         cfg = method_config(opts["method"], steps, opts["iters"], opts["window"])
@@ -175,7 +179,7 @@ def cmd_invert(opts: dict, reconstruct_out: bool = False) -> int:
 def cmd_edit(opts: dict) -> int:
     steps = opts["steps"]
     z_0 = _load_input(opts)
-    pred = _load_pred(opts) or ContractivePredictor.default(z_0.size, seed=0)
+    pred = _predictor(opts, z_0.size)
     attention = None
     if opts["attention"]:
         attention = _read(
@@ -212,7 +216,7 @@ def cmd_edit(opts: dict) -> int:
 def cmd_grid(opts: dict) -> int:
     if not opts["out"]:
         raise UsageError("--out <csv file> is required for grid")
-    predictor = _load_pred(opts)
+    predictor = _predictor(opts, opts["dim"])
     try:
         grid = ExperimentGrid(
             step_counts=opts["steps"],

@@ -28,7 +28,7 @@ from .guidance import (
 from .inversion import FixedPointConfig, InversionReport, round_trip
 from .metrics import relative_l2
 from .predictor import NoisePredictor, PromptId
-from .sampler import StochasticConfig, sample_trajectory
+from .sampler import sample_trajectory
 from .schedule import NoiseSchedule
 
 
@@ -147,7 +147,6 @@ def edit(
     )
     masks, mask_arrays, fields = _step_masks(schedule, cfg, z_0.shape)
 
-    stochastic = StochasticConfig(eta=cfg.eta, seed=cfg.seed)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_candidates)
     n_sampled = cfg.n_candidates if cfg.eta > 0.0 else 1
     candidates = [
@@ -157,7 +156,7 @@ def edit(
             z_t,
             target_prompt,
             scale_fields=fields,
-            stochastic=stochastic,
+            eta=cfg.eta,
             masks=mask_arrays,
             rng=np.random.default_rng(seed),
         )[-1]

@@ -29,7 +29,7 @@ class AttentionMap:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)  # copy: caller's array stays writable
         if values.ndim != 2 or values.size == 0:
             raise ValueError("attention map must be a nonempty 2-D grid")
         if not np.all(np.isfinite(values)):
@@ -70,7 +70,7 @@ class SoftMask:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)  # copy: caller's array stays writable
         if values.ndim != 2 or values.size == 0:
             raise ValueError("soft mask must be a nonempty 2-D grid")
         if not np.all((values >= 0.0) & (values <= 1.0)):

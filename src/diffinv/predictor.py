@@ -263,30 +263,37 @@ class CallCounter(NoisePredictor):
         return self.inner.predict(z, prompt, t)
 
 
-def _cond_null(pred: NoisePredictor, z: np.ndarray, cond: PromptId, t: int):
-    """The conditional and the null-prompt predictions of one guided evaluation."""
+def guided_epsilon(
+    pred: NoisePredictor, z: np.ndarray, cond: PromptId, scale, t: int
+) -> np.ndarray:
+    """Classifier-free guided noise: scale * eps_cond + (1 - scale) * eps_null.
+
+    `scale` is a float or a per-pixel ndarray field that broadcasts to the
+    latent shape.  Affine in the scale, so scale = 1 returns the conditional
+    prediction bit-exactly, scale = 0 the null-conditioned one, and a
+    uniform field the same noise as its value used as a scalar.
+    """
     if cond is PromptId.NULL:
         raise ValueError("conditioning prompt must not be the null prompt")
+    if isinstance(scale, np.ndarray) and scale.ndim > 0:
+        scale = scale.astype(np.float64, copy=False)
+        shape = np.shape(z)
+        try:
+            if np.broadcast_shapes(scale.shape, shape) != shape:
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"scale field of shape {scale.shape} does not broadcast to latent shape {shape}"
+            ) from None
+    else:
+        scale = float(scale)
     eps_cond = pred.predict(z, cond, t)
     eps_null = pred.predict(z, PromptId.NULL, t)
     if eps_cond.shape != eps_null.shape:
         raise ValueError(
             f"conditional/unconditional shape mismatch: {eps_cond.shape} vs {eps_null.shape}"
         )
-    return eps_cond, eps_null
-
-
-def guided_epsilon(
-    pred: NoisePredictor, z: np.ndarray, cond: PromptId, omega: float, t: int
-) -> np.ndarray:
-    """Classifier-free guided noise: omega * eps_cond + (1 - omega) * eps_null.
-
-    Affine in omega, so omega = 1 returns the conditional prediction
-    bit-exactly and omega = 0 the null-conditioned one.
-    """
-    eps_cond, eps_null = _cond_null(pred, z, cond, t)
-    omega = float(omega)
-    return omega * eps_cond + (1.0 - omega) * eps_null
+    return scale * eps_cond + (1.0 - scale) * eps_null
 
 
 def _prompt_keys(prefix: str) -> tuple[str, ...]:
@@ -366,23 +373,3 @@ def load_predictor(path) -> NoisePredictor:
     biases = {p: tensor(f"b_{p.value}", np.zeros(weights.dim)) for p in PromptId}
     return AffinePredictor(weights, biases, float(spec.get("bound", max(weights.norms.values()))))
 
-
-def blended_epsilon(
-    pred: NoisePredictor, z: np.ndarray, cond: PromptId, scale_field, t: int
-) -> np.ndarray:
-    """Per-pixel guided noise: field * eps_cond + (1 - field) * eps_null.
-
-    `scale_field` must broadcast to the latent shape.  A uniform field
-    degenerates to `guided_epsilon` bit-exactly.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    field = np.asarray(scale_field, dtype=np.float64)
-    try:
-        if np.broadcast_shapes(field.shape, z.shape) != z.shape:
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"scale field of shape {field.shape} does not broadcast to latent shape {z.shape}"
-        ) from None
-    eps_cond, eps_null = _cond_null(pred, z, cond, t)
-    return field * eps_cond + (1.0 - field) * eps_null

@@ -3,31 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError
-from .predictor import NoisePredictor, PromptId, blended_epsilon, guided_epsilon
+from .predictor import NoisePredictor, PromptId, guided_epsilon
 from .schedule import NoiseSchedule
-
-
-@dataclass(frozen=True)
-class StochasticConfig:
-    """Controls the masked stochastic variant of the DDIM step.
-
-    eta scales the per-step variance eta * sigma_t^2 * mask, with sigma_t
-    the standard DDIM variance.  For eta in [0, 1] and masks in [0, 1] the
-    mean's square-root argument is guaranteed nonnegative.  eta is held
-    constant across the run.
-    """
-
-    eta: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
 
 
 def _as_state(z, name: str) -> np.ndarray:
@@ -111,7 +92,7 @@ def stochastic_step(
     t: int,
     t_prev: int,
     mask=None,
-    cfg: StochasticConfig = StochasticConfig(),
+    eta: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Masked stochastic DDIM update.
@@ -124,10 +105,16 @@ def stochastic_step(
 
     eta = 0 or a zero mask reproduces `ddim_step` bit-exactly.  `mask` may
     be a scalar or any array broadcastable to the latent shape; None means
-    fully stochastic (mask of ones).
+    fully stochastic (mask of ones).  eta must be >= 0, and eta > 0 draws
+    its noise from `rng`, which is then required.  For eta in [0, 1] and
+    masks in [0, 1] the mean's square-root argument is nonnegative.
     """
-    if cfg.eta == 0.0:
+    if not eta >= 0.0:
+        raise ValueError(f"eta must be >= 0, got {eta}")
+    if eta == 0.0:
         return ddim_step(schedule, pred_eps, z_t, t, t_prev)
+    if rng is None:
+        raise ValueError("eta > 0 needs a random generator: pass rng")
     z_t = _as_state(z_t, "z_t")
     eps = _as_state(pred_eps, "pred_eps")
     if eps.shape != z_t.shape:
@@ -145,7 +132,7 @@ def stochastic_step(
     if ab_t <= 0.0:
         raise NumericsError(f"alpha_bar[{t}] must be positive")
     sigma2 = ddim_sigma(schedule, t, t_prev) ** 2
-    var = cfg.eta * sigma2 * mask_arr
+    var = eta * sigma2 * mask_arr
     sqrt_arg = 1.0 - ab_p - var
     if np.any(sqrt_arg < 0.0):
         raise NumericsError(
@@ -153,8 +140,6 @@ def stochastic_step(
             f"eta * sigma_t^2 * mask exceeds 1 - alpha_bar[{t_prev}]"
         )
     mean = _ddim_update(z_t, eps, ab_t, ab_p, np.sqrt(sqrt_arg))
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     return mean + np.sqrt(var) * rng.standard_normal(z_t.shape)
 
 
@@ -166,19 +151,20 @@ def sample_trajectory(
     omega: float = 1.0,
     *,
     scale_fields=None,
-    stochastic: StochasticConfig | None = None,
+    eta: float = 0.0,
     masks=None,
     rng: np.random.Generator | None = None,
 ) -> list[np.ndarray]:
     """Run the sampler across the scheduled timesteps in decreasing order.
 
-    Either a scalar guidance `omega` or one per-pixel `scale_fields` entry
-    per step (aligned with decreasing timesteps) selects the guidance mode.
-    With a StochasticConfig whose eta > 0, steps use `stochastic_step` with
-    the per-step `masks` (ones when absent) and a generator seeded from the
-    config unless `rng` is supplied.  Returns every state visited, starting
-    with `z_start` and ending with the clean latent.  A non-finite noise
-    prediction or state raises NumericsError naming the step.
+    Each step guides with the scalar `omega`, or with its entry of
+    `scale_fields` (one per-pixel field per step, aligned with decreasing
+    timesteps) when given, then takes a `stochastic_step` with noise scale
+    `eta`, its entry of `masks` (ones when absent) and the generator `rng`,
+    which eta > 0 requires; eta = 0 is deterministic DDIM sampling.  Returns
+    every state visited, starting with `z_start` and ending with the clean
+    latent.  A non-finite noise prediction or state raises NumericsError
+    naming the step.
     """
     pairs = schedule.sampling_pairs()
     if scale_fields is not None and len(scale_fields) != len(pairs):
@@ -187,22 +173,14 @@ def sample_trajectory(
         )
     if masks is not None and len(masks) != len(pairs):
         raise ValueError(f"need one mask per step: got {len(masks)} for {len(pairs)} steps")
-    use_stochastic = stochastic is not None and stochastic.eta > 0.0
-    if use_stochastic and rng is None:
-        rng = np.random.default_rng(stochastic.seed)
+    scales = [omega] * len(pairs) if scale_fields is None else scale_fields
+    masks = [None] * len(pairs) if masks is None else masks
     z = _as_state(z_start, "z_start")
     states = [z]
-    for k, (t, t_prev) in enumerate(pairs):
-        if scale_fields is not None:
-            eps = blended_epsilon(pred, z, cond, scale_fields[k], t)
-        else:
-            eps = guided_epsilon(pred, z, cond, omega, t)
+    for (t, t_prev), scale, mask in zip(pairs, scales, masks):
+        eps = guided_epsilon(pred, z, cond, scale, t)
         try:
-            if use_stochastic:
-                mask = None if masks is None else masks[k]
-                z = stochastic_step(schedule, eps, z, t, t_prev, mask, stochastic, rng)
-            else:
-                z = ddim_step(schedule, eps, z, t, t_prev)
+            z = stochastic_step(schedule, eps, z, t, t_prev, mask, eta, rng)
         except ValueError:
             # The steps reject non-finite input; here it came from the predictor
             # or an earlier step, which is a numeric failure.

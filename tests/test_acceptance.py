@@ -19,8 +19,6 @@ from diffinv import (
     MaskNormConfig,
     Polarity,
     PromptId,
-    StochasticConfig,
-    blended_epsilon,
     blended_scale_field,
     build_schedule,
     ddim_step,
@@ -150,13 +148,13 @@ def test_criterion_5_degenerate_identities_bit_exact():
         eps = rng.standard_normal(8)
 
         det = ddim_step(schedule, eps, z, 2, 1)
-        sto = stochastic_step(schedule, eps, z, 2, 1, None, StochasticConfig(eta=0.0), rng)
+        sto = stochastic_step(schedule, eps, z, 2, 1, None, 0.0, rng)
         assert np.array_equal(det, sto)
 
         pred = ContractivePredictor.default(8, seed=0)
         field = blended_scale_field(np.full((1, 8), 1.0), 2.5, 2.5)
         assert np.array_equal(field, np.full((1, 8), 2.5))
-        a = blended_epsilon(pred, z, PromptId.SOURCE, np.full(8, 2.5), 100)
+        a = guided_epsilon(pred, z, PromptId.SOURCE, np.full(8, 2.5), 100)
         b = guided_epsilon(pred, z, PromptId.SOURCE, 2.5, 100)
         assert np.array_equal(a, b)
 

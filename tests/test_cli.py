@@ -126,6 +126,27 @@ class TestInvertReconstruct:
         assert err <= 1e-12
 
 
+class TestPredictorSize:
+    """A `--predictor` spec whose dim differs from the latent size is a usage error."""
+
+    @pytest.mark.parametrize("command", ["invert", "reconstruct", "edit", "grid"])
+    def test_mismatched_spec_dim_is_usage_error(self, tmp_path, latent_file, command, capsys):
+        spec = tmp_path / "pred.cfg"
+        spec.write_text("kind = contractive\ndim = 8\n")
+        latent = ["--out", tmp_path / "g.csv"] if command == "grid" else ["--in", latent_file]
+        assert run_cli(command, *latent, "--predictor", spec, "--steps", "10") == 1
+        err = capsys.readouterr().err
+        assert "dim 8" in err
+        assert ("64" if command == "grid" else "32") in err
+
+    def test_grid_spec_matching_dim_runs(self, tmp_path, capsys):
+        spec = tmp_path / "pred.cfg"
+        spec.write_text("kind = contractive\ndim = 8\n")
+        code = run_cli("grid", "--out", tmp_path / "g.csv", "--predictor", spec, "--dim", "8",
+                       "--steps", "10", "--omega", "1", "--method", "plain")
+        assert code == 0
+
+
 class TestEditCommand:
     def test_edit_writes_best_and_scores(self, tmp_path, latent_file, capsys):
         out = tmp_path / "edited.txt"

@@ -169,11 +169,11 @@ class TestMaskLocality:
 
         # restated at the noise level: where the mask is 0 the blended
         # prediction equals the omega-guided one
-        from diffinv import blended_epsilon, blended_scale_field, guided_epsilon
+        from diffinv import blended_scale_field, guided_epsilon
 
         field = blended_scale_field(mask, 1.0, 3.0)
         z = rng.standard_normal(dim)
-        eps_blend = blended_epsilon(pred, z, PromptId.TARGET, field, 500)
+        eps_blend = guided_epsilon(pred, z, PromptId.TARGET, field, 500)
         eps_guided = guided_epsilon(pred, z, PromptId.TARGET, 1.0, 500)
         np.testing.assert_array_equal(eps_blend[cold], eps_guided[cold])
 

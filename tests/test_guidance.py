@@ -232,3 +232,11 @@ class TestValidation:
     def test_soft_mask_range_check(self):
         with pytest.raises(ValueError, match="lie in"):
             SoftMask(np.array([[1.5]]))
+
+    @pytest.mark.parametrize("cls", [AttentionMap, SoftMask])
+    def test_caller_array_stays_writable(self, cls):
+        values = np.full((2, 3), 0.5)
+        grid = cls(values)
+        values[0, 0] = 1.0
+        assert grid.values[0, 0] == 0.5
+        assert not grid.values.flags.writeable

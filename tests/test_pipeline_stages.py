@@ -10,7 +10,6 @@ from diffinv import (
     EditConfig,
     FixedPointConfig,
     PromptId,
-    StochasticConfig,
     blended_scale_field,
     edit,
     invert_trajectory,
@@ -100,7 +99,7 @@ class TestStochasticCandidates:
         for k, seed in enumerate(seeds):
             expected = sample_trajectory(
                 schedule10, pred, z_t, PromptId.TARGET, scale_fields=fields,
-                stochastic=StochasticConfig(eta=cfg.eta, seed=cfg.seed), masks=mask_arrays,
+                eta=cfg.eta, masks=mask_arrays,
                 rng=np.random.default_rng(seed),
             )[-1]
             np.testing.assert_array_equal(result.candidates[k], expected)

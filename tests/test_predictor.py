@@ -8,7 +8,6 @@ from diffinv import (
     ContractivePredictor,
     PromptId,
     ZeroPredictor,
-    blended_epsilon,
     guided_epsilon,
     load_predictor,
     spectral_norm,
@@ -147,26 +146,26 @@ class TestBlendedEpsilon:
         pred = ContractivePredictor.default(8, seed=2)
         z = np.random.default_rng(1).standard_normal(8)
         field = np.full(8, 2.5)
-        a = blended_epsilon(pred, z, PromptId.SOURCE, field, 7)
+        a = guided_epsilon(pred, z, PromptId.SOURCE, field, 7)
         b = guided_epsilon(pred, z, PromptId.SOURCE, 2.5, 7)
         np.testing.assert_array_equal(a, b)
 
     def test_field_of_ones_is_conditional(self):
         pred = ContractivePredictor.default(8, seed=2)
         z = np.random.default_rng(1).standard_normal(8)
-        out = blended_epsilon(pred, z, PromptId.SOURCE, np.ones(8), 7)
+        out = guided_epsilon(pred, z, PromptId.SOURCE, np.ones(8), 7)
         np.testing.assert_array_equal(out, pred.predict(z, PromptId.SOURCE, 7))
 
     def test_constant_predictor_any_field(self):
         z = np.zeros((2, 3))
         field = np.array([[0.0, 0.5, 1.0], [7.0, -1.0, 2.0]])
-        out = blended_epsilon(ConstantPredictor(0.3), z, PromptId.TARGET, field, 1)
+        out = guided_epsilon(ConstantPredictor(0.3), z, PromptId.TARGET, field, 1)
         np.testing.assert_allclose(out, 0.3, atol=1e-15)
 
     def test_rejects_non_broadcastable_field(self):
         pred = ConstantPredictor(1.0)
         with pytest.raises(ValueError, match="broadcast"):
-            blended_epsilon(pred, np.zeros((2, 3)), PromptId.SOURCE, np.zeros(4), 1)
+            guided_epsilon(pred, np.zeros((2, 3)), PromptId.SOURCE, np.zeros(4), 1)
 
 
 class TestCallCounter:

@@ -9,7 +9,6 @@ from diffinv import (
     ContractivePredictor,
     NoiseSchedule,
     PromptId,
-    StochasticConfig,
     ZeroPredictor,
     build_schedule,
     ddim_sigma,
@@ -85,9 +84,7 @@ class TestStochasticStep:
         z = rng.standard_normal(6)
         eps = rng.standard_normal(6)
         det = ddim_step(toy_schedule, eps, z, 2, 1)
-        sto = stochastic_step(
-            toy_schedule, eps, z, 2, 1, None, StochasticConfig(eta=0.0), rng
-        )
+        sto = stochastic_step(toy_schedule, eps, z, 2, 1, None, 0.0, rng)
         np.testing.assert_array_equal(det, sto)
 
     def test_zero_mask_equals_deterministic(self, toy_schedule):
@@ -95,20 +92,17 @@ class TestStochasticStep:
         z = rng.standard_normal(6)
         eps = rng.standard_normal(6)
         det = ddim_step(toy_schedule, eps, z, 2, 1)
-        sto = stochastic_step(
-            toy_schedule, eps, z, 2, 1, np.zeros(6), StochasticConfig(eta=0.5), rng
-        )
+        sto = stochastic_step(toy_schedule, eps, z, 2, 1, np.zeros(6), 0.5, rng)
         np.testing.assert_array_equal(det, sto)
 
     def test_monte_carlo_variance(self, toy_schedule):
         # derived oracle: per-pixel variance of repeated draws ~= eta * sigma_t^2
         eta = 0.1
-        cfg = StochasticConfig(eta=eta)
         rng = np.random.default_rng(42)
         z = np.array([1.0, -0.5, 0.25, 2.0])
         eps = np.array([0.1, 0.2, -0.1, 0.0])
         draws = np.stack(
-            [stochastic_step(toy_schedule, eps, z, 2, 1, 1.0, cfg, rng) for _ in range(10_000)]
+            [stochastic_step(toy_schedule, eps, z, 2, 1, 1.0, eta, rng) for _ in range(10_000)]
         )
         expected = eta * ddim_sigma_oracle(0.25, 0.64) ** 2
         np.testing.assert_allclose(draws.var(axis=0), expected, rtol=0.05)
@@ -117,12 +111,11 @@ class TestStochasticStep:
         # with the mask on, the mean trades sqrt(1 - ab_prev) for
         # sqrt(1 - ab_prev - eta * sigma^2)
         eta = 0.3
-        cfg = StochasticConfig(eta=eta)
         z = np.array([1.0])
         eps = np.array([0.4])
         rng = np.random.default_rng(3)
         draws = np.stack(
-            [stochastic_step(toy_schedule, eps, z, 2, 1, 1.0, cfg, rng) for _ in range(40_000)]
+            [stochastic_step(toy_schedule, eps, z, 2, 1, 1.0, eta, rng) for _ in range(40_000)]
         )
         sigma2 = ddim_sigma_oracle(0.25, 0.64) ** 2
         z0_hat = (1.0 - math.sqrt(0.75) * 0.4) / 0.5
@@ -130,11 +123,21 @@ class TestStochasticStep:
         assert draws.mean() == pytest.approx(mean, abs=4 * math.sqrt(eta * sigma2 / 40_000))
 
     def test_negative_sqrt_argument_names_step(self, toy_schedule):
-        cfg = StochasticConfig(eta=50.0)
         with pytest.raises(NumericsError, match="t=2"):
             stochastic_step(
-                toy_schedule, np.zeros(2), np.zeros(2), 2, 1, 1.0, cfg,
+                toy_schedule, np.zeros(2), np.zeros(2), 2, 1, 1.0, 50.0,
                 np.random.default_rng(0),
+            )
+
+    def test_positive_eta_needs_rng(self, toy_schedule):
+        with pytest.raises(ValueError, match="rng"):
+            stochastic_step(toy_schedule, np.zeros(2), np.ones(2), 2, 1, None, 0.1)
+
+    @pytest.mark.parametrize("eta", [-0.1, math.nan])
+    def test_rejects_negative_eta(self, toy_schedule, eta):
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            stochastic_step(
+                toy_schedule, np.zeros(2), np.ones(2), 2, 1, None, eta, np.random.default_rng(0)
             )
 
     def test_final_step_has_zero_variance(self, toy_schedule):
@@ -144,7 +147,7 @@ class TestStochasticStep:
         z = rng.standard_normal(3)
         eps = rng.standard_normal(3)
         det = ddim_step(toy_schedule, eps, z, 1, 0)
-        sto = stochastic_step(toy_schedule, eps, z, 1, 0, 1.0, StochasticConfig(eta=1.0), rng)
+        sto = stochastic_step(toy_schedule, eps, z, 1, 0, 1.0, 1.0, rng)
         np.testing.assert_array_equal(det, sto)
 
 
@@ -213,15 +216,24 @@ class TestSampleTrajectory:
     def test_stochastic_trajectory_seeded(self, schedule10):
         pred = ContractivePredictor.default(8, seed=1)
         z_t = np.random.default_rng(7).standard_normal(8)
-        cfg = StochasticConfig(eta=0.1, seed=21)
-        a = sample_trajectory(schedule10, pred, z_t, PromptId.SOURCE, 1.0, stochastic=cfg)
-        b = sample_trajectory(schedule10, pred, z_t, PromptId.SOURCE, 1.0, stochastic=cfg)
+        a = sample_trajectory(
+            schedule10, pred, z_t, PromptId.SOURCE, 1.0, eta=0.1, rng=np.random.default_rng(21)
+        )
+        b = sample_trajectory(
+            schedule10, pred, z_t, PromptId.SOURCE, 1.0, eta=0.1, rng=np.random.default_rng(21)
+        )
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
         c = sample_trajectory(
-            schedule10, pred, z_t, PromptId.SOURCE, 1.0, stochastic=StochasticConfig(eta=0.1, seed=22)
+            schedule10, pred, z_t, PromptId.SOURCE, 1.0, eta=0.1, rng=np.random.default_rng(22)
         )
         assert not np.array_equal(a[-1], c[-1])
+
+    def test_positive_eta_needs_rng(self, schedule10):
+        with pytest.raises(ValueError, match="rng"):
+            sample_trajectory(
+                schedule10, ZeroPredictor(), np.ones(4), PromptId.SOURCE, 1.0, eta=0.1
+            )
 
     def test_non_finite_prediction_is_a_numeric_failure(self):
         schedule = build_schedule().subsample(10)
