@@ -25,7 +25,6 @@ from .inversion import (
     FixedPointVariant,
     InversionReport,
     anderson_weights,
-    euler_invert_step,
     fixed_point_map,
     invert_trajectory,
     iterative_invert_step,
@@ -85,7 +84,6 @@ __all__ = [
     "ddim_step",
     "default_scorer",
     "edit",
-    "euler_invert_step",
     "fixed_point_map",
     "guided_epsilon",
     "invert_trajectory",

@@ -30,16 +30,17 @@ CSV_HEADER = "method,steps,omega,round_trip_relative_l2,psnr,nfe,wall_ms,seed"
 
 
 def method_config(method: str, steps: int, iters: int | None = None, window: int = 2):
-    """FixedPointConfig for a named method, or None for the Euler baseline."""
-    if method == "euler":
-        return None
-    try:
-        variant = FixedPointVariant(method)
-    except ValueError:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}") from None
+    """FixedPointConfig for a named method, or None for Euler, the zero-iteration solve.
+
+    The budget is checked for every method, Euler included.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if iters is None:
         iters = DEFAULT_ITERS.get(steps, FALLBACK_ITERS)
-    return FixedPointConfig(variant=variant, iters=iters, window=window)
+    variant = FixedPointVariant.PLAIN if method == "euler" else FixedPointVariant(method)
+    cfg = FixedPointConfig(variant=variant, iters=iters, window=window)
+    return None if method == "euler" else cfg
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,17 @@ class ExperimentGrid:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}; expected subset of {METHODS}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        # Every cell's solver config and schedule, built here so that a bad
+        # budget or step count is rejected before any cell runs.
+        base = build_schedule()
+        cells = {
+            (m, s): (method_config(m, s, self.iters, self.window), base.subsample(s))
+            for m in self.methods
+            for s in self.step_counts
+        }
+        object.__setattr__(self, "_cells", cells)
 
 
 @dataclass(frozen=True)
@@ -85,13 +97,11 @@ def run_grid(grid: ExperimentGrid) -> list[GridRow]:
     pred = grid.predictor
     if pred is None:
         pred = ContractivePredictor.default(grid.dim, seed=0)
-    base = build_schedule()
     z_0 = np.random.default_rng(grid.seed).standard_normal(grid.dim)
     rows: list[GridRow] = []
     for method in sorted(grid.methods):
         for steps in sorted(grid.step_counts):
-            schedule = base.subsample(steps)
-            cfg = method_config(method, steps, grid.iters, grid.window)
+            cfg, schedule = grid._cells[method, steps]
             for omega in sorted(grid.omegas):
                 start = time.perf_counter()
                 _, z_rec, report = round_trip(schedule, pred, z_0, PromptId.SOURCE, omega, cfg)

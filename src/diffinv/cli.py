@@ -216,7 +216,8 @@ def cmd_edit(opts: dict) -> int:
 def cmd_grid(opts: dict) -> int:
     if not opts["out"]:
         raise UsageError("--out <csv file> is required for grid")
-    predictor = _predictor(opts, opts["dim"])
+    # Without a spec, run_grid builds the default predictor once the grid is valid.
+    predictor = _predictor(opts, opts["dim"]) if opts["predictor"] else None
     try:
         grid = ExperimentGrid(
             step_counts=opts["steps"],

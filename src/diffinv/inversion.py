@@ -1,4 +1,4 @@
-"""DDIM inversion: forward-Euler baseline and accelerated fixed-point steps.
+"""DDIM inversion: each step solved as a fixed point, with or without acceleration.
 
 The exact reverse of a DDIM update from t to t_prev satisfies
 
@@ -9,8 +9,9 @@ unknown z_t.  Each inversion step therefore solves z = f(z) for the map
 built by `fixed_point_map`.  Plain iteration z <- f(z) converges linearly
 for contractive predictors; the Anderson variant extrapolates over a short
 window of residuals, and the averaged variant blends the last two map
-evaluations with fixed weights (0.5, 0.5).  The cheap baseline
-`euler_invert_step` instead evaluates the noise at the current state and
+evaluations with fixed weights (0.5, 0.5).  The linearized (forward-Euler)
+baseline is the same solver at zero iterations: its step is the first map
+evaluation f(z_prev), which evaluates the noise at the current state and
 is exact only when the prediction does not depend on z.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import DivergenceError
 from .metrics import relative_l2
 from .predictor import CallCounter, NoisePredictor, PromptId, guided_epsilon
-from .sampler import _ddim_update, _require_finite, sample_trajectory
+from .sampler import sample_trajectory
 from .schedule import NoiseSchedule, inversion_eps_coeff
 
 
@@ -68,10 +69,10 @@ class FixedPointConfig:
 class InversionReport:
     """Residual traces and cost accounting for one inversion run.
 
-    `step_traces` holds (timestep, residual norms per iteration); the
-    baseline records empty traces.  `nfe` counts noise-predictor calls
-    (two per guided evaluation).  `round_trip_l2` is filled by `round_trip`,
-    which resamples and measures the reconstruction.
+    `step_traces` holds (timestep, residual norms per iteration); a
+    zero-iteration (Euler) step records an empty trace.  `nfe` counts
+    noise-predictor calls (two per guided evaluation).  `round_trip_l2` is
+    filled by `round_trip`, which resamples and measures the reconstruction.
     """
 
     step_traces: list[tuple[int, list[float]]] = field(default_factory=list)
@@ -90,34 +91,6 @@ class InversionReport:
         lines.append(f"{rt:.9g},{self.nfe},{self.wall_ms:.9g}")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-def euler_invert_step(
-    schedule: NoiseSchedule,
-    pred: NoisePredictor,
-    z_t,
-    t: int,
-    t_next: int,
-    cond: PromptId,
-    omega: float,
-) -> np.ndarray:
-    """Linearized inversion step from t up to t_next.
-
-    Evaluates the guided noise at the current state with the *next*
-    timestep as time argument, then applies the sampling formula towards
-    higher noise.  t may be 0.  A non-finite result raises NumericsError;
-    a non-finite prediction always yields one.
-    """
-    if not t < t_next:
-        raise ValueError(f"need t < t_next, got {t} >= {t_next}")
-    z_t = np.asarray(z_t, dtype=np.float64)
-    eps = guided_epsilon(pred, z_t, cond, omega, t_next)
-    ab_t = float(schedule.alpha_bar[t])
-    ab_n = float(schedule.alpha_bar[t_next])
-    if ab_t <= 0.0:
-        raise ValueError(f"alpha_bar[{t}] must be positive")
-    z_next = _ddim_update(z_t, eps, ab_t, ab_n)
-    return _require_finite(z_next, f"state after Euler inversion step t={t} -> t={t_next}")
 
 
 def fixed_point_map(
@@ -191,7 +164,7 @@ def iterative_invert_step(
     t_prev: int,
     cond: PromptId,
     omega: float,
-    cfg: FixedPointConfig,
+    cfg: FixedPointConfig | None,
 ) -> tuple[np.ndarray, list[float]]:
     """Solve one implicit inversion step z = f(z) by accelerated iteration.
 
@@ -204,17 +177,20 @@ def iterative_invert_step(
     (0.5, 0.5) for the averaged variant, or (0, 1) for plain iteration.
     Returns (z^iters, residual trace), or an earlier iterate when
     `residual_tol` > 0 is reached.  Map evaluations are cached, so a step
-    with I iterations costs exactly I + 1 evaluations.
+    with I iterations costs exactly I + 1 evaluations.  cfg=None runs zero
+    iterations: the linearized (Euler) step returns (z^1, []) at one
+    evaluation.  A non-finite iterate raises DivergenceError naming the step.
     """
 
     def f(z):
         return fixed_point_map(schedule, pred, z, z_prev, t, t_prev, cond, omega)
 
+    iters = 0 if cfg is None else cfg.iters
     z_hist = [np.asarray(z_prev, dtype=np.float64)]
     f_hist = [f(z_hist[0])]
     z_hist.append(f_hist[0])
     trace: list[float] = []
-    for i in range(1, cfg.iters + 1):
+    for i in range(1, iters + 1):
         if not np.all(np.isfinite(z_hist[i])):
             raise DivergenceError(step_t=t, iteration=i)
         f_i = f(z_hist[i])
@@ -234,7 +210,9 @@ def iterative_invert_step(
             gamma = anderson_weights(residuals)
             z_next = sum(gamma[j] * f_hist[i - m_i + j] for j in range(m_i + 1))
         z_hist.append(z_next)
-    return z_hist[cfg.iters], trace
+    if iters == 0 and not np.all(np.isfinite(z_hist[1])):
+        raise DivergenceError(step_t=t, iteration=1)
+    return z_hist[max(iters, 1)], trace
 
 
 def invert_trajectory(
@@ -247,8 +225,8 @@ def invert_trajectory(
 ) -> tuple[np.ndarray, InversionReport]:
     """Invert a clean latent across the scheduled timesteps in increasing order.
 
-    With a FixedPointConfig each step runs `iterative_invert_step`; with
-    cfg=None the forward-Euler baseline is used.  Returns the final noise
+    Each step runs `iterative_invert_step` with `cfg`; cfg=None is the
+    zero-iteration (forward-Euler) baseline.  Returns the final noise
     vector and a report with per-step residual traces and the
     noise-predictor call count.
     """
@@ -257,14 +235,8 @@ def invert_trajectory(
     z = np.asarray(z_0, dtype=np.float64)
     traces: list[tuple[int, list[float]]] = []
     for t_prev, t in schedule.inversion_pairs():
-        if cfg is None:
-            z = euler_invert_step(schedule, counter, z, t_prev, t, cond, omega)
-            traces.append((t, []))
-        else:
-            z, trace = iterative_invert_step(
-                schedule, counter, z, t, t_prev, cond, omega, cfg
-            )
-            traces.append((t, trace))
+        z, trace = iterative_invert_step(schedule, counter, z, t, t_prev, cond, omega, cfg)
+        traces.append((t, trace))
     wall_ms = (time.perf_counter() - start) * 1e3
     report = InversionReport(step_traces=traces, nfe=counter.calls, wall_ms=wall_ms)
     return z, report

@@ -29,7 +29,7 @@ def _ddim_update(z_t, eps, ab_t: float, ab_to: float, c=None) -> np.ndarray:
     """sqrt(ab_to) * z0_hat + c * eps, with z0_hat = (z_t - sqrt(1 - ab_t) * eps) / sqrt(ab_t).
 
     c defaults to sqrt(1 - ab_to), the deterministic DDIM update from the
-    noise level ab_t to ab_to in either direction.
+    noise level ab_t to ab_to.
     """
     if c is None:
         c = math.sqrt(1.0 - ab_to)
@@ -50,6 +50,21 @@ def ddim_sigma(schedule: NoiseSchedule, t: int, t_prev: int) -> float:
     return math.sqrt((1.0 - ab_p) / (1.0 - ab_t)) * math.sqrt(max(1.0 - ab_t / ab_p, 0.0))
 
 
+def _step_inputs(schedule: NoiseSchedule, pred_eps, z_t, t: int, t_prev: int):
+    """The checked (z_t, eps, ab_t, ab_prev) of one sampling step from t down to t_prev."""
+    if t_prev > t:
+        raise ValueError(f"t_prev={t_prev} must not exceed t={t}")
+    z_t = _as_state(z_t, "z_t")
+    eps = _as_state(pred_eps, "pred_eps")
+    if eps.shape != z_t.shape:
+        raise ValueError(f"eps shape {eps.shape} does not match latent shape {z_t.shape}")
+    ab_t = float(schedule.alpha_bar[t])
+    ab_p = float(schedule.alpha_bar[t_prev])
+    if ab_t <= 0.0:
+        raise NumericsError(f"alpha_bar[{t}] must be positive")
+    return z_t, eps, ab_t, ab_p
+
+
 def ddim_step(
     schedule: NoiseSchedule, pred_eps, z_t, t: int, t_prev: int
 ) -> np.ndarray:
@@ -61,17 +76,7 @@ def ddim_step(
     t_prev may be 0 (alpha_bar = 1) and may equal t, in which case the
     coefficients cancel and the state is returned unchanged up to rounding.
     """
-    if t_prev > t:
-        raise ValueError(f"t_prev={t_prev} must not exceed t={t}")
-    z_t = _as_state(z_t, "z_t")
-    eps = _as_state(pred_eps, "pred_eps")
-    if eps.shape != z_t.shape:
-        raise ValueError(f"eps shape {eps.shape} does not match latent shape {z_t.shape}")
-    ab_t = float(schedule.alpha_bar[t])
-    ab_p = float(schedule.alpha_bar[t_prev])
-    if ab_t <= 0.0:
-        raise NumericsError(f"alpha_bar[{t}] must be positive")
-    return _ddim_update(z_t, eps, ab_t, ab_p)
+    return _ddim_update(*_step_inputs(schedule, pred_eps, z_t, t, t_prev))
 
 
 def one_step_noise(schedule: NoiseSchedule, z_0, t: int, noise) -> np.ndarray:
@@ -115,10 +120,7 @@ def stochastic_step(
         return ddim_step(schedule, pred_eps, z_t, t, t_prev)
     if rng is None:
         raise ValueError("eta > 0 needs a random generator: pass rng")
-    z_t = _as_state(z_t, "z_t")
-    eps = _as_state(pred_eps, "pred_eps")
-    if eps.shape != z_t.shape:
-        raise ValueError(f"eps shape {eps.shape} does not match latent shape {z_t.shape}")
+    z_t, eps, ab_t, ab_p = _step_inputs(schedule, pred_eps, z_t, t, t_prev)
     mask_arr = np.asarray(1.0 if mask is None else mask, dtype=np.float64)
     try:
         if np.broadcast_shapes(mask_arr.shape, z_t.shape) != z_t.shape:
@@ -127,10 +129,6 @@ def stochastic_step(
         raise ValueError(
             f"mask of shape {mask_arr.shape} does not broadcast to latent shape {z_t.shape}"
         ) from None
-    ab_t = float(schedule.alpha_bar[t])
-    ab_p = float(schedule.alpha_bar[t_prev])
-    if ab_t <= 0.0:
-        raise NumericsError(f"alpha_bar[{t}] must be positive")
     sigma2 = ddim_sigma(schedule, t, t_prev) ** 2
     var = eta * sigma2 * mask_arr
     sqrt_arg = 1.0 - ab_p - var

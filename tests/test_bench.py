@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,12 @@ from diffinv.bench import (
 class TestMethodConfig:
     def test_euler_is_none(self):
         assert method_config("euler", 20) is None
+
+    @pytest.mark.parametrize("method", ["euler", "plain"])
+    @pytest.mark.parametrize("budget", [{"iters": 0}, {"iters": -2}, {"window": -5}])
+    def test_bad_budget_rejected_for_every_method(self, method, budget):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            method_config(method, 20, **budget)
 
     @pytest.mark.parametrize(
         "method,variant",
@@ -101,6 +109,20 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="unknown methods"):
             ExperimentGrid(methods=("euler", "warp"))
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"dim": 0}, "dim must be >= 1"),
+            ({"dim": -3}, "dim must be >= 1"),
+            ({"iters": 0}, "iters must be >= 1"),
+            ({"window": 0}, "window must be >= 1"),
+            ({"step_counts": (10, 0)}, "n_steps must be in"),
+        ],
+    )
+    def test_every_cell_validated_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentGrid(**fields)
+
 
 class TestCsv:
     def test_header_and_formatting(self, tmp_path):
@@ -136,3 +158,25 @@ class TestCsv:
         blob = path.read_bytes()
         assert b"\r" not in blob
         assert blob.endswith(b"\n")
+
+
+class TestBenchmarkOracle:
+    """One pass of the `invert-d64` benchmark cycle passes the workload's own oracle.
+
+    The workload spells Euler as `method_config("euler", s) is None`, counts
+    its inversion NFE in closed form and gates the fixed-point round trips
+    at 1e-4.  A solver change that breaks any of these fails here instead of
+    turning benchmark ops into failures.
+    """
+
+    def test_invert_d64_cycle_passes_its_oracle(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        workload = workloads.InvertD64()
+        workload.setup(1, tmp_path)
+        records = [workload.check(spec, workload.call(spec)) for spec in workload.cycle]
+        assert len(records) == 96
+        euler = [r for r in records if r["op"].startswith("euler-")]
+        assert len(euler) == 24
+        assert all(r["iterations"] == 0 for r in euler)

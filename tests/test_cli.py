@@ -44,6 +44,11 @@ class TestExitCodes:
     def test_bad_number_is_usage_error(self, latent_file, capsys):
         assert run_cli("invert", "--in", latent_file, "--steps", "many") == 1
 
+    @pytest.mark.parametrize("method", ["euler", "plain"])
+    @pytest.mark.parametrize("budget", [("--iters", "-2"), ("--window", "-5")])
+    def test_bad_budget_is_usage_error_for_every_method(self, latent_file, method, budget):
+        assert run_cli("invert", "--in", latent_file, "--method", method, *budget) == 1
+
     @pytest.mark.parametrize("command", ["invert", "edit"])
     def test_non_finite_euler_state_is_exit_two(self, tmp_path, command, capsys):
         spec = tmp_path / "pred.cfg"
@@ -55,7 +60,7 @@ class TestExitCodes:
             code = run_cli(command, "--in", z_in, "--method", "euler", "--steps", "10",
                            "--predictor", spec)
         assert code == 2
-        assert "Euler inversion step t=" in capsys.readouterr().err
+        assert "diverged at step t=" in capsys.readouterr().err
 
 
 COMMAND_OPTIONS = {
@@ -191,6 +196,15 @@ class TestGridCommand:
 
     def test_rejects_bad_method_list(self, tmp_path):
         assert run_cli("grid", "--out", tmp_path / "g.csv", "--method", "euler,zigzag") == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--dim", "0"), ("--dim", "-3"), ("--iters", "0"), ("--window", "0"), ("--steps", "0")],
+    )
+    def test_bad_grid_input_is_usage_error(self, tmp_path, flag, value, capsys):
+        assert run_cli("grid", "--out", tmp_path / "g.csv", flag, value) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "g.csv"

@@ -14,7 +14,6 @@ from diffinv import (
     ZeroPredictor,
     anderson_weights,
     ddim_step,
-    euler_invert_step,
     fixed_point_map,
     invert_trajectory,
     iterative_invert_step,
@@ -42,14 +41,16 @@ def scalar_fixed_point_oracle(a, z_prev, ab_t, ab_prev):
 class TestEulerInvertStep:
     def test_zero_predictor_is_rescale(self, toy_schedule):
         z = np.array([2.0])
-        out = euler_invert_step(toy_schedule, ZeroPredictor(), z, 1, 2, PromptId.SOURCE, 1.0)
+        out, _ = iterative_invert_step(
+            toy_schedule, ZeroPredictor(), z, 2, 1, PromptId.SOURCE, 1.0, None
+        )
         assert out[0] == pytest.approx(2.0 * math.sqrt(AB_T / AB_PREV), rel=1e-15)
 
     def test_constant_predictor_round_trips(self, toy_schedule):
         # eps independent of z and t makes the linearized step exact
         pred = ConstantPredictor(0.3)
         z = np.array([1.0, -0.4])
-        up = euler_invert_step(toy_schedule, pred, z, 1, 2, PromptId.SOURCE, 1.0)
+        up, _ = iterative_invert_step(toy_schedule, pred, z, 2, 1, PromptId.SOURCE, 1.0, None)
         eps = pred.predict(up, PromptId.SOURCE, 2)
         back = ddim_step(toy_schedule, eps, up, 2, 1)
         np.testing.assert_allclose(back, z, rtol=1e-14)
@@ -57,7 +58,7 @@ class TestEulerInvertStep:
     def test_contractive_round_trip_error_matches_direct_evaluation(self, toy_schedule):
         pred = ContractivePredictor.default(4, seed=0)
         z = np.array([0.5, -0.2, 1.0, 0.3])
-        up = euler_invert_step(toy_schedule, pred, z, 1, 2, PromptId.SOURCE, 1.0)
+        up, _ = iterative_invert_step(toy_schedule, pred, z, 2, 1, PromptId.SOURCE, 1.0, None)
 
         # oracle: apply both formulas directly with explicit arithmetic
         def guided(x, t):
@@ -78,8 +79,47 @@ class TestEulerInvertStep:
         assert float(np.linalg.norm(back - z)) == pytest.approx(error_oracle, rel=1e-12)
 
     def test_requires_increasing_time(self, toy_schedule):
-        with pytest.raises(ValueError, match="t < t_next"):
-            euler_invert_step(toy_schedule, ZeroPredictor(), np.zeros(1), 2, 1, PromptId.SOURCE, 1.0)
+        with pytest.raises(ValueError, match="t_prev < t"):
+            iterative_invert_step(
+                toy_schedule, ZeroPredictor(), np.zeros(1), 1, 2, PromptId.SOURCE, 1.0, None
+            )
+
+    def test_non_finite_step_raises_with_location(self, toy_schedule):
+        huge = AffinePredictor.scalar({p: 1e308 for p in PromptId})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="step t=2, iteration 1"
+        ):
+            iterative_invert_step(
+                toy_schedule, huge, np.array([1e10]), 2, 1, PromptId.SOURCE, 1.0, None
+            )
+
+
+class TestEulerIsZeroIterations:
+    """cfg=None is the solver at zero iterations: one map evaluation at z_prev per step."""
+
+    def test_trajectory_is_one_map_evaluation_per_step(self, schedule20, contractive64):
+        z_0 = np.random.default_rng(3).standard_normal(64)
+        z_t, report = invert_trajectory(schedule20, contractive64, z_0, PromptId.SOURCE, 7.0, None)
+        z = z_0
+        for t_prev, t in schedule20.inversion_pairs():
+            z = fixed_point_map(schedule20, contractive64, z, z, t, t_prev, PromptId.SOURCE, 7.0)
+        np.testing.assert_array_equal(z_t, z)
+        assert report.nfe == 2 * 20
+        assert [t for t, _ in report.step_traces] == [t for _, t in schedule20.inversion_pairs()]
+        assert all(trace == [] for _, trace in report.step_traces)
+
+    def test_step_is_first_iterate_of_every_variant(self, toy_schedule, scalar_affine_half):
+        z = np.array([0.7])
+        euler, trace = iterative_invert_step(
+            toy_schedule, scalar_affine_half, z, 2, 1, PromptId.SOURCE, 1.0, None
+        )
+        assert trace == []
+        for variant in FixedPointVariant:
+            cfg = FixedPointConfig(variant=variant, iters=1)
+            first, _ = iterative_invert_step(
+                toy_schedule, scalar_affine_half, z, 2, 1, PromptId.SOURCE, 1.0, cfg
+            )
+            np.testing.assert_array_equal(first, euler)
 
 
 class TestFixedPointMap:

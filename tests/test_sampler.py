@@ -133,6 +133,14 @@ class TestStochasticStep:
         with pytest.raises(ValueError, match="rng"):
             stochastic_step(toy_schedule, np.zeros(2), np.ones(2), 2, 1, None, 0.1)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_rejects_increasing_time_at_any_eta(self, base_schedule, eta):
+        with pytest.raises(ValueError, match="t_prev=500 must not exceed t=100"):
+            stochastic_step(
+                base_schedule, np.zeros(2), np.ones(2), 100, 500, None, eta,
+                np.random.default_rng(0),
+            )
+
     @pytest.mark.parametrize("eta", [-0.1, math.nan])
     def test_rejects_negative_eta(self, toy_schedule, eta):
         with pytest.raises(ValueError, match="eta must be >= 0"):
