@@ -64,7 +64,7 @@ class EditConfig:
             )
         if self.n_candidates < 1:
             raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
 
 

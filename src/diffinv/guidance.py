@@ -54,8 +54,10 @@ class MaskNormConfig:
     polarity: Polarity = Polarity.POSITIVE
 
     def __post_init__(self):
-        if self.big_m <= 0.0:
-            raise ValueError(f"big_m must be positive, got {self.big_m}")
+        if not (np.isfinite(self.big_m) and self.big_m > 0.0):
+            raise ValueError(f"big_m must be positive and finite, got {self.big_m}")
+        if self.delta is not None and not np.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
 
 
 @dataclass(frozen=True)

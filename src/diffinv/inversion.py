@@ -31,9 +31,6 @@ from .sampler import sample_trajectory
 from .schedule import NoiseSchedule, inversion_eps_coeff
 
 
-_RIDGE = 1e-10  # Tikhonov term of the Anderson normal equations
-
-
 class FixedPointVariant(enum.Enum):
     PLAIN = "plain"
     AVERAGED = "averaged"
@@ -124,35 +121,29 @@ def anderson_weights(residual_history) -> np.ndarray:
 
     The constraint is eliminated by expressing the last weight as one minus
     the others, leaving an unconstrained least-squares problem on residual
-    differences that is solved via `_RIDGE`-regularized normal equations (the
-    systems stay tiny, window + 1 entries at most).  Degenerate systems
-    fall back to (0, ..., 0, 1), i.e. a plain iteration.
+    differences (Walker & Ni 2011).  `np.linalg.lstsq` solves it with a
+    singular-value cutoff relative to the largest singular value of the
+    differences, so a degenerate history gets the minimum-norm weights
+    (0, ..., 0, 1), i.e. a plain iteration, as does a history whose
+    residuals or differences are not finite.
     """
     g = [np.ravel(np.asarray(r, dtype=np.float64)) for r in residual_history]
-    m1 = len(g)
-    if m1 == 0:
+    if not g:
         raise ValueError("residual history must be nonempty")
-    fallback = np.zeros(m1)
-    fallback[-1] = 1.0
-    if m1 == 1:
-        return np.array([1.0])
-    stacked = np.stack(g)
-    diffs = (stacked[:-1] - stacked[-1]).T  # n x m
-    normal = diffs.T @ diffs + _RIDGE * np.eye(m1 - 1)
-    rhs = -diffs.T @ stacked[-1]
-    try:
-        beta = np.linalg.solve(normal, rhs)
-    except np.linalg.LinAlgError:
-        return fallback
-    if not np.all(np.isfinite(beta)):
-        return fallback
+    g = np.stack(g)
+    plain = np.zeros(len(g))
+    plain[-1] = 1.0
+    diffs = (g[:-1] - g[-1]).T
+    if not (np.all(np.isfinite(diffs)) and np.all(np.isfinite(g[-1]))):
+        return plain
+    beta = np.linalg.lstsq(diffs, -g[-1], rcond=None)[0]
     gamma = np.concatenate((beta, [1.0 - float(np.sum(beta))]))
     total = float(np.sum(gamma))
     if total != 1.0:
         # One rounding correction; give up on pathological magnitudes.
         gamma[-1] += 1.0 - total
         if float(np.sum(gamma)) != 1.0:
-            return fallback
+            return plain
     return gamma
 
 
@@ -169,16 +160,18 @@ def iterative_invert_step(
     """Solve one implicit inversion step z = f(z) by accelerated iteration.
 
     Starts from z^0 = z_prev, z^1 = f(z^0), then for i = 1..iters records
-    the residual ||f(z^i) - z^i||_2 and forms
+    the residual g^i = f(z^i) - z^i (its norm goes into the trace) and,
+    while i < iters, forms
 
         z^{i+1} = sum_j gamma_j * f(z^{i - m_i + j})
 
-    with gamma from Anderson least squares (window m), the fixed pair
-    (0.5, 0.5) for the averaged variant, or (0, 1) for plain iteration.
-    Returns (z^iters, residual trace), or an earlier iterate when
-    `residual_tol` > 0 is reached.  Map evaluations are cached, so a step
-    with I iterations costs exactly I + 1 evaluations.  cfg=None runs zero
-    iterations: the linearized (Euler) step returns (z^1, []) at one
+    with gamma from Anderson least squares over the last m_i + 1 residuals
+    (window m), the fixed pair (0.5, 0.5) for the averaged variant, or
+    (0, 1) for plain iteration.  Returns (z^iters, residual trace), or an
+    earlier iterate when `residual_tol` > 0 is reached.  Each map
+    evaluation and residual is formed once, so a step with I iterations
+    costs exactly I + 1 evaluations and I - 1 combinations.  cfg=None runs
+    zero iterations: the linearized (Euler) step returns (z^1, []) at one
     evaluation.  A non-finite iterate raises DivergenceError naming the step.
     """
 
@@ -186,33 +179,29 @@ def iterative_invert_step(
         return fixed_point_map(schedule, pred, z, z_prev, t, t_prev, cond, omega)
 
     iters = 0 if cfg is None else cfg.iters
-    z_hist = [np.asarray(z_prev, dtype=np.float64)]
-    f_hist = [f(z_hist[0])]
-    z_hist.append(f_hist[0])
+    z = np.asarray(z_prev, dtype=np.float64)
+    f_hist: list[np.ndarray] = []
+    g_hist: list[np.ndarray] = []
     trace: list[float] = []
-    for i in range(1, iters + 1):
-        if not np.all(np.isfinite(z_hist[i])):
-            raise DivergenceError(step_t=t, iteration=i)
-        f_i = f(z_hist[i])
-        f_hist.append(f_i)
-        residual = f_i - z_hist[i]
-        res_norm = float(np.linalg.norm(np.ravel(residual)))
-        trace.append(res_norm)
-        if cfg.residual_tol > 0.0 and res_norm <= cfg.residual_tol:
-            return z_hist[i], trace
-        if cfg.variant is FixedPointVariant.PLAIN:
-            z_next = f_i
+    for i in range(iters + 1):
+        f_hist.append(f(z))
+        g_hist.append(f_hist[i] - z)
+        if i > 0:
+            res_norm = float(np.linalg.norm(np.ravel(g_hist[i])))
+            trace.append(res_norm)
+            if i == iters or (cfg.residual_tol > 0.0 and res_norm <= cfg.residual_tol):
+                return z, trace
+        if i == 0 or cfg.variant is FixedPointVariant.PLAIN:
+            z = f_hist[i]
         elif cfg.variant is FixedPointVariant.AVERAGED:
-            z_next = 0.5 * f_hist[i - 1] + 0.5 * f_hist[i]
+            z = 0.5 * f_hist[i - 1] + 0.5 * f_hist[i]
         else:
             m_i = min(cfg.window, i)
-            residuals = [f_hist[j] - z_hist[j] for j in range(i - m_i, i + 1)]
-            gamma = anderson_weights(residuals)
-            z_next = sum(gamma[j] * f_hist[i - m_i + j] for j in range(m_i + 1))
-        z_hist.append(z_next)
-    if iters == 0 and not np.all(np.isfinite(z_hist[1])):
-        raise DivergenceError(step_t=t, iteration=1)
-    return z_hist[max(iters, 1)], trace
+            gamma = anderson_weights(g_hist[i - m_i :])
+            z = sum(gamma[j] * f_hist[i - m_i + j] for j in range(m_i + 1))
+        if not np.all(np.isfinite(z)):
+            raise DivergenceError(step_t=t, iteration=i + 1)
+    return z, trace
 
 
 def invert_trajectory(

@@ -161,18 +161,31 @@ class TestCsv:
 
 
 class TestBenchmarkOracle:
-    """One pass of the `invert-d64` benchmark cycle passes the workload's own oracle.
+    """Benchmark ops pass each workload's own oracle.
 
-    The workload spells Euler as `method_config("euler", s) is None`, counts
-    its inversion NFE in closed form and gates the fixed-point round trips
-    at 1e-4.  A solver change that breaks any of these fails here instead of
-    turning benchmark ops into failures.
+    `invert-d64` spells Euler as `method_config("euler", s) is None`, every
+    workload counts its inversion NFE in closed form and gates fixed-point
+    reconstructions at 1e-4, and `cli-d256` requires the CLI's inversion to
+    equal the API's bit for bit.  A solver change that breaks any of these
+    fails here instead of turning benchmark ops into failures.
     """
 
-    def test_invert_d64_cycle_passes_its_oracle(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def workloads(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import workloads
 
+        return workloads
+
+    @pytest.mark.parametrize("name, n_ops", [("edit-d1024", 2), ("cli-d256", 8)])
+    def test_first_ops_pass_their_oracle(self, workloads, tmp_path, name, n_ops):
+        # edit-d1024: eta 0 and 0.3; cli-d256: every command with both predictors
+        workload = workloads.WORKLOADS[name]()
+        workload.setup(1, tmp_path)
+        records = [workload.check(spec, workload.call(spec)) for spec in workload.cycle[:n_ops]]
+        assert len({r["op"] for r in records}) == n_ops
+
+    def test_invert_d64_cycle_passes_its_oracle(self, workloads, tmp_path):
         workload = workloads.InvertD64()
         workload.setup(1, tmp_path)
         records = [workload.check(spec, workload.call(spec)) for spec in workload.cycle]

@@ -169,6 +169,15 @@ class TestEditCommand:
     def test_polarity_validation(self, latent_file, capsys):
         assert run_cli("edit", "--in", latent_file, "--polarity", "sideways") == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--eta", "nan"), ("--mask-m", "nan"), ("--mask-m", "inf"),
+         ("--delta", "nan"), ("--delta", "inf")],
+    )
+    def test_non_finite_mask_or_eta_is_usage_error(self, latent_file, flag, value, capsys):
+        assert run_cli("edit", "--in", latent_file, "--steps", "10", flag, value) == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_attention_file(self, tmp_path, latent_file):
         attn = tmp_path / "attn.txt"
         save_tensor(attn, np.random.default_rng(0).uniform(0.0, 1.0, size=(4, 8)))

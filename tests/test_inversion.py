@@ -18,9 +18,12 @@ from diffinv import (
     invert_trajectory,
     iterative_invert_step,
     relative_l2,
+    round_trip,
     sample_trajectory,
 )
+from diffinv import inversion
 from diffinv.errors import DivergenceError
+from diffinv.predictor import max_inversion_coeff
 
 AB_T = 0.25
 AB_PREV = 0.64
@@ -188,6 +191,14 @@ class TestAndersonWeights:
         gamma = anderson_weights([g, g])
         np.testing.assert_array_equal(gamma, [0.0, 1.0])
 
+    @pytest.mark.parametrize("first", [[np.inf, 1.0], [-1e308, 1.0]])
+    def test_non_finite_residual_or_difference_is_plain_step(self, first, capfd):
+        # -1e308 is finite, but its difference from 1e308 overflows
+        with np.errstate(over="ignore"):
+            gamma = anderson_weights([np.array(first), np.array([1e308, -0.5])])
+        np.testing.assert_array_equal(gamma, [0.0, 1.0])
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_sums_to_one_exactly(self, seed):
         rng = np.random.default_rng(seed)
@@ -225,6 +236,23 @@ class TestIterativeInvertStep:
         )
         assert abs(z[0] - z_star) <= 1e-8
         assert len(trace) == 6
+
+    def test_anderson_solves_once_per_combination(self, toy_schedule, monkeypatch):
+        # iters = k evaluates z^1..z^k, so only z^2..z^k are combinations
+        calls = []
+
+        def counted(history):
+            calls.append(len(history))
+            return anderson_weights(history)
+
+        monkeypatch.setattr(inversion, "anderson_weights", counted)
+        pred = ContractivePredictor.default(4, seed=3)
+        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=5, window=2)
+        _, trace = iterative_invert_step(
+            toy_schedule, pred, np.array([0.4, -0.1, 0.9, 0.2]), 2, 1, PromptId.SOURCE, 1.0, cfg
+        )
+        assert len(trace) == 5
+        assert calls == [2, 3, 3, 3]
 
     def test_anderson_window_one_is_secant(self, toy_schedule, scalar_affine_half):
         # exact on scalar linear problems by the second combination
@@ -382,3 +410,33 @@ class TestInvertTrajectory:
         assert len(lines) == 1 + 10 * 3 + 2
         assert lines[-2] == "round_trip_l2,nfe,wall_ms"
         assert lines[-1].startswith("1.25e-05,")
+
+
+class TestAndersonHardRegime:
+    """Anderson on an oscillatory affine predictor where plain iteration diverges.
+
+    S = Q diag(linspace(0.2, 1, 64)) Q^T; at omega = 7 the guided Jacobian is
+    -13 a S, and a is picked so the inversion map's largest |eigenvalue| is
+    |lambda| > 1.  A weight solve whose cutoff is absolute stops accelerating
+    once the residual differences become small, so more iterations must keep
+    helping here.
+    """
+
+    @staticmethod
+    def round_trip_error(schedule, lam, window, iters):
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((64, 64)))
+        s = q @ np.diag(np.linspace(0.2, 1.0, 64)) @ q.T
+        a = lam / (13.0 * max_inversion_coeff(schedule))
+        weights = {PromptId.NULL: a * s, PromptId.SOURCE: -a * s, PromptId.TARGET: -a * s}
+        pred = AffinePredictor(weights, {p: np.zeros(64) for p in PromptId}, a)
+        z_0 = np.random.default_rng(1).standard_normal(64)
+        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=iters, window=window)
+        return round_trip(schedule, pred, z_0, PromptId.SOURCE, 7.0, cfg)[2].round_trip_l2
+
+    def test_more_iterations_keep_converging(self, schedule20):
+        err_20 = self.round_trip_error(schedule20, 1.3, window=2, iters=20)
+        assert err_20 <= 1e-6
+        assert err_20 < self.round_trip_error(schedule20, 1.3, window=2, iters=6)
+
+    def test_wide_window_converges_past_plain_divergence(self, schedule20):
+        assert self.round_trip_error(schedule20, 1.8, window=5, iters=20) <= 1e-6
