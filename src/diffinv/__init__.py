@@ -7,7 +7,7 @@ stochastic editing with best-of-n candidate selection; and a deterministic
 benchmark harness with portable tensor and CSV file formats.
 """
 
-from .editing import EditConfig, EditResult, default_scorer, edit, reconstruct
+from .editing import EditConfig, EditResult, default_scorer, edit
 from .errors import DivergenceError, NumericsError
 from .guidance import (
     AttentionMap,
@@ -95,7 +95,6 @@ __all__ = [
     "normalize_map",
     "one_step_noise",
     "psnr",
-    "reconstruct",
     "relative_l2",
     "round_trip",
     "sample_trajectory",

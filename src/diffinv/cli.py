@@ -10,6 +10,8 @@ the subcommand's flag names without `--`; flags override it.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 
 import numpy as np
@@ -29,6 +31,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No option starts with '-' and a digit, so such a token is a value: -1e-3 too.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse default exits with code 2
         raise UsageError(message)
 
@@ -44,6 +51,17 @@ def _boolean(text: str) -> bool:
         return _BOOLEANS[text.strip().lower()]
     except KeyError:
         raise argparse.ArgumentTypeError(f"expects a boolean, got {text!r}") from None
+
+
+def _finite(text: str) -> float:
+    """An argparse type: a finite real number."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expects a finite number, got {text!r}")
 
 
 def _comma_list(parse):
@@ -77,7 +95,7 @@ def build_parser() -> _Parser:
         if name == "grid":
             option("--steps", type=_comma_list(int), default=(10, 20, 50),
                    help="comma list of step counts")
-            option("--omega", type=_comma_list(float), default=(0.0, 1.0, 3.0, 5.0, 7.0),
+            option("--omega", type=_comma_list(_finite), default=(0.0, 1.0, 3.0, 5.0, 7.0),
                    help="comma list of guidance scales")
             option("--method", type=_comma_list(str), default=METHODS,
                    help="comma list of euler, plain, averaged, anderson")
@@ -87,7 +105,7 @@ def build_parser() -> _Parser:
         else:
             option("--in", help="input tensor file (required)")
             option("--steps", type=int, default=20, help="scheduled step count")
-            option("--omega", type=float, default=1.0, help="guidance scale")
+            option("--omega", type=_finite, default=1.0, help="guidance scale")
             option("--method", default="averaged", help="euler | plain | averaged | anderson")
         if name in ("edit", "grid"):
             option("--seed", type=int, default=0, help="random seed")
@@ -95,7 +113,7 @@ def build_parser() -> _Parser:
         option("--window", type=int, default=2, help="Anderson history window")
         option("--predictor", help="predictor spec file (default: generated contractive)")
         if name == "edit":
-            option("--omega-e", type=float, default=7.0, help="editing guidance scale")
+            option("--omega-e", type=_finite, default=7.0, help="editing guidance scale")
             option("--eta", type=float, default=0.0, help="stochastic noise scale")
             option("--candidates", type=int, default=1, help="number of stochastic candidates")
             option("--polarity", type=Polarity, default="positive",

@@ -10,6 +10,7 @@ stochastic inside the masked region and a pluggable scorer ranks them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -58,9 +59,10 @@ class EditConfig:
     scorer: Callable[[np.ndarray, np.ndarray], float] = default_scorer
 
     def __post_init__(self):
-        if not 0.0 <= self.omega <= self.omega_e:
+        if not 0.0 <= self.omega <= self.omega_e < math.inf:
             raise ValueError(
-                f"need 0 <= omega <= omega_e, got omega={self.omega}, omega_e={self.omega_e}"
+                f"need 0 <= omega <= omega_e < inf, got omega={self.omega}, "
+                f"omega_e={self.omega_e}"
             )
         if self.n_candidates < 1:
             raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
@@ -104,23 +106,6 @@ def _step_masks(schedule: NoiseSchedule, cfg: EditConfig, latent_shape):
     if isinstance(attention, AttentionMap):
         return [[x] * len(steps) for x in stages(attention)]
     return [list(x) for x in zip(*(stages(attention(t)) for t in steps))]
-
-
-def reconstruct(
-    schedule: NoiseSchedule,
-    pred: NoisePredictor,
-    z_0,
-    source_prompt: PromptId,
-    cfg: EditConfig,
-) -> tuple[np.ndarray, list[SoftMask]]:
-    """Invert then resample under the same prompt and guidance scale.
-
-    Returns the reconstructed latent and the per-step soft masks (aligned
-    with decreasing timesteps) that the edit branch consumes.
-    """
-    z_0 = np.asarray(z_0, dtype=np.float64)
-    _, z_rec, _ = round_trip(schedule, pred, z_0, source_prompt, cfg.omega, cfg.fixed_point)
-    return z_rec, _step_masks(schedule, cfg, z_0.shape)[0]
 
 
 def edit(

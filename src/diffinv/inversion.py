@@ -121,30 +121,23 @@ def anderson_weights(residual_history) -> np.ndarray:
 
     The constraint is eliminated by expressing the last weight as one minus
     the others, leaving an unconstrained least-squares problem on residual
-    differences (Walker & Ni 2011).  `np.linalg.lstsq` solves it with a
-    singular-value cutoff relative to the largest singular value of the
-    differences, so a degenerate history gets the minimum-norm weights
-    (0, ..., 0, 1), i.e. a plain iteration, as does a history whose
-    residuals or differences are not finite.
+    differences (Walker & Ni 2011), so the weights meet it up to rounding.
+    `np.linalg.lstsq` solves it with a singular-value cutoff relative to the
+    largest singular value of the differences, so a degenerate history gets
+    the minimum-norm weights (0, ..., 0, 1), i.e. a plain iteration, as does
+    a history whose residuals or differences are not finite.
     """
     g = [np.ravel(np.asarray(r, dtype=np.float64)) for r in residual_history]
     if not g:
         raise ValueError("residual history must be nonempty")
     g = np.stack(g)
-    plain = np.zeros(len(g))
-    plain[-1] = 1.0
     diffs = (g[:-1] - g[-1]).T
     if not (np.all(np.isfinite(diffs)) and np.all(np.isfinite(g[-1]))):
+        plain = np.zeros(len(g))
+        plain[-1] = 1.0
         return plain
     beta = np.linalg.lstsq(diffs, -g[-1], rcond=None)[0]
-    gamma = np.concatenate((beta, [1.0 - float(np.sum(beta))]))
-    total = float(np.sum(gamma))
-    if total != 1.0:
-        # One rounding correction; give up on pathological magnitudes.
-        gamma[-1] += 1.0 - total
-        if float(np.sum(gamma)) != 1.0:
-            return plain
-    return gamma
+    return np.concatenate((beta, [1.0 - float(np.sum(beta))]))
 
 
 def iterative_invert_step(

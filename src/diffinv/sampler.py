@@ -60,8 +60,6 @@ def _step_inputs(schedule: NoiseSchedule, pred_eps, z_t, t: int, t_prev: int):
         raise ValueError(f"eps shape {eps.shape} does not match latent shape {z_t.shape}")
     ab_t = float(schedule.alpha_bar[t])
     ab_p = float(schedule.alpha_bar[t_prev])
-    if ab_t <= 0.0:
-        raise NumericsError(f"alpha_bar[{t}] must be positive")
     return z_t, eps, ab_t, ab_p
 
 

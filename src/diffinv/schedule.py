@@ -13,51 +13,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
-
 DEFAULT_BIG_T = 1000
 DEFAULT_BETA_START = 0.00085
 DEFAULT_BETA_END = 0.012
-
-
-def _validate_alpha_bar(alpha_bar: np.ndarray) -> None:
-    if alpha_bar.ndim != 1 or alpha_bar.size < 2:
-        raise ValueError("alpha_bar must be 1-D with at least one step entry")
-    if alpha_bar[0] != 1.0:
-        raise ValueError("alpha_bar[0] must be exactly 1")
-    core = alpha_bar[1:]
-    if not np.all(np.isfinite(core)):
-        raise ValueError("alpha_bar contains non-finite entries")
-    if np.any(core <= 0.0) or np.any(core > 1.0):
-        raise ValueError("alpha_bar entries for t >= 1 must lie in (0, 1]")
-    if core.size > 1 and np.any(np.diff(core) >= 0.0):
-        raise ValueError("alpha_bar must be strictly decreasing on 1..T")
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Cumulative noise schedule and the active timestep grid.
 
-    alpha_bar[t] is the product of (1 - beta_s) for s = 1..t.  `timesteps`
-    is a strictly increasing subset of 1..big_t; a freshly built schedule
-    uses the full grid until `subsample` narrows it.
+    alpha_bar[t] is the product of (1 - beta_s) for s = 1..t, and big_t is
+    the last index of alpha_bar.  `timesteps` is a strictly increasing
+    subset of 1..big_t; a freshly built schedule uses the full grid until
+    `subsample` narrows it.  Both arrays are copied and frozen, and every
+    alpha_bar[t] for t >= 1 lies in (0, 1], so no coefficient lookup needs
+    to check it again.
     """
 
     alpha_bar: np.ndarray
-    big_t: int
     timesteps: np.ndarray
 
     def __post_init__(self):
-        alpha_bar = np.asarray(self.alpha_bar, dtype=np.float64)
-        timesteps = np.asarray(self.timesteps, dtype=np.int64)
-        _validate_alpha_bar(alpha_bar)
-        if self.big_t != alpha_bar.size - 1:
-            raise ValueError(
-                f"big_t={self.big_t} does not match alpha_bar length {alpha_bar.size}"
-            )
+        alpha_bar = np.array(self.alpha_bar, dtype=np.float64)
+        timesteps = np.array(self.timesteps, dtype=np.int64)
+        if alpha_bar.ndim != 1 or alpha_bar.size < 2:
+            raise ValueError("alpha_bar must be 1-D with at least one step entry")
+        if alpha_bar[0] != 1.0:
+            raise ValueError("alpha_bar[0] must be exactly 1")
+        core = alpha_bar[1:]
+        if not np.all(np.isfinite(core)):
+            raise ValueError("alpha_bar contains non-finite entries")
+        if np.any(core <= 0.0) or np.any(core > 1.0):
+            raise ValueError("alpha_bar entries for t >= 1 must lie in (0, 1]")
+        if core.size > 1 and np.any(np.diff(core) >= 0.0):
+            raise ValueError("alpha_bar must be strictly decreasing on 1..T")
         if timesteps.ndim != 1 or timesteps.size == 0:
             raise ValueError("timesteps must be a nonempty 1-D integer sequence")
-        if timesteps[0] < 1 or timesteps[-1] > self.big_t:
+        if timesteps[0] < 1 or timesteps[-1] > core.size:
             raise ValueError("timesteps must lie within [1, big_t]")
         if timesteps.size > 1 and np.any(np.diff(timesteps) <= 0):
             raise ValueError("timesteps must be strictly increasing and duplicate-free")
@@ -65,6 +57,10 @@ class NoiseSchedule:
         timesteps.setflags(write=False)
         object.__setattr__(self, "alpha_bar", alpha_bar)
         object.__setattr__(self, "timesteps", timesteps)
+
+    @property
+    def big_t(self) -> int:
+        return int(self.alpha_bar.size - 1)
 
     @property
     def n_steps(self) -> int:
@@ -81,7 +77,7 @@ class NoiseSchedule:
             raise ValueError(f"n_steps must be in [1, {self.big_t}], got {n_steps}")
         stride = self.big_t // n_steps
         ts = self.big_t - stride * np.arange(n_steps - 1, -1, -1, dtype=np.int64)
-        return NoiseSchedule(self.alpha_bar, self.big_t, ts)
+        return NoiseSchedule(self.alpha_bar, ts)
 
     def inversion_pairs(self) -> list[tuple[int, int]]:
         """(t_prev, t) pairs in increasing order, starting from (0, first)."""
@@ -115,8 +111,7 @@ def build_schedule(
         betas = np.full(big_t, beta_start, dtype=np.float64)
     else:
         betas = np.linspace(math.sqrt(beta_start), math.sqrt(beta_end), big_t) ** 2
-    alpha_bar = np.concatenate(([1.0], np.cumprod(1.0 - betas)))
-    return NoiseSchedule(alpha_bar, big_t, np.arange(1, big_t + 1, dtype=np.int64))
+    return schedule_from_alpha_bar(np.cumprod(1.0 - betas))
 
 
 def schedule_from_alpha_bar(values) -> NoiseSchedule:
@@ -125,11 +120,9 @@ def schedule_from_alpha_bar(values) -> NoiseSchedule:
     The t = 0 sentinel value of 1 is prepended automatically.
     """
     core = np.asarray(values, dtype=np.float64)
-    if core.ndim != 1 or core.size < 1:
-        raise ValueError("need a flat, nonempty list of alpha_bar values")
-    alpha_bar = np.concatenate(([1.0], core))
-    big_t = core.size
-    return NoiseSchedule(alpha_bar, big_t, np.arange(1, big_t + 1, dtype=np.int64))
+    if core.ndim != 1:
+        raise ValueError("need a flat list of alpha_bar values")
+    return NoiseSchedule(np.concatenate(([1.0], core)), np.arange(1, core.size + 1))
 
 
 def load_alpha_bar(path) -> NoiseSchedule:
@@ -159,9 +152,9 @@ def inversion_eps_coeff(alpha_bar_t: float, alpha_bar_prev: float) -> float:
 
         z_t = sqrt(ab_t / ab_prev) * z_prev + coeff * eps,
         coeff = sqrt(1 - ab_t) - sqrt((1 - ab_prev) * ab_t / ab_prev).
+
+    Both levels are read from a NoiseSchedule, which keeps ab_prev > 0.
     """
-    if alpha_bar_prev <= 0.0:
-        raise NumericsError("alpha_bar at the previous step must be positive")
     return math.sqrt(1.0 - alpha_bar_t) - math.sqrt(
         (1.0 - alpha_bar_prev) * alpha_bar_t / alpha_bar_prev
     )

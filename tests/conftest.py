@@ -33,7 +33,7 @@ def contractive64():
 @pytest.fixture
 def toy_schedule():
     """Two-step schedule with alpha_bar = (1, 0.64, 0.25)."""
-    return NoiseSchedule(np.array([1.0, 0.64, 0.25]), 2, np.array([1, 2]))
+    return NoiseSchedule(np.array([1.0, 0.64, 0.25]), np.array([1, 2]))
 
 
 @pytest.fixture

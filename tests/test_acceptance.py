@@ -50,7 +50,7 @@ AB_T, AB_PREV = 0.25, 0.64
 
 
 def toy_two_step():
-    return NoiseSchedule(np.array([1.0, AB_PREV, AB_T]), 2, np.array([1, 2]))
+    return NoiseSchedule(np.array([1.0, AB_PREV, AB_T]), np.array([1, 2]))
 
 
 def closed_form_scalar_fixed_point(a=0.5, z_prev=1.0):

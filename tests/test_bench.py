@@ -106,7 +106,7 @@ class TestRunGrid:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="nonempty"):
             ExperimentGrid(step_counts=())
-        with pytest.raises(ValueError, match="unknown methods"):
+        with pytest.raises(ValueError, match="unknown method 'warp'"):
             ExperimentGrid(methods=("euler", "warp"))
 
     @pytest.mark.parametrize(

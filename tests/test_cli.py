@@ -73,6 +73,46 @@ COMMAND_OPTIONS = {
 COMMAND_OPTIONS["reconstruct"] = COMMAND_OPTIONS["invert"]
 
 
+class TestGuidanceScales:
+    @pytest.mark.parametrize(
+        "argv",
+        [("invert", "--omega", "nan"), ("invert", "--omega", "inf"),
+         ("reconstruct", "--omega", "nan"), ("edit", "--omega-e", "inf"),
+         ("grid", "--omega", "1,nan")],
+    )
+    def test_non_finite_scale_is_usage_error(self, tmp_path, latent_file, argv, capsys):
+        where = ("--out", tmp_path / "g.csv") if argv[0] == "grid" else ("--in", latent_file)
+        assert run_cli(*argv, *where, "--steps", "10", "--method", "euler") == 1
+        assert "expects a finite number, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invert", "edit", "grid"])
+    def test_non_finite_scale_in_config_is_usage_error(self, tmp_path, latent_file, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega = -inf\n")
+        where = ("--out", tmp_path / "g.csv") if command == "grid" else ("--in", latent_file)
+        assert run_cli(command, "--config", cfg, *where, "--steps", "10") == 1
+
+
+class TestNegativeNumbers:
+    def test_exponent_form_is_a_value(self, tmp_path, latent_file):
+        outputs = []
+        for delta in (("--delta", "-1e-3"), ("--delta=-1e-3",)):
+            out = tmp_path / f"edit{len(outputs)}.txt"
+            assert run_cli("edit", "--in", latent_file, "--steps", "10", *delta, "--out", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_exponent_forms_parse_in_lists_and_scales(self):
+        parser = build_parser()
+        assert parser.parse_args(["grid", "--omega", "-1e0,7"]).omega == (-1.0, 7.0)
+        assert parser.parse_args(["edit", "--omega-e", "-1e1"]).omega_e == -10.0
+        assert parser.parse_args(["edit", "--eta", "-.5"]).eta == -0.5
+
+    def test_option_without_value_is_still_usage_error(self, latent_file, capsys):
+        assert run_cli("edit", "--in", latent_file, "--delta") == 1
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestOptionsPerCommand:
     @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
     def test_each_command_declares_exactly_its_options(self, command):

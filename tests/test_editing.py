@@ -18,8 +18,8 @@ from diffinv import (
     default_scorer,
     edit,
     invert_trajectory,
-    reconstruct,
     relative_l2,
+    round_trip,
     synthetic_attention,
 )
 from diffinv.editing import write_scores_csv
@@ -45,32 +45,27 @@ class TestReconstruct:
     def test_zero_predictor_exact(self, schedule10):
         z_0 = np.random.default_rng(0).standard_normal(8)
         cfg = EditConfig(fixed_point=fp_cfg(2))
-        z_rec, masks = reconstruct(schedule10, ZeroPredictor(), z_0, PromptId.SOURCE, cfg)
+        z_rec = round_trip(schedule10, ZeroPredictor(), z_0, PromptId.SOURCE, 1.0, fp_cfg(2))[1]
+        masks = edit(schedule10, ZeroPredictor(), z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
         np.testing.assert_allclose(z_rec, z_0, rtol=1e-12)
         assert len(masks) == 10
 
     def test_contractive_round_trip(self, schedule20, contractive64):
         z_0 = np.random.default_rng(1).standard_normal(64)
-        cfg = EditConfig(fixed_point=fp_cfg(6))
-        z_rec, _ = reconstruct(schedule20, contractive64, z_0, PromptId.SOURCE, cfg)
+        z_rec = round_trip(schedule20, contractive64, z_0, PromptId.SOURCE, 1.0, fp_cfg(6))[1]
         assert relative_l2(z_rec, z_0) <= 1e-4
 
     def test_euler_swap_in_is_worse(self, schedule20, contractive64):
         z_0 = np.random.default_rng(2).standard_normal(64)
-        good, _ = reconstruct(
-            schedule20, contractive64, z_0, PromptId.SOURCE, EditConfig(fixed_point=fp_cfg(6))
-        )
-        base, _ = reconstruct(
-            schedule20, contractive64, z_0, PromptId.SOURCE, EditConfig(fixed_point=None)
-        )
+        good = round_trip(schedule20, contractive64, z_0, PromptId.SOURCE, 1.0, fp_cfg(6))[1]
+        base = round_trip(schedule20, contractive64, z_0, PromptId.SOURCE, 1.0, None)[1]
         assert relative_l2(base, z_0) > relative_l2(good, z_0)
 
     def test_mask_stream_uses_attention_source(self, schedule10):
         amap = synthetic_attention((4, 4), (1, 1), 1.0)
         cfg = EditConfig(attention=amap, fixed_point=fp_cfg(2))
-        _, masks = reconstruct(
-            schedule10, ZeroPredictor(), np.zeros((4, 4)), PromptId.SOURCE, cfg
-        )
+        z_0 = np.zeros((4, 4))
+        masks = edit(schedule10, ZeroPredictor(), z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
         assert len(masks) == 10
         for m in masks[1:]:  # static source: identical mask at every step
             np.testing.assert_array_equal(m.values, masks[0].values)
@@ -85,9 +80,8 @@ class TestReconstruct:
             return synthetic_attention((4, 4), (1, 1), width)
 
         cfg = EditConfig(attention=provider, fixed_point=fp_cfg(2))
-        _, masks = reconstruct(
-            schedule10, ZeroPredictor(), np.zeros((4, 4)), PromptId.SOURCE, cfg
-        )
+        z_0 = np.zeros((4, 4))
+        masks = edit(schedule10, ZeroPredictor(), z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
         assert seen == [t for t, _ in schedule10.sampling_pairs()]
         assert not np.array_equal(masks[0].values, masks[-1].values)
 

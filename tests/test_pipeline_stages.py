@@ -13,7 +13,6 @@ from diffinv import (
     blended_scale_field,
     edit,
     invert_trajectory,
-    reconstruct,
     relative_l2,
     round_trip,
     sample_trajectory,
@@ -36,16 +35,6 @@ class TestRoundTrip:
         assert report.step_traces == ref_report.step_traces
         assert report.nfe == ref_report.nfe
         assert report.round_trip_l2 == relative_l2(ref_rec, z_0)
-
-    def test_reconstruct_returns_the_round_trip(self, schedule10):
-        pred = ContractivePredictor.default(16, seed=2)
-        z_0 = np.random.default_rng(13).standard_normal(16)
-        cfg = EditConfig(omega=2.0, fixed_point=FixedPointConfig(iters=3))
-        z_rec, _ = reconstruct(schedule10, pred, z_0, PromptId.SOURCE, cfg)
-        _, expected, _ = round_trip(
-            schedule10, pred, z_0, PromptId.SOURCE, cfg.omega, cfg.fixed_point
-        )
-        np.testing.assert_array_equal(z_rec, expected)
 
 
 class TestDeterministicCandidates:

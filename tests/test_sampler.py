@@ -63,7 +63,7 @@ class TestDdimStep:
 
 class TestOneStepNoise:
     def test_full_signal_level_keeps_input(self):
-        s = NoiseSchedule(np.array([1.0, 1.0, 0.5]), 2, np.array([1, 2]))
+        s = NoiseSchedule(np.array([1.0, 1.0, 0.5]), np.array([1, 2]))
         z = np.array([0.3, -1.2])
         out = one_step_noise(s, z, 1, np.array([5.0, -3.0]))
         np.testing.assert_allclose(out, z, atol=1e-15)
@@ -73,7 +73,7 @@ class TestOneStepNoise:
         assert out[0] == pytest.approx(1.0, rel=1e-15)  # sqrt(0.25) * 2
 
     def test_pure_noise_level(self):
-        s = NoiseSchedule(np.array([1.0, 0.19]), 1, np.array([1]))
+        s = NoiseSchedule(np.array([1.0, 0.19]), np.array([1]))
         out = one_step_noise(s, np.zeros(3), 1, np.ones(3))
         np.testing.assert_allclose(out, 0.9, rtol=1e-15)  # sqrt(0.81)
 

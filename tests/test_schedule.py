@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -123,20 +124,49 @@ class TestInvariants:
 
     def test_rejects_non_monotone_alpha_bar(self):
         with pytest.raises(ValueError):
-            NoiseSchedule(np.array([1.0, 0.5, 0.6]), 2, np.array([1, 2]))
+            NoiseSchedule(np.array([1.0, 0.5, 0.6]), np.array([1, 2]))
         with pytest.raises(ValueError):
-            NoiseSchedule(np.array([1.0, 0.5, 0.0]), 2, np.array([1, 2]))
+            NoiseSchedule(np.array([1.0, 0.5, 0.0]), np.array([1, 2]))
 
     def test_rejects_bad_timesteps(self):
         ab = np.array([1.0, 0.8, 0.5])
         with pytest.raises(ValueError):
-            NoiseSchedule(ab, 2, np.array([2, 1]))
+            NoiseSchedule(ab, np.array([2, 1]))
         with pytest.raises(ValueError):
-            NoiseSchedule(ab, 2, np.array([1, 1]))
+            NoiseSchedule(ab, np.array([1, 1]))
         with pytest.raises(ValueError):
-            NoiseSchedule(ab, 2, np.array([0, 2]))
+            NoiseSchedule(ab, np.array([0, 2]))
         with pytest.raises(ValueError):
-            NoiseSchedule(ab, 2, np.array([3]))
+            NoiseSchedule(ab, np.array([3]))
+
+    def test_caller_arrays_stay_writable(self):
+        ab, ts = np.array([1.0, 0.8, 0.5]), np.array([1, 2], dtype=np.int64)
+        s = NoiseSchedule(ab, ts)
+        ab[1], ts[0] = 0.9, 2  # the schedule holds frozen copies
+        assert s.alpha_bar[1] == 0.8 and s.timesteps[0] == 1
+        with pytest.raises(ValueError):
+            s.timesteps[0] = 2
+
+    def test_big_t_is_the_last_alpha_bar_index(self):
+        s = NoiseSchedule(np.array([1.0, 0.8, 0.5, 0.2]), np.array([2]))
+        assert s.big_t == 3
+        assert s.subsample(3).timesteps.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "n_steps, digest",
+        [
+            (None, "7f3e7386f2f90a4e05a124ae7bc1e8c152e79e9e1a5802287ff3ba15ca29fb2c"),
+            (10, "ad4d5d675cd3d2a6cc3c4b7f204b6cf5e5f84ef24f19eee468d7813bff432d64"),
+            (20, "3d7afce28f41193b7457393dc187678ee4a0d522d08aff58157a80f6d0523a87"),
+            (50, "45eefee5a21110db5a4f283631368064335c68063628965f5d6b96834da2dfcd"),
+        ],
+    )
+    def test_default_arrays_are_bit_stable(self, n_steps, digest):
+        s = build_schedule()
+        if n_steps is not None:
+            s = s.subsample(n_steps)
+        data = s.alpha_bar.tobytes() + s.timesteps.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestAlphaBarFile:
