@@ -61,6 +61,8 @@ class ExperimentGrid:
             raise ValueError("grid axes must be nonempty")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Every cell's solver config and schedule, built here so that a bad
         # method, budget or step count is rejected before any cell runs.
         base = build_schedule()

@@ -66,8 +66,10 @@ class EditConfig:
             )
         if self.n_candidates < 1:
             raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
-        if not self.eta >= 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"need 0 <= eta < inf, got {self.eta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

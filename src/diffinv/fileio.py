@@ -3,11 +3,14 @@
 Text tensors: first line `shape: d1 d2 ...`, then whitespace-separated
 decimal reals in row-major order.  Binary tensors: an 8-byte magic,
 little-endian uint32 rank and dims, then float32 data; lossy but fast.
-Readers sniff the magic, writers pick the binary layout for `.bin` paths.
+The reader opens a file once and picks the layout by its magic; the
+writer picks the binary layout for `.bin` paths.
 """
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from pathlib import Path
 
@@ -19,21 +22,13 @@ MAGIC = b"TENSRAW1"
 def save_tensor(path, array) -> None:
     path = Path(path)
     if path.suffix == ".bin":
-        save_tensor_binary(path, array)
-    else:
-        save_tensor_text(path, array)
-
-
-def load_tensor(path) -> np.ndarray:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC))
-    if head == MAGIC:
-        return load_tensor_binary(path)
-    return load_tensor_text(path)
-
-
-def save_tensor_text(path, array) -> None:
+        arr = np.asarray(array, dtype=np.float32)
+        with open(path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.astype("<f4").tobytes(order="C"))
+        return
     arr = np.asarray(array, dtype=np.float64)
     flat = arr.reshape(-1)
     row = arr.shape[-1] if arr.ndim > 0 else 1
@@ -44,9 +39,16 @@ def save_tensor_text(path, array) -> None:
             fh.write(" ".join(f"{x:.17g}" for x in chunk) + "\n")
 
 
-def load_tensor_text(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
+def load_tensor(path) -> np.ndarray:
+    path = Path(path)
+    # Unbuffered: the text decoder then reads the same chunks a text-mode
+    # open would, so a decoding error names the same byte position.
+    with open(path, "rb", buffering=0) as fh:
+        if fh.read(len(MAGIC)) == MAGIC:
+            return _binary_body(path, fh.read())
+        fh.seek(0)
+        text = io.TextIOWrapper(fh, encoding="utf-8")
+        header = text.readline()
         if not header.startswith("shape:"):
             raise ValueError(f"{path}: missing 'shape:' header line")
         try:
@@ -55,49 +57,36 @@ def load_tensor_text(path) -> np.ndarray:
             raise ValueError(f"{path}: malformed shape header: {header.strip()!r}") from exc
         if any(d < 1 for d in shape):
             raise ValueError(f"{path}: shape entries must be positive: {shape}")
-        tokens = fh.read().split()
-    expected = int(np.prod(shape)) if shape else 1
+        tokens = text.read().split()
+    expected = math.prod(shape)
     if len(tokens) != expected:
         raise ValueError(
             f"{path}: expected {expected} values for shape {shape}, found {len(tokens)}"
         )
     try:
-        data = np.array([float(tok) for tok in tokens], dtype=np.float64)
+        data = np.array(tokens, dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric tensor data") from exc
     return data.reshape(shape)
 
 
-def save_tensor_binary(path, array) -> None:
-    arr = np.asarray(array, dtype=np.float32)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype("<f4").tobytes(order="C"))
-
-
-def load_tensor_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: bad magic, not a binary tensor file")
-    offset = len(MAGIC)
-    if len(blob) < offset + 4:
+def _binary_body(path: Path, body: bytes) -> np.ndarray:
+    """Parse what follows the magic: rank, dims, then float32 data."""
+    if len(body) < 4:
         raise ValueError(f"{path}: truncated header")
-    (ndim,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    if len(blob) < offset + 4 * ndim:
+    (ndim,) = struct.unpack_from("<I", body)
+    offset = 4
+    if len(body) < offset + 4 * ndim:
         raise ValueError(f"{path}: truncated dims header")
-    shape = struct.unpack_from(f"<{ndim}I", blob, offset)
+    shape = struct.unpack_from(f"<{ndim}I", body, offset)
     offset += 4 * ndim
-    count = int(np.prod(shape)) if shape else 1
-    if len(blob) != offset + 4 * count:
+    count = math.prod(shape)
+    if len(body) != offset + 4 * count:
         raise ValueError(
             f"{path}: expected {count} float32 values for shape {shape}, "
-            f"found {(len(blob) - offset) // 4}"
+            f"found {(len(body) - offset) // 4}"
         )
-    data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+    data = np.frombuffer(body, dtype="<f4", count=count, offset=offset)
     return data.astype(np.float64).reshape(shape)
 
 

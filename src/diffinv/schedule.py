@@ -35,7 +35,6 @@ class NoiseSchedule:
 
     def __post_init__(self):
         alpha_bar = np.array(self.alpha_bar, dtype=np.float64)
-        timesteps = np.array(self.timesteps, dtype=np.int64)
         if alpha_bar.ndim != 1 or alpha_bar.size < 2:
             raise ValueError("alpha_bar must be 1-D with at least one step entry")
         if alpha_bar[0] != 1.0:
@@ -47,8 +46,11 @@ class NoiseSchedule:
             raise ValueError("alpha_bar entries for t >= 1 must lie in (0, 1]")
         if core.size > 1 and np.any(np.diff(core) >= 0.0):
             raise ValueError("alpha_bar must be strictly decreasing on 1..T")
-        if timesteps.ndim != 1 or timesteps.size == 0:
+        # Checked before the cast, which would truncate 1.5 or True silently.
+        timesteps = np.asarray(self.timesteps)
+        if timesteps.dtype.kind not in "iu" or timesteps.ndim != 1 or timesteps.size == 0:
             raise ValueError("timesteps must be a nonempty 1-D integer sequence")
+        timesteps = timesteps.astype(np.int64)
         if timesteps[0] < 1 or timesteps[-1] > core.size:
             raise ValueError("timesteps must lie within [1, big_t]")
         if timesteps.size > 1 and np.any(np.diff(timesteps) <= 0):

@@ -117,6 +117,7 @@ class TestRunGrid:
             ({"iters": 0}, "iters must be >= 1"),
             ({"window": 0}, "window must be >= 1"),
             ({"step_counts": (10, 0)}, "n_steps must be in"),
+            ({"seed": -1}, "seed must be >= 0"),
         ],
     )
     def test_every_cell_validated_at_construction(self, fields, message):

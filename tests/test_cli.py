@@ -211,12 +211,16 @@ class TestEditCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--eta", "nan"), ("--mask-m", "nan"), ("--mask-m", "inf"),
+        [("--eta", "nan"), ("--eta", "inf"), ("--mask-m", "nan"), ("--mask-m", "inf"),
          ("--delta", "nan"), ("--delta", "inf")],
     )
     def test_non_finite_mask_or_eta_is_usage_error(self, latent_file, flag, value, capsys):
         assert run_cli("edit", "--in", latent_file, "--steps", "10", flag, value) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, latent_file, capsys):
+        assert run_cli("edit", "--in", latent_file, "--steps", "10", "--seed", "-1") == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_attention_file(self, tmp_path, latent_file):
         attn = tmp_path / "attn.txt"
@@ -248,7 +252,8 @@ class TestGridCommand:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--dim", "0"), ("--dim", "-3"), ("--iters", "0"), ("--window", "0"), ("--steps", "0")],
+        [("--dim", "0"), ("--dim", "-3"), ("--iters", "0"), ("--window", "0"), ("--steps", "0"),
+         ("--seed", "-1")],
     )
     def test_bad_grid_input_is_usage_error(self, tmp_path, flag, value, capsys):
         assert run_cli("grid", "--out", tmp_path / "g.csv", flag, value) == 1

@@ -269,3 +269,7 @@ class TestEditConfigValidation:
             EditConfig(n_candidates=0)
         with pytest.raises(ValueError, match="eta"):
             EditConfig(eta=-0.1)
+        with pytest.raises(ValueError, match="eta"):
+            EditConfig(eta=float("inf"))
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            EditConfig(seed=-1)

@@ -139,6 +139,12 @@ class TestInvariants:
         with pytest.raises(ValueError):
             NoiseSchedule(ab, np.array([3]))
 
+    @pytest.mark.parametrize("ts", [np.array([1.5, 2.7]), np.array([True]), [1.0, 2.0]])
+    def test_rejects_non_integer_timesteps(self, ts):
+        # The int64 cast would truncate these to a valid-looking grid.
+        with pytest.raises(ValueError, match="integer sequence"):
+            NoiseSchedule(np.array([1.0, 0.8, 0.5]), ts)
+
     def test_caller_arrays_stay_writable(self):
         ab, ts = np.array([1.0, 0.8, 0.5]), np.array([1, 2], dtype=np.int64)
         s = NoiseSchedule(ab, ts)
