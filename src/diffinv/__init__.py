@@ -43,13 +43,7 @@ from .predictor import (
     load_predictor,
     spectral_norm,
 )
-from .sampler import (
-    ddim_sigma,
-    ddim_step,
-    one_step_noise,
-    sample_trajectory,
-    stochastic_step,
-)
+from .sampler import ddim_sigma, ddim_step, sample_trajectory
 from .schedule import (
     NoiseSchedule,
     build_schedule,
@@ -93,7 +87,6 @@ __all__ = [
     "load_predictor",
     "mse",
     "normalize_map",
-    "one_step_noise",
     "psnr",
     "relative_l2",
     "round_trip",
@@ -102,6 +95,5 @@ __all__ = [
     "sigmoid",
     "soft_mask",
     "spectral_norm",
-    "stochastic_step",
     "synthetic_attention",
 ]

@@ -153,7 +153,10 @@ def _read(load, path, what: str):
 def _load_input(opts) -> np.ndarray:
     if not opts["in"]:
         raise UsageError("--in <tensor file> is required")
-    return _read(load_tensor, opts["in"], "input tensor")
+    z_0 = _read(load_tensor, opts["in"], "input tensor")
+    if not np.all(np.isfinite(z_0)):
+        raise UsageError(f"{opts['in']}: input tensor contains non-finite entries")
+    return z_0
 
 
 def _predictor(opts, size: int):
@@ -167,11 +170,12 @@ def _predictor(opts, size: int):
     return pred
 
 
-def _save(path, array) -> None:
+def _write(what: str, write, *args, **kwargs) -> None:
+    """write(*args, **kwargs), with an unwritable file reported as a usage error."""
     try:
-        save_tensor(path, array)
+        write(*args, **kwargs)
     except OSError as exc:
-        raise UsageError(f"cannot write output: {exc}") from exc
+        raise UsageError(f"cannot write {what}: {exc}") from exc
 
 
 def cmd_invert(opts: dict, reconstruct_out: bool = False) -> int:
@@ -185,7 +189,7 @@ def cmd_invert(opts: dict, reconstruct_out: bool = False) -> int:
         raise UsageError(str(exc)) from exc
     z_t, z_rec, report = round_trip(schedule, pred, z_0, PromptId.SOURCE, omega, cfg)
     if opts["out"]:
-        _save(opts["out"], z_rec if reconstruct_out else z_t)
+        _write("output", save_tensor, opts["out"], z_rec if reconstruct_out else z_t)
     name = "reconstruct" if reconstruct_out else "invert"
     print(
         f"{name}: method={opts['method']} steps={steps} omega={omega:g} "
@@ -221,8 +225,8 @@ def cmd_edit(opts: dict) -> int:
         raise UsageError(str(exc)) from exc
     result = edit(schedule, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
     if opts["out"]:
-        _save(opts["out"], result.best)
-        write_scores_csv(result, str(opts["out"]) + ".scores.csv")
+        _write("output", save_tensor, opts["out"], result.best)
+        _write("scores CSV", write_scores_csv, result, str(opts["out"]) + ".scores.csv")
     print(
         f"edit: steps={steps} omega={cfg.omega:g} omega_e={cfg.omega_e:g} eta={cfg.eta:g} "
         f"candidates={cfg.n_candidates} best={result.best_index} "
@@ -250,10 +254,7 @@ def cmd_grid(opts: dict) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     rows = run_grid(grid)
-    try:
-        write_grid_csv(rows, opts["out"], timing=opts["timing"])
-    except OSError as exc:
-        raise UsageError(f"cannot write CSV: {exc}") from exc
+    _write("CSV", write_grid_csv, rows, opts["out"], timing=opts["timing"])
     print(f"grid: {len(rows)} rows -> {opts['out']}")
     return 0
 

@@ -19,8 +19,15 @@ import numpy as np
 MAGIC = b"TENSRAW1"
 
 
+def _check_shape(path, shape) -> None:
+    """Both layouts hold only tensors whose every dim is at least 1."""
+    if any(d < 1 for d in shape):
+        raise ValueError(f"{path}: shape entries must be positive: {shape}")
+
+
 def save_tensor(path, array) -> None:
     path = Path(path)
+    _check_shape(path, np.shape(array))
     if path.suffix == ".bin":
         arr = np.asarray(array, dtype=np.float32)
         with open(path, "wb") as fh:
@@ -55,8 +62,7 @@ def load_tensor(path) -> np.ndarray:
             shape = tuple(int(tok) for tok in header[len("shape:") :].split())
         except ValueError as exc:
             raise ValueError(f"{path}: malformed shape header: {header.strip()!r}") from exc
-        if any(d < 1 for d in shape):
-            raise ValueError(f"{path}: shape entries must be positive: {shape}")
+        _check_shape(path, shape)
         tokens = text.read().split()
     expected = math.prod(shape)
     if len(tokens) != expected:
@@ -79,6 +85,7 @@ def _binary_body(path: Path, body: bytes) -> np.ndarray:
     if len(body) < offset + 4 * ndim:
         raise ValueError(f"{path}: truncated dims header")
     shape = struct.unpack_from(f"<{ndim}I", body, offset)
+    _check_shape(path, shape)
     offset += 4 * ndim
     count = math.prod(shape)
     if len(body) != offset + 4 * count:

@@ -84,22 +84,18 @@ class SoftMask:
         """Resample to the latent's spatial grid, ready to broadcast.
 
         The last two axes of the latent are its spatial grid (a flat [D]
-        latent counts as 1 x D); nearest-neighbor resampling bridges any
-        resolution mismatch.
+        latent counts as 1 x D, a 0-d one as 1 x 1); nearest-neighbor
+        resampling bridges any resolution mismatch.
         """
-        h, w = spatial_shape(latent_shape)
-        grid = nearest_resample(self.values, (h, w))
-        if len(latent_shape) == 1:
-            return grid.reshape(latent_shape[0])
+        grid = nearest_resample(self.values, spatial_shape(latent_shape))
+        if len(latent_shape) < 2:
+            return grid.reshape(latent_shape)
         return grid
 
 
 def spatial_shape(latent_shape) -> tuple[int, int]:
-    shape = tuple(int(s) for s in latent_shape)
-    if len(shape) == 0:
-        raise ValueError("latent shape must be nonempty")
-    if len(shape) == 1:
-        return 1, shape[0]
+    """The latent's (h, w) grid: its last two axes, 1 x D for [D] and 1 x 1 for 0-d."""
+    shape = (1, 1, *(int(s) for s in latent_shape))
     return shape[-2], shape[-1]
 
 

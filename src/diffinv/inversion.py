@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DivergenceError
 from .metrics import relative_l2
 from .predictor import CallCounter, NoisePredictor, PromptId, guided_epsilon
-from .sampler import sample_trajectory
+from .sampler import _as_state, sample_trajectory
 from .schedule import NoiseSchedule, inversion_eps_coeff
 
 
@@ -210,11 +210,11 @@ def invert_trajectory(
     Each step runs `iterative_invert_step` with `cfg`; cfg=None is the
     zero-iteration (forward-Euler) baseline.  Returns the final noise
     vector and a report with per-step residual traces and the
-    noise-predictor call count.
+    noise-predictor call count.  A non-finite z_0 raises ValueError.
     """
     counter = CallCounter(pred)
     start = time.perf_counter()
-    z = np.asarray(z_0, dtype=np.float64)
+    z = _as_state(z_0, "z_0")
     traces: list[tuple[int, list[float]]] = []
     for t_prev, t in schedule.inversion_pairs():
         z, trace = iterative_invert_step(schedule, counter, z, t, t_prev, cond, omega, cfg)

@@ -69,9 +69,9 @@ def _power_norm(m: np.ndarray) -> float:
 class _Weights(dict):
     """One read-only square matrix per prompt, all of one size, with its spectral norm.
 
-    Generated weights pass the norms they were scaled to; others are measured exactly.
-    A caller's matrices are copied before they are frozen; `copy=False` freezes in
-    place the ones this module has just built.
+    Generated weights pass the norms they were scaled to; others are checked to be
+    finite and measured exactly.  A caller's matrices are copied before they are
+    frozen; `copy=False` freezes in place the ones this module has just built.
     """
 
     def __init__(self, weights, norms: dict[PromptId, float] | None = None, copy: bool = True):
@@ -82,6 +82,8 @@ class _Weights(dict):
             w = (np.array if copy else np.asarray)(weights[prompt], dtype=np.float64)
             if w.ndim != 2 or w.shape[0] != w.shape[1]:
                 raise ValueError("weights must be square matrices")
+            if norms is None and not np.all(np.isfinite(w)):
+                raise ValueError(f"weights for prompt {prompt.value} contain non-finite entries")
             w.setflags(write=False)
             self[prompt] = w
         self.dim = self[PromptId.NULL].shape[0]
@@ -154,6 +156,8 @@ class AffinePredictor(NoisePredictor):
             b = np.array(biases[prompt], dtype=np.float64)
             if b.shape != (self.dim,):
                 raise ValueError("bias length must match the weight matrix size")
+            if not np.all(np.isfinite(b)):
+                raise ValueError(f"bias for prompt {prompt.value} contains non-finite entries")
             b.setflags(write=False)
             self.biases[prompt] = b
         self.spectral_bound = float(spectral_bound)
@@ -263,6 +267,16 @@ class CallCounter(NoisePredictor):
         return self.inner.predict(z, prompt, t)
 
 
+def _check_broadcast(shape, latent_shape, what: str) -> None:
+    """ValueError naming `what` unless an array of `shape` broadcasts to the latent shape."""
+    try:
+        if np.broadcast_shapes(shape, latent_shape) == latent_shape:
+            return
+    except ValueError:
+        pass
+    raise ValueError(f"{what} of shape {shape} does not broadcast to latent shape {latent_shape}")
+
+
 def guided_epsilon(
     pred: NoisePredictor, z: np.ndarray, cond: PromptId, scale, t: int
 ) -> np.ndarray:
@@ -277,14 +291,7 @@ def guided_epsilon(
         raise ValueError("conditioning prompt must not be the null prompt")
     if isinstance(scale, np.ndarray) and scale.ndim > 0:
         scale = scale.astype(np.float64, copy=False)
-        shape = np.shape(z)
-        try:
-            if np.broadcast_shapes(scale.shape, shape) != shape:
-                raise ValueError
-        except ValueError:
-            raise ValueError(
-                f"scale field of shape {scale.shape} does not broadcast to latent shape {shape}"
-            ) from None
+        _check_broadcast(scale.shape, np.shape(z), "scale field")
     else:
         scale = float(scale)
     eps_cond = pred.predict(z, cond, t)

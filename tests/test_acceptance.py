@@ -30,7 +30,6 @@ from diffinv import (
     relative_l2,
     sample_trajectory,
     soft_mask,
-    stochastic_step,
 )
 from diffinv.cli import main as cli_main
 from diffinv.schedule import NoiseSchedule
@@ -148,7 +147,7 @@ def test_criterion_5_degenerate_identities_bit_exact():
         eps = rng.standard_normal(8)
 
         det = ddim_step(schedule, eps, z, 2, 1)
-        sto = stochastic_step(schedule, eps, z, 2, 1, None, 0.0, rng)
+        sto = ddim_step(schedule, eps, z, 2, 1, None, 0.0, rng)
         assert np.array_equal(det, sto)
 
         pred = ContractivePredictor.default(8, seed=0)

@@ -1,10 +1,12 @@
 from pathlib import Path
 
+import struct
+
 import numpy as np
 import pytest
 
 from diffinv.cli import build_parser, main
-from diffinv.fileio import load_tensor, save_tensor
+from diffinv.fileio import MAGIC, load_tensor, save_tensor
 
 
 @pytest.fixture
@@ -61,6 +63,32 @@ class TestExitCodes:
                            "--predictor", spec)
         assert code == 2
         assert "diverged at step t=" in capsys.readouterr().err
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["invert", "edit"])
+    def test_empty_binary_input_is_usage_error(self, tmp_path, command, capsys):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(MAGIC + struct.pack("<3I", 2, 2, 0))
+        assert run_cli(command, "--in", path) == 1
+        assert "shape entries must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invert", "reconstruct", "edit"])
+    def test_non_finite_input_is_usage_error_naming_the_file(self, tmp_path, command, capsys):
+        path = tmp_path / "nan.txt"
+        save_tensor(path, np.array([0.5, np.nan, 1.0, -1.0]))
+        assert run_cli(command, "--in", path, "--steps", "10") == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "nan.txt" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("eta", ["0", "0.3"])
+    def test_edit_takes_a_scalar_latent(self, tmp_path, eta):
+        path, out = tmp_path / "s.txt", tmp_path / "out.txt"
+        save_tensor(path, np.array(0.7))
+        argv = ("--in", path, "--steps", "10", "--out", out)
+        assert run_cli("invert", *argv) == 0
+        assert run_cli("edit", *argv, "--eta", eta, "--candidates", "2") == 0
+        assert load_tensor(out).shape == ()
 
 
 COMMAND_OPTIONS = {
@@ -205,6 +233,12 @@ class TestEditCommand:
         scores = (tmp_path / "edited.txt.scores.csv").read_text().splitlines()
         assert scores[0] == "candidate,score,is_best"
         assert len(scores) == 4
+
+    def test_unwritable_scores_csv_is_usage_error(self, tmp_path, latent_file, capsys):
+        out = tmp_path / "o.txt"
+        (tmp_path / "o.txt.scores.csv").mkdir()
+        assert run_cli("edit", "--in", latent_file, "--out", out, "--steps", "10") == 1
+        assert "cannot write" in capsys.readouterr().err
 
     def test_polarity_validation(self, latent_file, capsys):
         assert run_cli("edit", "--in", latent_file, "--polarity", "sideways") == 1

@@ -123,6 +123,7 @@ class TestOneReaderOneWriter:
             (MAGIC + b"\x01\x00", "truncated header"),
             (MAGIC + struct.pack("<2I", 3, 1), "truncated dims header"),
             (MAGIC + struct.pack("<4I", 3, 2**31, 2**31, 4), "expected 18446744073709551616 float32"),
+            (MAGIC + struct.pack("<3I", 2, 2, 0), r"shape entries must be positive: \(2, 0\)"),
         ],
     )
     def test_rejects_malformed_files(self, tmp_path, blob, message):
@@ -130,6 +131,14 @@ class TestOneReaderOneWriter:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match=message):
             load_tensor(path)
+
+    @pytest.mark.parametrize("suffix", [".txt", ".bin"])
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3)])
+    def test_save_rejects_empty_dims_before_writing(self, tmp_path, suffix, shape):
+        path = tmp_path / f"t{suffix}"
+        with pytest.raises(ValueError, match="shape entries must be positive"):
+            save_tensor(path, np.zeros(shape))
+        assert not path.exists()
 
 
 class TestKvFiles:

@@ -202,12 +202,18 @@ class TestResampling:
         assert spatial_shape((3, 8, 8)) == (8, 8)
         assert spatial_shape((64,)) == (1, 64)
         assert spatial_shape((4, 6)) == (4, 6)
+        assert spatial_shape(()) == (1, 1)
 
     def test_mask_for_flat_latent(self):
         mask = SoftMask(np.full((1, 4), 0.25))
         out = mask.for_latent((8,))
         assert out.shape == (8,)
         np.testing.assert_array_equal(out, np.full(8, 0.25))
+
+    def test_mask_for_scalar_latent(self):
+        out = SoftMask(np.full((2, 3), 0.25)).for_latent(())
+        assert out.shape == ()
+        assert out == 0.25
 
     def test_mask_broadcasts_over_channels(self):
         mask = SoftMask(np.full((2, 2), 0.5))

@@ -354,6 +354,12 @@ class TestIterativeInvertStep:
 
 
 class TestInvertTrajectory:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, schedule10, bad):
+        z_0 = np.array([1.0, bad, 0.5])
+        with pytest.raises(ValueError, match="z_0 contains non-finite entries"):
+            invert_trajectory(schedule10, ZeroPredictor(), z_0, PromptId.SOURCE, 1.0)
+
     def test_zero_predictor_telescopes(self, schedule20):
         z_0 = np.random.default_rng(0).standard_normal(8)
         z_t, report = invert_trajectory(

@@ -274,6 +274,28 @@ class TestLoadPredictor:
         assert pred.spectral_bound == 0.02
         np.testing.assert_array_equal(pred.predict(np.zeros(4), PromptId.SOURCE, 1), np.ones(4))
 
+    @pytest.mark.parametrize("kind, prefix", [("contractive", "w"), ("affine", "a")])
+    def test_non_finite_weight_file_names_the_prompt(self, tmp_path, kind, prefix):
+        for p in PromptId:
+            w = 0.01 * np.eye(4)
+            if p is PromptId.SOURCE:
+                w[1, 2] = np.nan
+            save_tensor(tmp_path / f"{prefix}_{p.value}.txt", w)
+        spec = tmp_path / "p.cfg"
+        spec.write_text("\n".join([f"kind = {kind}", *WEIGHT_LINES[prefix]]) + "\n")
+        with pytest.raises(ValueError, match="prompt source contain non-finite"):
+            load_predictor(spec)
+
+    def test_non_finite_bias_names_the_prompt(self, tmp_path):
+        for p in PromptId:
+            save_tensor(tmp_path / f"a_{p.value}.txt", 0.01 * np.eye(4))
+        save_tensor(tmp_path / "b_target.txt", np.array([0.0, np.inf, 0.0, 0.0]))
+        spec = tmp_path / "p.cfg"
+        spec.write_text("\n".join(["kind = affine", "b_target = b_target.txt",
+                                   *WEIGHT_LINES["a"]]) + "\n")
+        with pytest.raises(ValueError, match="bias for prompt target contains non-finite"):
+            load_predictor(spec)
+
     def test_random_rejects_negative_norm(self):
         norms = {PromptId.NULL: 0.02, PromptId.SOURCE: -50.0, PromptId.TARGET: 0.05}
         with pytest.raises(ValueError, match="finite and >= 0"):

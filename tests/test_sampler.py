@@ -7,16 +7,14 @@ from diffinv import (
     AffinePredictor,
     ConstantPredictor,
     ContractivePredictor,
-    NoiseSchedule,
     PromptId,
     ZeroPredictor,
     build_schedule,
     ddim_sigma,
     ddim_step,
-    one_step_noise,
     sample_trajectory,
-    stochastic_step,
 )
+from diffinv import sampler
 from diffinv.errors import NumericsError
 
 
@@ -61,38 +59,31 @@ class TestDdimStep:
             ddim_step(toy_schedule, np.zeros(2), np.zeros(3), 2, 1)
 
 
-class TestOneStepNoise:
-    def test_full_signal_level_keeps_input(self):
-        s = NoiseSchedule(np.array([1.0, 1.0, 0.5]), np.array([1, 2]))
-        z = np.array([0.3, -1.2])
-        out = one_step_noise(s, z, 1, np.array([5.0, -3.0]))
-        np.testing.assert_allclose(out, z, atol=1e-15)
-
-    def test_zero_noise_scales_signal(self, toy_schedule):
-        out = one_step_noise(toy_schedule, np.array([2.0]), 2, np.zeros(1))
-        assert out[0] == pytest.approx(1.0, rel=1e-15)  # sqrt(0.25) * 2
-
-    def test_pure_noise_level(self):
-        s = NoiseSchedule(np.array([1.0, 0.19]), np.array([1]))
-        out = one_step_noise(s, np.zeros(3), 1, np.ones(3))
-        np.testing.assert_allclose(out, 0.9, rtol=1e-15)  # sqrt(0.81)
-
-
 class TestStochasticStep:
     def test_eta_zero_equals_deterministic(self, toy_schedule):
         rng = np.random.default_rng(0)
         z = rng.standard_normal(6)
         eps = rng.standard_normal(6)
         det = ddim_step(toy_schedule, eps, z, 2, 1)
-        sto = stochastic_step(toy_schedule, eps, z, 2, 1, None, 0.0, rng)
+        sto = ddim_step(toy_schedule, eps, z, 2, 1, None, 0.0, rng)
         np.testing.assert_array_equal(det, sto)
+
+    def test_eta_zero_ignores_mask_and_rng(self, toy_schedule):
+        rng = np.random.default_rng(4)
+        z = rng.standard_normal(6)
+        eps = rng.standard_normal(6)
+        state = rng.bit_generator.state
+        det = ddim_step(toy_schedule, eps, z, 2, 1)
+        masked = ddim_step(toy_schedule, eps, z, 2, 1, np.full(6, 0.5), 0.0, rng)
+        np.testing.assert_array_equal(det, masked)
+        assert rng.bit_generator.state == state  # no draw at eta = 0
 
     def test_zero_mask_equals_deterministic(self, toy_schedule):
         rng = np.random.default_rng(1)
         z = rng.standard_normal(6)
         eps = rng.standard_normal(6)
         det = ddim_step(toy_schedule, eps, z, 2, 1)
-        sto = stochastic_step(toy_schedule, eps, z, 2, 1, np.zeros(6), 0.5, rng)
+        sto = ddim_step(toy_schedule, eps, z, 2, 1, np.zeros(6), 0.5, rng)
         np.testing.assert_array_equal(det, sto)
 
     def test_monte_carlo_variance(self, toy_schedule):
@@ -102,7 +93,7 @@ class TestStochasticStep:
         z = np.array([1.0, -0.5, 0.25, 2.0])
         eps = np.array([0.1, 0.2, -0.1, 0.0])
         draws = np.stack(
-            [stochastic_step(toy_schedule, eps, z, 2, 1, 1.0, eta, rng) for _ in range(10_000)]
+            [ddim_step(toy_schedule, eps, z, 2, 1, 1.0, eta, rng) for _ in range(10_000)]
         )
         expected = eta * ddim_sigma_oracle(0.25, 0.64) ** 2
         np.testing.assert_allclose(draws.var(axis=0), expected, rtol=0.05)
@@ -115,7 +106,7 @@ class TestStochasticStep:
         eps = np.array([0.4])
         rng = np.random.default_rng(3)
         draws = np.stack(
-            [stochastic_step(toy_schedule, eps, z, 2, 1, 1.0, eta, rng) for _ in range(40_000)]
+            [ddim_step(toy_schedule, eps, z, 2, 1, 1.0, eta, rng) for _ in range(40_000)]
         )
         sigma2 = ddim_sigma_oracle(0.25, 0.64) ** 2
         z0_hat = (1.0 - math.sqrt(0.75) * 0.4) / 0.5
@@ -124,19 +115,19 @@ class TestStochasticStep:
 
     def test_negative_sqrt_argument_names_step(self, toy_schedule):
         with pytest.raises(NumericsError, match="t=2"):
-            stochastic_step(
+            ddim_step(
                 toy_schedule, np.zeros(2), np.zeros(2), 2, 1, 1.0, 50.0,
                 np.random.default_rng(0),
             )
 
     def test_positive_eta_needs_rng(self, toy_schedule):
         with pytest.raises(ValueError, match="rng"):
-            stochastic_step(toy_schedule, np.zeros(2), np.ones(2), 2, 1, None, 0.1)
+            ddim_step(toy_schedule, np.zeros(2), np.ones(2), 2, 1, None, 0.1)
 
     @pytest.mark.parametrize("eta", [0.0, 0.5])
     def test_rejects_increasing_time_at_any_eta(self, base_schedule, eta):
         with pytest.raises(ValueError, match="t_prev=500 must not exceed t=100"):
-            stochastic_step(
+            ddim_step(
                 base_schedule, np.zeros(2), np.ones(2), 100, 500, None, eta,
                 np.random.default_rng(0),
             )
@@ -144,7 +135,7 @@ class TestStochasticStep:
     @pytest.mark.parametrize("eta", [-0.1, math.nan])
     def test_rejects_negative_eta(self, toy_schedule, eta):
         with pytest.raises(ValueError, match="eta must be >= 0"):
-            stochastic_step(
+            ddim_step(
                 toy_schedule, np.zeros(2), np.ones(2), 2, 1, None, eta, np.random.default_rng(0)
             )
 
@@ -155,7 +146,7 @@ class TestStochasticStep:
         z = rng.standard_normal(3)
         eps = rng.standard_normal(3)
         det = ddim_step(toy_schedule, eps, z, 1, 0)
-        sto = stochastic_step(toy_schedule, eps, z, 1, 0, 1.0, 1.0, rng)
+        sto = ddim_step(toy_schedule, eps, z, 1, 0, 1.0, 1.0, rng)
         np.testing.assert_array_equal(det, sto)
 
 
@@ -236,6 +227,21 @@ class TestSampleTrajectory:
             schedule10, pred, z_t, PromptId.SOURCE, 1.0, eta=0.1, rng=np.random.default_rng(22)
         )
         assert not np.array_equal(a[-1], c[-1])
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_one_ddim_step_per_scheduled_step(self, schedule10, monkeypatch, eta):
+        calls = []
+
+        def counting_step(*args, **kwargs):
+            calls.append(args[3:5])
+            return ddim_step(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "ddim_step", counting_step)
+        sample_trajectory(
+            schedule10, ZeroPredictor(), np.ones(4), PromptId.SOURCE, 1.0,
+            eta=eta, rng=np.random.default_rng(0),
+        )
+        assert calls == schedule10.sampling_pairs()
 
     def test_positive_eta_needs_rng(self, schedule10):
         with pytest.raises(ValueError, match="rng"):
