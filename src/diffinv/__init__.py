@@ -38,18 +38,12 @@ from .predictor import (
     ContractivePredictor,
     NoisePredictor,
     PromptId,
-    ZeroPredictor,
     guided_epsilon,
     load_predictor,
     spectral_norm,
 )
 from .sampler import ddim_sigma, ddim_step, sample_trajectory
-from .schedule import (
-    NoiseSchedule,
-    build_schedule,
-    load_alpha_bar,
-    schedule_from_alpha_bar,
-)
+from .schedule import NoiseSchedule, build_schedule, schedule_from_alpha_bar
 
 __all__ = [
     "AffinePredictor",
@@ -70,7 +64,6 @@ __all__ = [
     "Polarity",
     "PromptId",
     "SoftMask",
-    "ZeroPredictor",
     "anderson_weights",
     "blended_scale_field",
     "build_schedule",
@@ -83,7 +76,6 @@ __all__ = [
     "invert_trajectory",
     "iterative_invert_step",
     "l2",
-    "load_alpha_bar",
     "load_predictor",
     "mse",
     "normalize_map",

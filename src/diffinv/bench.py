@@ -45,7 +45,7 @@ def method_config(method: str, steps: int, iters: int | None = None, window: int
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Axes and fixed inputs of one benchmark run."""
+    """Axes and fixed inputs of one benchmark run; each axis is nonempty and duplicate-free."""
 
     step_counts: tuple[int, ...] = (10, 20, 50)
     omegas: tuple[float, ...] = (0.0, 1.0, 3.0, 5.0, 7.0)
@@ -59,6 +59,10 @@ class ExperimentGrid:
     def __post_init__(self):
         if not self.step_counts or not self.omegas or not self.methods:
             raise ValueError("grid axes must be nonempty")
+        for name, axis in (("steps", self.step_counts), ("omega", self.omegas),
+                           ("method", self.methods)):
+            if len(set(axis)) != len(axis):
+                raise ValueError(f"grid {name} values must be distinct, got {list(axis)}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.seed < 0:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,20 +73,7 @@ class InversionReport:
 
     step_traces: list[tuple[int, list[float]]] = field(default_factory=list)
     nfe: int = 0
-    wall_ms: float = 0.0
     round_trip_l2: float | None = None
-
-    def to_csv(self, path) -> None:
-        """Write the residual table plus a trailing summary section."""
-        lines = ["step_t,iteration,residual_norm"]
-        for t, trace in self.step_traces:
-            for i, res in enumerate(trace, start=1):
-                lines.append(f"{t},{i},{res:.9g}")
-        lines.append("round_trip_l2,nfe,wall_ms")
-        rt = float("nan") if self.round_trip_l2 is None else self.round_trip_l2
-        lines.append(f"{rt:.9g},{self.nfe},{self.wall_ms:.9g}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def fixed_point_map(
@@ -213,15 +199,12 @@ def invert_trajectory(
     noise-predictor call count.  A non-finite z_0 raises ValueError.
     """
     counter = CallCounter(pred)
-    start = time.perf_counter()
     z = _as_state(z_0, "z_0")
     traces: list[tuple[int, list[float]]] = []
     for t_prev, t in schedule.inversion_pairs():
         z, trace = iterative_invert_step(schedule, counter, z, t, t_prev, cond, omega, cfg)
         traces.append((t, trace))
-    wall_ms = (time.perf_counter() - start) * 1e3
-    report = InversionReport(step_traces=traces, nfe=counter.calls, wall_ms=wall_ms)
-    return z, report
+    return z, InversionReport(step_traces=traces, nfe=counter.calls)
 
 
 def round_trip(

@@ -108,6 +108,8 @@ def _random_weights(rng: np.random.Generator, dim: int, norms: dict[PromptId, fl
     large sizes: measured exactly, `AffinePredictor.random(256)` exceeds its
     declared 0.05 by 8e-5 relative.  The weights carry the requested norms.
     """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     weights = {}
     for p in PromptId:
         if not (math.isfinite(norms[p]) and norms[p] >= 0.0):
@@ -117,18 +119,13 @@ def _random_weights(rng: np.random.Generator, dim: int, norms: dict[PromptId, fl
     return _Weights(weights, norms, copy=False)
 
 
-class ZeroPredictor(NoisePredictor):
-    """Predicts zero noise for every input; useful for telescoping checks."""
-
-    def predict(self, z, prompt, t):
-        return np.zeros_like(np.asarray(z, dtype=np.float64))
-
-
 class ConstantPredictor(NoisePredictor):
-    """Predicts the same constant for every pixel, prompt and timestep."""
+    """Predicts one finite constant for every pixel, prompt and timestep; 0.0 is zero noise."""
 
     def __init__(self, value: float):
         self.value = float(value)
+        if not math.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {self.value}")
 
     def predict(self, z, prompt, t):
         return np.full_like(np.asarray(z, dtype=np.float64), self.value)
@@ -161,22 +158,14 @@ class AffinePredictor(NoisePredictor):
             b.setflags(write=False)
             self.biases[prompt] = b
         self.spectral_bound = float(spectral_bound)
+        if not 0.0 <= self.spectral_bound < math.inf:
+            raise ValueError(f"bound must be finite and >= 0, got {self.spectral_bound}")
         for prompt, sn in self.weights.norms.items():
             if sn > self.spectral_bound * (1.0 + 1e-8):
                 raise ValueError(
                     f"declared spectral bound {self.spectral_bound} violated for "
                     f"prompt {prompt.value}: measured {sn:.6g}"
                 )
-
-    @classmethod
-    def scalar(cls, a_by_prompt: dict[PromptId, float], b_by_prompt=None) -> "AffinePredictor":
-        """1-D convenience constructor: eps(z) = a_p * z + b_p."""
-        if b_by_prompt is None:
-            b_by_prompt = {p: 0.0 for p in PromptId}
-        weights = {p: np.array([[a_by_prompt[p]]]) for p in PromptId}
-        biases = {p: np.array([b_by_prompt[p]]) for p in PromptId}
-        bound = max(abs(a) for a in a_by_prompt.values())
-        return cls(weights, biases, bound)
 
     @classmethod
     def random(
@@ -186,15 +175,14 @@ class AffinePredictor(NoisePredictor):
         norms: dict[PromptId, float] | None = None,
         bias_scale: float = 0.1,
     ) -> "AffinePredictor":
+        if not math.isfinite(bias_scale):
+            raise ValueError(f"bias_scale must be finite, got {bias_scale}")
         if norms is None:
             norms = {PromptId.NULL: 0.02, PromptId.SOURCE: 0.05, PromptId.TARGET: 0.05}
         rng = np.random.default_rng(seed)
         weights = _random_weights(rng, dim, norms)
         biases = {p: bias_scale * rng.standard_normal(dim) for p in PromptId}
         return cls(weights, biases, max(norms.values()))
-
-    def lipschitz(self, prompt: PromptId) -> float:
-        return self.weights.norms[prompt]
 
     def predict(self, z, prompt, t):
         z = np.asarray(z, dtype=np.float64)
@@ -215,13 +203,12 @@ class ContractivePredictor(NoisePredictor):
 
     def __init__(self, scale: float, weights: dict[PromptId, np.ndarray]):
         self.scale = float(scale)
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
         self.weights = weights if isinstance(weights, _Weights) else _Weights(weights)
         self.dim = self.weights.dim
-        self.lipschitz_bound = self.scale * max(self.weights.norms.values())
         coeff = max_inversion_coeff(build_schedule().subsample(20))
-        margin = coeff * self.lipschitz_bound
+        margin = coeff * (self.scale * max(self.weights.norms.values()))
         if margin >= self.CONTRACTION_LIMIT:
             raise ValueError(
                 f"contraction margin {margin:.4f} >= {self.CONTRACTION_LIMIT}; "
@@ -238,9 +225,6 @@ class ContractivePredictor(NoisePredictor):
         """
         norms = {PromptId.NULL: 0.1, PromptId.SOURCE: 0.4, PromptId.TARGET: 0.4}
         return cls(scale=0.1, weights=_random_weights(np.random.default_rng(seed), dim, norms))
-
-    def lipschitz(self, prompt: PromptId) -> float:
-        return self.scale * self.weights.norms[prompt]
 
     def predict(self, z, prompt, t):
         z = np.asarray(z, dtype=np.float64)
@@ -322,14 +306,15 @@ _SPEC_KEYS = {
 def load_predictor(path) -> NoisePredictor:
     """Build a predictor from a `key = value` spec file.
 
-    `kind` is zero | constant | affine | contractive.  Weights load from
-    tensor files referenced relative to the spec file (`w_null = w0.txt`,
-    `a_source = ...`, `b_source = ...`), or are generated from `dim`, `seed`
-    and per-prompt spectral norms (`norm_null = 0.1`, ...).  `scale` sets
-    the contractive amplitude, `value` the constant, `bound` the declared
+    `kind` is zero | constant | affine | contractive; zero builds
+    `ConstantPredictor(0.0)`.  Weights load from tensor files referenced
+    relative to the spec file (`w_null = w0.txt`, `a_source = ...`,
+    `b_source = ...`), or are generated from `dim` (>= 1), `seed` and
+    per-prompt spectral norms (`norm_null = 0.1`, ...).  `scale` sets the
+    contractive amplitude, `value` the constant, `bound` the declared
     spectral bound of explicit affine weights and `bias_scale` the spread of
-    generated affine biases.  A key the kind and weight source do not read
-    raises ValueError.
+    generated affine biases; each must be finite.  A key the kind and weight
+    source do not read raises ValueError.
     """
     from pathlib import Path
 
@@ -360,7 +345,7 @@ def load_predictor(path) -> NoisePredictor:
         return {p: float(spec.get(f"norm_{p.value}", d)) for p, d in zip(PromptId, defaults)}
 
     if kind == "zero":
-        return ZeroPredictor()
+        return ConstantPredictor(0.0)
     if kind == "constant":
         if "value" not in spec:
             raise ValueError(f"{path}: constant predictor needs 'value'")

@@ -127,26 +127,6 @@ def schedule_from_alpha_bar(values) -> NoiseSchedule:
     return NoiseSchedule(np.concatenate(([1.0], core)), np.arange(1, core.size + 1))
 
 
-def load_alpha_bar(path) -> NoiseSchedule:
-    """Load alpha_bar values (one real per line, t = 1..T) from a text file.
-
-    Pins a schedule bit-exactly regardless of how it was generated.
-    """
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not a real number: {text!r}") from exc
-    if not values:
-        raise ValueError(f"{path}: no alpha_bar values found")
-    return schedule_from_alpha_bar(values)
-
-
 def inversion_eps_coeff(alpha_bar_t: float, alpha_bar_prev: float) -> float:
     """Coefficient on the noise prediction in the exact reverse of a DDIM step.
 

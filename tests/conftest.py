@@ -39,4 +39,4 @@ def toy_schedule():
 @pytest.fixture
 def scalar_affine_half():
     """1-D predictor eps(z) = 0.5 * z for every prompt."""
-    return AffinePredictor.scalar({p: 0.5 for p in PromptId})
+    return AffinePredictor({p: [[0.5]] for p in PromptId}, {p: [0.0] for p in PromptId}, 0.5)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffinv import FixedPointVariant, ZeroPredictor
+from diffinv import ConstantPredictor, FixedPointVariant
 from diffinv.bench import (
     CSV_HEADER,
     DEFAULT_ITERS,
@@ -54,7 +54,7 @@ class TestRunGrid:
     def test_single_cell_zero_predictor(self):
         grid = ExperimentGrid(
             step_counts=(10,), omegas=(1.0,), methods=("averaged",),
-            dim=8, seed=5, predictor=ZeroPredictor(),
+            dim=8, seed=5, predictor=ConstantPredictor(0.0),
         )
         rows = run_grid(grid)
         assert len(rows) == 1
@@ -118,6 +118,9 @@ class TestRunGrid:
             ({"window": 0}, "window must be >= 1"),
             ({"step_counts": (10, 0)}, "n_steps must be in"),
             ({"seed": -1}, "seed must be >= 0"),
+            ({"step_counts": (10, 20, 10)}, "grid steps values must be distinct"),
+            ({"omegas": (1.0, 1.0)}, "grid omega values must be distinct"),
+            ({"methods": ("plain", "euler", "plain")}, "grid method values must be distinct"),
         ],
     )
     def test_every_cell_validated_at_construction(self, fields, message):

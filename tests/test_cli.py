@@ -220,6 +220,32 @@ class TestPredictorSize:
         assert code == 0
 
 
+class TestPredictorSpecValues:
+    """A generated dim below 1 or a non-finite spec scalar is a usage error naming its key."""
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            (["kind = contractive", "dim = 0"], "dim"),
+            (["kind = contractive", "dim = -3"], "dim"),
+            (["kind = affine", "dim = 0"], "dim"),
+            (["kind = affine", "dim = -3"], "dim"),
+            (["kind = contractive", "dim = 32", "scale = nan"], "scale"),
+            (["kind = constant", "value = nan"], "value"),
+            (["kind = constant", "value = inf"], "value"),
+            (["kind = affine", "dim = 32", "bias_scale = nan"], "bias_scale"),
+            (["kind = affine", "bound = nan",
+              *(f"a_{p} = a.txt" for p in ("null", "source", "target"))], "bound"),
+        ],
+    )
+    def test_bad_spec_value_is_usage_error(self, tmp_path, latent_file, lines, key, capsys):
+        save_tensor(tmp_path / "a.txt", 0.01 * np.eye(32))
+        spec = tmp_path / "pred.cfg"
+        spec.write_text("\n".join(lines) + "\n")
+        assert run_cli("invert", "--in", latent_file, "--predictor", spec, "--steps", "10") == 1
+        assert f"usage error: {key} must be" in capsys.readouterr().err
+
+
 class TestEditCommand:
     def test_edit_writes_best_and_scores(self, tmp_path, latent_file, capsys):
         out = tmp_path / "edited.txt"
@@ -287,7 +313,8 @@ class TestGridCommand:
     @pytest.mark.parametrize(
         "flag,value",
         [("--dim", "0"), ("--dim", "-3"), ("--iters", "0"), ("--window", "0"), ("--steps", "0"),
-         ("--seed", "-1")],
+         ("--seed", "-1"), ("--steps", "10,10"), ("--omega", "1,1.0"),
+         ("--method", "plain,plain")],
     )
     def test_bad_grid_input_is_usage_error(self, tmp_path, flag, value, capsys):
         assert run_cli("grid", "--out", tmp_path / "g.csv", flag, value) == 1

@@ -7,6 +7,7 @@ from diffinv import (
     AffinePredictor,
     AttentionMap,
     CallCounter,
+    ConstantPredictor,
     ContractivePredictor,
     EditConfig,
     FixedPointConfig,
@@ -14,7 +15,6 @@ from diffinv import (
     MaskNormConfig,
     Polarity,
     PromptId,
-    ZeroPredictor,
     default_scorer,
     edit,
     invert_trajectory,
@@ -45,8 +45,9 @@ class TestReconstruct:
     def test_zero_predictor_exact(self, schedule10):
         z_0 = np.random.default_rng(0).standard_normal(8)
         cfg = EditConfig(fixed_point=fp_cfg(2))
-        z_rec = round_trip(schedule10, ZeroPredictor(), z_0, PromptId.SOURCE, 1.0, fp_cfg(2))[1]
-        masks = edit(schedule10, ZeroPredictor(), z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
+        zero = ConstantPredictor(0.0)
+        z_rec = round_trip(schedule10, zero, z_0, PromptId.SOURCE, 1.0, fp_cfg(2))[1]
+        masks = edit(schedule10, zero, z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
         np.testing.assert_allclose(z_rec, z_0, rtol=1e-12)
         assert len(masks) == 10
 
@@ -65,7 +66,8 @@ class TestReconstruct:
         amap = synthetic_attention((4, 4), (1, 1), 1.0)
         cfg = EditConfig(attention=amap, fixed_point=fp_cfg(2))
         z_0 = np.zeros((4, 4))
-        masks = edit(schedule10, ZeroPredictor(), z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
+        zero = ConstantPredictor(0.0)
+        masks = edit(schedule10, zero, z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
         assert len(masks) == 10
         for m in masks[1:]:  # static source: identical mask at every step
             np.testing.assert_array_equal(m.values, masks[0].values)
@@ -81,7 +83,8 @@ class TestReconstruct:
 
         cfg = EditConfig(attention=provider, fixed_point=fp_cfg(2))
         z_0 = np.zeros((4, 4))
-        masks = edit(schedule10, ZeroPredictor(), z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
+        zero = ConstantPredictor(0.0)
+        masks = edit(schedule10, zero, z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
         assert seen == [t for t, _ in schedule10.sampling_pairs()]
         assert not np.array_equal(masks[0].values, masks[-1].values)
 

@@ -11,7 +11,6 @@ from diffinv import (
     FixedPointConfig,
     FixedPointVariant,
     PromptId,
-    ZeroPredictor,
     anderson_weights,
     ddim_step,
     fixed_point_map,
@@ -45,7 +44,7 @@ class TestEulerInvertStep:
     def test_zero_predictor_is_rescale(self, toy_schedule):
         z = np.array([2.0])
         out, _ = iterative_invert_step(
-            toy_schedule, ZeroPredictor(), z, 2, 1, PromptId.SOURCE, 1.0, None
+            toy_schedule, ConstantPredictor(0.0), z, 2, 1, PromptId.SOURCE, 1.0, None
         )
         assert out[0] == pytest.approx(2.0 * math.sqrt(AB_T / AB_PREV), rel=1e-15)
 
@@ -84,11 +83,13 @@ class TestEulerInvertStep:
     def test_requires_increasing_time(self, toy_schedule):
         with pytest.raises(ValueError, match="t_prev < t"):
             iterative_invert_step(
-                toy_schedule, ZeroPredictor(), np.zeros(1), 1, 2, PromptId.SOURCE, 1.0, None
+                toy_schedule, ConstantPredictor(0.0), np.zeros(1), 1, 2, PromptId.SOURCE, 1.0, None
             )
 
     def test_non_finite_step_raises_with_location(self, toy_schedule):
-        huge = AffinePredictor.scalar({p: 1e308 for p in PromptId})
+        huge = AffinePredictor(
+            {p: [[1e308]] for p in PromptId}, {p: [0.0] for p in PromptId}, 1e308
+        )
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DivergenceError, match="step t=2, iteration 1"
         ):
@@ -142,7 +143,8 @@ class TestFixedPointMap:
     def test_zero_predictor_ignores_candidate(self, toy_schedule):
         z_prev = np.array([1.0])
         out = fixed_point_map(
-            toy_schedule, ZeroPredictor(), np.array([123.0]), z_prev, 2, 1, PromptId.SOURCE, 1.0
+            toy_schedule, ConstantPredictor(0.0), np.array([123.0]), z_prev, 2, 1,
+            PromptId.SOURCE, 1.0,
         )
         assert out[0] == pytest.approx(math.sqrt(AB_T / AB_PREV), rel=1e-15)
 
@@ -169,7 +171,8 @@ class TestFixedPointMap:
     def test_requires_increasing_time(self, toy_schedule):
         with pytest.raises(ValueError, match="t_prev < t"):
             fixed_point_map(
-                toy_schedule, ZeroPredictor(), np.zeros(1), np.zeros(1), 1, 2, PromptId.SOURCE, 1.0
+                toy_schedule, ConstantPredictor(0.0), np.zeros(1), np.zeros(1), 1, 2,
+                PromptId.SOURCE, 1.0,
             )
 
 
@@ -231,7 +234,7 @@ class TestIterativeInvertStep:
     def test_zero_predictor_converges_immediately(self, toy_schedule):
         cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=4)
         z, trace = iterative_invert_step(
-            toy_schedule, ZeroPredictor(), np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
+            toy_schedule, ConstantPredictor(0.0), np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
         )
         assert trace[0] == 0.0
         assert z[0] == pytest.approx(math.sqrt(AB_T / AB_PREV), rel=1e-15)
@@ -331,7 +334,7 @@ class TestIterativeInvertStep:
         assert all(r > 1e-6 for r in trace[:-1])
 
     def test_divergence_raises_with_location(self, toy_schedule):
-        huge = AffinePredictor.scalar({p: 1e80 for p in PromptId})
+        huge = AffinePredictor({p: [[1e80]] for p in PromptId}, {p: [0.0] for p in PromptId}, 1e80)
         cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=10)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DivergenceError, match="t=2"
@@ -358,12 +361,12 @@ class TestInvertTrajectory:
     def test_rejects_non_finite_input(self, schedule10, bad):
         z_0 = np.array([1.0, bad, 0.5])
         with pytest.raises(ValueError, match="z_0 contains non-finite entries"):
-            invert_trajectory(schedule10, ZeroPredictor(), z_0, PromptId.SOURCE, 1.0)
+            invert_trajectory(schedule10, ConstantPredictor(0.0), z_0, PromptId.SOURCE, 1.0)
 
     def test_zero_predictor_telescopes(self, schedule20):
         z_0 = np.random.default_rng(0).standard_normal(8)
         z_t, report = invert_trajectory(
-            schedule20, ZeroPredictor(), z_0, PromptId.SOURCE, 1.0,
+            schedule20, ConstantPredictor(0.0), z_0, PromptId.SOURCE, 1.0,
             FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=2),
         )
         np.testing.assert_allclose(z_t, math.sqrt(schedule20.alpha_bar[1000]) * z_0, rtol=1e-12)
@@ -410,20 +413,6 @@ class TestInvertTrajectory:
             errors.append(relative_l2(rec, z_0))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse * 1.001 + 1e-14
-
-    def test_report_csv_round_trip(self, tmp_path, schedule10, contractive64):
-        z_0 = np.random.default_rng(4).standard_normal(64)
-        cfg = FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=3)
-        _, report = invert_trajectory(schedule10, contractive64, z_0, PromptId.SOURCE, 1.0, cfg)
-        report.round_trip_l2 = 1.25e-5
-        path = tmp_path / "report.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step_t,iteration,residual_norm"
-        assert lines[1].startswith("100,1,")
-        assert len(lines) == 1 + 10 * 3 + 2
-        assert lines[-2] == "round_trip_l2,nfe,wall_ms"
-        assert lines[-1].startswith("1.25e-05,")
 
 
 class TestAndersonHardRegime:

@@ -7,7 +7,6 @@ from diffinv import (
     ConstantPredictor,
     ContractivePredictor,
     PromptId,
-    ZeroPredictor,
     guided_epsilon,
     load_predictor,
     spectral_norm,
@@ -30,7 +29,7 @@ def test_spectral_norm_zero_matrix():
 class TestToyPredictors:
     def test_zero(self):
         z = np.random.default_rng(1).standard_normal((3, 4))
-        out = ZeroPredictor().predict(z, PromptId.SOURCE, 10)
+        out = ConstantPredictor(0.0).predict(z, PromptId.SOURCE, 10)
         assert out.shape == z.shape
         assert np.all(out == 0.0)
 
@@ -67,7 +66,7 @@ class TestToyPredictors:
     def test_affine_accepts_declared_bound(self):
         pred = AffinePredictor.random(8, seed=1)
         for p in PromptId:
-            assert pred.lipschitz(p) <= pred.spectral_bound * (1 + 1e-8)
+            assert pred.weights.norms[p] <= pred.spectral_bound * (1 + 1e-8)
 
     def test_contractive_margin_enforced(self):
         rng = np.random.default_rng(5)
@@ -78,8 +77,8 @@ class TestToyPredictors:
 
     def test_contractive_default_margin(self):
         pred = ContractivePredictor.default(16, seed=0)
-        assert pred.lipschitz_bound < 0.9
-        assert pred.lipschitz(PromptId.NULL) < pred.lipschitz(PromptId.SOURCE)
+        assert pred.scale * max(pred.weights.norms.values()) < 0.9
+        assert pred.weights.norms[PromptId.NULL] < pred.weights.norms[PromptId.SOURCE]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("factory", [ContractivePredictor.default, AffinePredictor.random])
@@ -88,7 +87,7 @@ class TestToyPredictors:
         pred = factory(10, seed=seed)
         rng = np.random.default_rng(seed + 100)
         for prompt in PromptId:
-            lip = pred.lipschitz(prompt)
+            lip = getattr(pred, "scale", 1.0) * pred.weights.norms[prompt]
             for _ in range(20):
                 z1 = rng.standard_normal(10)
                 z2 = z1 + 1e-4 * rng.standard_normal(10)
@@ -119,12 +118,12 @@ class TestGuidedEpsilon:
 
     def test_zero_predictor_any_omega(self):
         z = np.ones(6)
-        out = guided_epsilon(ZeroPredictor(), z, PromptId.TARGET, 3.7, 5)
+        out = guided_epsilon(ConstantPredictor(0.0), z, PromptId.TARGET, 3.7, 5)
         assert np.all(out == 0.0)
 
     def test_rejects_null_conditioning(self):
         with pytest.raises(ValueError, match="null"):
-            guided_epsilon(ZeroPredictor(), np.zeros(2), PromptId.NULL, 1.0, 1)
+            guided_epsilon(ConstantPredictor(0.0), np.zeros(2), PromptId.NULL, 1.0, 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_affine_in_omega_collinearity(self, seed):
@@ -170,7 +169,7 @@ class TestBlendedEpsilon:
 
 class TestCallCounter:
     def test_counts_delegated_calls(self):
-        counter = CallCounter(ZeroPredictor())
+        counter = CallCounter(ConstantPredictor(0.0))
         z = np.zeros(3)
         for _ in range(4):
             counter.predict(z, PromptId.NULL, 1)
@@ -189,7 +188,9 @@ class TestLoadPredictor:
     def test_zero_and_constant(self, tmp_path):
         spec = tmp_path / "p.cfg"
         spec.write_text("kind = zero\n")
-        assert isinstance(load_predictor(spec), ZeroPredictor)
+        pred = load_predictor(spec)
+        assert isinstance(pred, ConstantPredictor)
+        assert pred.value == 0.0
         spec.write_text("kind = constant\nvalue = 0.25\n")
         pred = load_predictor(spec)
         assert isinstance(pred, ConstantPredictor)
@@ -296,6 +297,33 @@ class TestLoadPredictor:
         with pytest.raises(ValueError, match="bias for prompt target contains non-finite"):
             load_predictor(spec)
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["kind = contractive", "dim = 0"], "dim must be >= 1, got 0"),
+            (["kind = contractive", "dim = -3"], "dim must be >= 1, got -3"),
+            (["kind = affine", "dim = 0"], "dim must be >= 1, got 0"),
+            (["kind = affine", "dim = -3"], "dim must be >= 1, got -3"),
+            (["kind = contractive", "dim = 8", "scale = nan"], "scale must be finite and > 0"),
+            (["kind = contractive", "dim = 8", "scale = inf"], "scale must be finite and > 0"),
+            (["kind = contractive", "dim = 8", "scale = 0"], "scale must be finite and > 0"),
+            (["kind = constant", "value = nan"], "value must be finite"),
+            (["kind = constant", "value = inf"], "value must be finite"),
+            (["kind = constant", "value = -inf"], "value must be finite"),
+            (["kind = affine", "dim = 8", "bias_scale = nan"], "bias_scale must be finite"),
+            (["kind = affine", "dim = 8", "bias_scale = -inf"], "bias_scale must be finite"),
+            (["kind = affine", "bound = nan", *WEIGHT_LINES["a"]], "bound must be finite and >="),
+            (["kind = affine", "bound = inf", *WEIGHT_LINES["a"]], "bound must be finite and >="),
+        ],
+    )
+    def test_out_of_range_scalar_names_its_key(self, tmp_path, lines, message):
+        for p in PromptId:
+            save_tensor(tmp_path / f"a_{p.value}.txt", 0.01 * np.eye(4))
+        spec = tmp_path / "p.cfg"
+        spec.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_predictor(spec)
+
     def test_random_rejects_negative_norm(self):
         norms = {PromptId.NULL: 0.02, PromptId.SOURCE: -50.0, PromptId.TARGET: 0.05}
         with pytest.raises(ValueError, match="finite and >= 0"):
@@ -322,7 +350,7 @@ class TestMeasureOnce:
         pred = factory(64)
         assert calls == {"spectral_norm": 0, "_power_norm": 3}
         for p in PromptId:
-            pred.lipschitz(p)
+            pred.weights.norms[p]
         assert calls == {"spectral_norm": 0, "_power_norm": 3}
 
     def test_explicit_weights_are_measured_once(self, calls):
@@ -331,7 +359,9 @@ class TestMeasureOnce:
         pred = ContractivePredictor(0.1, weights)
         assert calls == {"spectral_norm": 3, "_power_norm": 0}
         for p in PromptId:
-            assert pred.lipschitz(p) == pytest.approx(0.1 * np.linalg.norm(weights[p], 2))
+            assert pred.scale * pred.weights.norms[p] == pytest.approx(
+                0.1 * np.linalg.norm(weights[p], 2)
+            )
         assert calls == {"spectral_norm": 3, "_power_norm": 0}
 
 

@@ -8,7 +8,6 @@ from diffinv import (
     ConstantPredictor,
     ContractivePredictor,
     PromptId,
-    ZeroPredictor,
     build_schedule,
     ddim_sigma,
     ddim_step,
@@ -169,7 +168,7 @@ class TestSampleTrajectory:
     def test_single_step_zero_predictor(self):
         s = build_schedule(1000, 0.001, 0.012).subsample(1)
         z_t = np.full(4, 2.0)
-        states = sample_trajectory(s, ZeroPredictor(), z_t, PromptId.SOURCE, 1.0)
+        states = sample_trajectory(s, ConstantPredictor(0.0), z_t, PromptId.SOURCE, 1.0)
         assert len(states) == 2
         expected = z_t / math.sqrt(s.alpha_bar[1000])
         np.testing.assert_allclose(states[-1], expected, rtol=1e-14)
@@ -179,7 +178,7 @@ class TestSampleTrajectory:
         s = build_schedule().subsample(n_steps)
         rng = np.random.default_rng(n_steps)
         z_t = rng.standard_normal(8)
-        states = sample_trajectory(s, ZeroPredictor(), z_t, PromptId.SOURCE, 0.0)
+        states = sample_trajectory(s, ConstantPredictor(0.0), z_t, PromptId.SOURCE, 0.0)
         np.testing.assert_allclose(
             states[-1], z_t / math.sqrt(s.alpha_bar[s.big_t]), rtol=1e-12
         )
@@ -189,7 +188,7 @@ class TestSampleTrajectory:
         # ||z_prev|| = sqrt(ab_prev / ab_t) * ||z_t|| exactly for zero noise
         s = build_schedule().subsample(n_steps)
         z = np.random.default_rng(0).standard_normal(16)
-        states = sample_trajectory(s, ZeroPredictor(), z, PromptId.SOURCE, 1.0)
+        states = sample_trajectory(s, ConstantPredictor(0.0), z, PromptId.SOURCE, 1.0)
         for k, (t, t_prev) in enumerate(s.sampling_pairs()):
             ratio = np.linalg.norm(states[k + 1]) / np.linalg.norm(states[k])
             expected = math.sqrt(s.alpha_bar[t_prev] / s.alpha_bar[t])
@@ -238,7 +237,7 @@ class TestSampleTrajectory:
 
         monkeypatch.setattr(sampler, "ddim_step", counting_step)
         sample_trajectory(
-            schedule10, ZeroPredictor(), np.ones(4), PromptId.SOURCE, 1.0,
+            schedule10, ConstantPredictor(0.0), np.ones(4), PromptId.SOURCE, 1.0,
             eta=eta, rng=np.random.default_rng(0),
         )
         assert calls == schedule10.sampling_pairs()
@@ -246,7 +245,7 @@ class TestSampleTrajectory:
     def test_positive_eta_needs_rng(self, schedule10):
         with pytest.raises(ValueError, match="rng"):
             sample_trajectory(
-                schedule10, ZeroPredictor(), np.ones(4), PromptId.SOURCE, 1.0, eta=0.1
+                schedule10, ConstantPredictor(0.0), np.ones(4), PromptId.SOURCE, 1.0, eta=0.1
             )
 
     def test_non_finite_prediction_is_a_numeric_failure(self):
@@ -258,6 +257,6 @@ class TestSampleTrajectory:
     def test_scale_fields_count_checked(self, schedule10):
         with pytest.raises(ValueError, match="scale field"):
             sample_trajectory(
-                schedule10, ZeroPredictor(), np.zeros(4), PromptId.SOURCE,
+                schedule10, ConstantPredictor(0.0), np.zeros(4), PromptId.SOURCE,
                 scale_fields=[np.ones(4)] * 3,
             )

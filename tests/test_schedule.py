@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from diffinv import NoiseSchedule, build_schedule, load_alpha_bar, schedule_from_alpha_bar
+from diffinv import NoiseSchedule, build_schedule, schedule_from_alpha_bar
 from diffinv.schedule import (
     DEFAULT_BETA_END,
     DEFAULT_BETA_START,
@@ -176,15 +176,10 @@ class TestInvariants:
 
 
 class TestAlphaBarFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "ab.txt"
+    def test_round_trip(self):
         original = build_schedule(5, 0.01, 0.05)
-        path.write_text(
-            "# alpha_bar values\n"
-            + "\n".join(f"{x:.17g}" for x in original.alpha_bar[1:])
-            + "\n"
-        )
-        loaded = load_alpha_bar(path)
+        text = "\n".join(f"{x:.17g}" for x in original.alpha_bar[1:])
+        loaded = schedule_from_alpha_bar([float(x) for x in text.split()])
         np.testing.assert_array_equal(loaded.alpha_bar, original.alpha_bar)
         assert loaded.big_t == 5
 
@@ -193,16 +188,6 @@ class TestAlphaBarFile:
         assert s.big_t == 3
         assert s.alpha_bar[0] == 1.0
         assert s.timesteps.tolist() == [1, 2, 3]
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0.9\nnot-a-number\n")
-        with pytest.raises(ValueError):
-            load_alpha_bar(path)
-        empty = tmp_path / "empty.txt"
-        empty.write_text("# nothing\n")
-        with pytest.raises(ValueError):
-            load_alpha_bar(empty)
 
 
 class TestInversionCoeff:
