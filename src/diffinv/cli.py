@@ -223,7 +223,10 @@ def cmd_edit(opts: dict) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = edit(schedule, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
+    try:
+        result = edit(schedule, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
+    except ValueError as exc:  # edit's masks, built before its first predictor call
+        raise UsageError(f"mask settings (--delta, --mask-m): {exc}") from exc
     if opts["out"]:
         _write("output", save_tensor, opts["out"], result.best)
         _write("scores CSV", write_scores_csv, result, str(opts["out"]) + ".scores.csv")

@@ -126,13 +126,15 @@ def edit(
     single deterministic edit, so it is sampled once and copied.
     target == source with omega_e == omega and eta == 0 reproduces the
     reconstruction bit-exactly.  The lowest score wins; an exception raised
-    by the scorer reaches the caller.
+    by the scorer reaches the caller.  The masks do not depend on the
+    inversion and are built first, so mask settings that cannot be applied
+    raise ValueError before any predictor call.
     """
     z_0 = np.asarray(z_0, dtype=np.float64)
+    masks, mask_arrays, fields = _step_masks(schedule, cfg, z_0.shape)
     z_t, reconstruction, report = round_trip(
         schedule, pred, z_0, source_prompt, cfg.omega, cfg.fixed_point
     )
-    masks, mask_arrays, fields = _step_masks(schedule, cfg, z_0.shape)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_candidates)
     n_sampled = cfg.n_candidates if cfg.eta > 0.0 else 1

@@ -128,7 +128,8 @@ def normalize_map(amap: AttentionMap, cfg: MaskNormConfig) -> np.ndarray:
     [min, delta] maps onto [-M, 0] and [delta, max] onto [0, M]; a value
     exactly at the threshold maps to 0.  Empty partitions are skipped and a
     constant map returns all zeros.  Monotone within each partition and
-    across the threshold.
+    across the threshold.  A threshold so far from the map's values that the
+    arithmetic overflows float64 raises ValueError naming it.
     """
     v = amap.values
     delta = float(v.mean()) if cfg.delta is None else float(cfg.delta)
@@ -137,10 +138,16 @@ def normalize_map(amap: AttentionMap, cfg: MaskNormConfig) -> np.ndarray:
     hi = float(v.max())
     below = v < delta
     above = v > delta
-    if lo < delta:
-        out[below] = cfg.big_m * (v[below] - delta) / (delta - lo)
-    if hi > delta:
-        out[above] = cfg.big_m * (v[above] - delta) / (hi - delta)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
+        if lo < delta:
+            out[below] = cfg.big_m * (v[below] - delta) / (delta - lo)
+        if hi > delta:
+            out[above] = cfg.big_m * (v[above] - delta) / (hi - delta)
+    if not np.isfinite(out).all():
+        raise ValueError(
+            f"mask threshold delta={delta:g} with big_m={cfg.big_m:g} overflows the "
+            f"normalization of an attention map with values in [{lo:g}, {hi:g}]"
+        )
     return out
 
 

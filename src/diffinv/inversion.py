@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -79,27 +80,33 @@ class InversionReport:
 def fixed_point_map(
     schedule: NoiseSchedule,
     pred: NoisePredictor,
-    z_candidate,
     z_prev,
     t: int,
     t_prev: int,
     cond: PromptId,
     omega: float,
-) -> np.ndarray:
-    """The implicit inversion map f whose fixed point is the exact z_t.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The implicit inversion map f of the step t_prev -> t, whose fixed point is the exact z_t.
 
     f(z) = sqrt(ab_t / ab_prev) * z_prev + coeff * guided_eps(z, t) with
     coeff = sqrt(1 - ab_t) - sqrt((1 - ab_prev) * ab_t / ab_prev).  At a
     fixed point, a subsequent `ddim_step` recovers z_prev exactly.  The
     noise is evaluated at time t, matching the step being solved for.
+    The step's set-up (the timestep check, both noise levels, coeff and the
+    drift term sqrt(ab_t / ab_prev) * z_prev) is done once, here; each call
+    of the returned map costs one `guided_epsilon` and one axpy.
     """
     if not t_prev < t:
         raise ValueError(f"need t_prev < t, got {t_prev} >= {t}")
     ab_t = float(schedule.alpha_bar[t])
     ab_p = float(schedule.alpha_bar[t_prev])
-    eps = guided_epsilon(pred, np.asarray(z_candidate, dtype=np.float64), cond, omega, t)
+    drift = math.sqrt(ab_t / ab_p) * np.asarray(z_prev, dtype=np.float64)
     coeff = inversion_eps_coeff(ab_t, ab_p)
-    return math.sqrt(ab_t / ab_p) * np.asarray(z_prev, dtype=np.float64) + coeff * eps
+
+    def f(z) -> np.ndarray:
+        return drift + coeff * guided_epsilon(pred, np.asarray(z, dtype=np.float64), cond, omega, t)
+
+    return f
 
 
 def anderson_weights(residual_history) -> np.ndarray:
@@ -113,13 +120,13 @@ def anderson_weights(residual_history) -> np.ndarray:
     the minimum-norm weights (0, ..., 0, 1), i.e. a plain iteration, as does
     a history whose residuals or differences are not finite.
     """
-    g = [np.ravel(np.asarray(r, dtype=np.float64)) for r in residual_history]
-    if not g:
+    k = len(residual_history)
+    if k == 0:
         raise ValueError("residual history must be nonempty")
-    g = np.stack(g)
+    g = np.array(residual_history, dtype=np.float64).reshape(k, -1)
     diffs = (g[:-1] - g[-1]).T
-    if not (np.all(np.isfinite(diffs)) and np.all(np.isfinite(g[-1]))):
-        plain = np.zeros(len(g))
+    if not (np.isfinite(diffs).all() and np.isfinite(g[-1]).all()):
+        plain = np.zeros(k)
         plain[-1] = 1.0
         return plain
     beta = np.linalg.lstsq(diffs, -g[-1], rcond=None)[0]
@@ -154,9 +161,7 @@ def iterative_invert_step(
     evaluation.  A non-finite iterate raises DivergenceError naming the step.
     """
 
-    def f(z):
-        return fixed_point_map(schedule, pred, z, z_prev, t, t_prev, cond, omega)
-
+    f = fixed_point_map(schedule, pred, z_prev, t, t_prev, cond, omega)
     iters = 0 if cfg is None else cfg.iters
     z = np.asarray(z_prev, dtype=np.float64)
     f_hist: list[np.ndarray] = []
@@ -166,7 +171,8 @@ def iterative_invert_step(
         f_hist.append(f(z))
         g_hist.append(f_hist[i] - z)
         if i > 0:
-            res_norm = float(np.linalg.norm(np.ravel(g_hist[i])))
+            flat = g_hist[i].ravel()
+            res_norm = math.sqrt(flat.dot(flat))  # np.linalg.norm's own formula
             trace.append(res_norm)
             if i == iters or (cfg.residual_tol > 0.0 and res_norm <= cfg.residual_tol):
                 return z, trace
@@ -178,7 +184,7 @@ def iterative_invert_step(
             m_i = min(cfg.window, i)
             gamma = anderson_weights(g_hist[i - m_i :])
             z = sum(gamma[j] * f_hist[i - m_i + j] for j in range(m_i + 1))
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise DivergenceError(step_t=t, iteration=i + 1)
     return z, trace
 

@@ -10,7 +10,19 @@ _MSE_FLOOR = 1e-300  # keeps psnr finite for perfect reconstructions
 
 
 def l2(x) -> float:
-    return float(np.linalg.norm(np.ravel(np.asarray(x, dtype=np.float64))))
+    """Euclidean norm of the flattened array, finite whenever the true norm fits float64.
+
+    When the plain sum of squares overflows on finite entries, the entries
+    are first divided by the largest |entry| (as `spectral_norm` does);
+    otherwise the result is the plain `np.linalg.norm`, bit for bit.
+    """
+    flat = np.ravel(np.asarray(x, dtype=np.float64))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(flat))
+    if norm == math.inf and np.isfinite(flat).all():
+        peak = float(np.max(np.abs(flat)))
+        norm = peak * float(np.linalg.norm(flat / peak))
+    return norm
 
 
 def mse(a, b) -> float:

@@ -13,7 +13,7 @@ from .schedule import NoiseSchedule
 
 def _as_state(z, name: str) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError(f"{name} contains non-finite entries")
     return z
 

@@ -113,6 +113,18 @@ class TestGuidanceScales:
         assert run_cli(*argv, *where, "--steps", "10", "--method", "euler") == 1
         assert "expects a finite number, got" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(("invert", "--omega", "1e300"), "round_trip_l2"),
+         (("edit", "--omega-e", "1e300"), "best_score")],
+    )
+    def test_huge_finite_scale_reports_a_finite_error(self, tmp_path, argv, key, capsys):
+        latent = tmp_path / "z0.txt"
+        save_tensor(latent, np.random.default_rng(0).standard_normal((4, 4)))
+        assert run_cli(*argv, "--in", latent, "--steps", "5") == 0
+        fields = dict(f.split("=") for f in capsys.readouterr().out.split() if "=" in f)
+        assert np.isfinite(float(fields[key]))
+
     @pytest.mark.parametrize("command", ["invert", "edit", "grid"])
     def test_non_finite_scale_in_config_is_usage_error(self, tmp_path, latent_file, command):
         cfg = tmp_path / "run.cfg"
@@ -277,6 +289,14 @@ class TestEditCommand:
     def test_non_finite_mask_or_eta_is_usage_error(self, latent_file, flag, value, capsys):
         assert run_cli("edit", "--in", latent_file, "--steps", "10", flag, value) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["1e308", "-1e308"])
+    def test_overflowing_threshold_is_usage_error(self, tmp_path, delta, capsys):
+        latent = tmp_path / "z0.txt"
+        save_tensor(latent, np.random.default_rng(0).standard_normal((4, 4)))
+        assert run_cli("edit", "--in", latent, "--steps", "5", "--delta", delta) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--delta" in err
 
     def test_negative_seed_is_usage_error(self, latent_file, capsys):
         assert run_cli("edit", "--in", latent_file, "--steps", "10", "--seed", "-1") == 1

@@ -261,6 +261,14 @@ class TestDefaultScorer:
 
 
 class TestEditConfigValidation:
+    def test_overflowing_threshold_costs_no_predictor_call(self, schedule10):
+        counter = CallCounter(ContractivePredictor.default(16, seed=0))
+        cfg = EditConfig(mask=MaskNormConfig(delta=1e308), fixed_point=fp_cfg(4))
+        z_0 = np.random.default_rng(0).standard_normal((4, 4))
+        with pytest.raises(ValueError, match="delta"):
+            edit(schedule10, counter, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
+        assert counter.calls == 0
+
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError, match="omega"):
             EditConfig(omega=3.0, omega_e=1.0)

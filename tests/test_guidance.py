@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ class TestNormalizeMap:
         flat_out = out.ravel()
         order = np.argsort(flat_in)
         assert np.all(np.diff(flat_out[order]) >= -1e-12)
+
+    @pytest.mark.parametrize("delta", [1e308, -1e308])
+    def test_overflowing_threshold_is_named(self, delta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"delta=-?1e\+308 with big_m=10 overflows"):
+                normalize_map(amap([[0.1, 0.5, 0.8]]), MaskNormConfig(delta=delta))
 
 
 class TestSoftMask:

@@ -22,7 +22,8 @@ from diffinv import (
 )
 from diffinv import inversion
 from diffinv.errors import DivergenceError
-from diffinv.predictor import max_inversion_coeff
+from diffinv.predictor import guided_epsilon, max_inversion_coeff
+from diffinv.schedule import inversion_eps_coeff
 
 AB_T = 0.25
 AB_PREV = 0.64
@@ -106,7 +107,7 @@ class TestEulerIsZeroIterations:
         z_t, report = invert_trajectory(schedule20, contractive64, z_0, PromptId.SOURCE, 7.0, None)
         z = z_0
         for t_prev, t in schedule20.inversion_pairs():
-            z = fixed_point_map(schedule20, contractive64, z, z, t, t_prev, PromptId.SOURCE, 7.0)
+            z = fixed_point_map(schedule20, contractive64, z, t, t_prev, PromptId.SOURCE, 7.0)(z)
         np.testing.assert_array_equal(z_t, z)
         assert report.nfe == 2 * 20
         assert [t for t, _ in report.step_traces] == [t for _, t in schedule20.inversion_pairs()]
@@ -136,24 +137,22 @@ class TestFixedPointMap:
         assert implicit_coeff_oracle(0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
         # and near-equal levels give a z-insensitive map
         pred = ConstantPredictor(2.0)
-        out_a = fixed_point_map(s, pred, np.array([9.9]), np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0)
-        out_b = fixed_point_map(s, pred, np.array([-3.0]), np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0)
+        out_a = fixed_point_map(s, pred, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0)(np.array([9.9]))
+        out_b = fixed_point_map(s, pred, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0)(np.array([-3.0]))
         np.testing.assert_array_equal(out_a, out_b)
 
     def test_zero_predictor_ignores_candidate(self, toy_schedule):
         z_prev = np.array([1.0])
         out = fixed_point_map(
-            toy_schedule, ConstantPredictor(0.0), np.array([123.0]), z_prev, 2, 1,
-            PromptId.SOURCE, 1.0,
-        )
+            toy_schedule, ConstantPredictor(0.0), z_prev, 2, 1, PromptId.SOURCE, 1.0,
+        )(np.array([123.0]))
         assert out[0] == pytest.approx(math.sqrt(AB_T / AB_PREV), rel=1e-15)
 
     def test_scalar_affine_fixed_point_closed_form(self, toy_schedule, scalar_affine_half):
         z_star, q = scalar_fixed_point_oracle(0.5, 1.0, AB_T, AB_PREV)
         out = fixed_point_map(
-            toy_schedule, scalar_affine_half, np.array([z_star]), np.array([1.0]),
-            2, 1, PromptId.SOURCE, 1.0,
-        )
+            toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0,
+        )(np.array([z_star]))
         assert out[0] == pytest.approx(z_star, abs=1e-14)
         assert abs(q) < 1.0
 
@@ -163,7 +162,7 @@ class TestFixedPointMap:
         z_prev = np.array([0.2, -0.7, 1.1, 0.05])
         z = z_prev.copy()
         for _ in range(200):
-            z = fixed_point_map(toy_schedule, pred, z, z_prev, 2, 1, PromptId.SOURCE, 1.0)
+            z = fixed_point_map(toy_schedule, pred, z_prev, 2, 1, PromptId.SOURCE, 1.0)(z)
         eps = pred.predict(z, PromptId.SOURCE, 2)
         back = ddim_step(toy_schedule, eps, z, 2, 1)
         np.testing.assert_allclose(back, z_prev, atol=1e-14)
@@ -171,8 +170,7 @@ class TestFixedPointMap:
     def test_requires_increasing_time(self, toy_schedule):
         with pytest.raises(ValueError, match="t_prev < t"):
             fixed_point_map(
-                toy_schedule, ConstantPredictor(0.0), np.zeros(1), np.zeros(1), 1, 2,
-                PromptId.SOURCE, 1.0,
+                toy_schedule, ConstantPredictor(0.0), np.zeros(1), 1, 2, PromptId.SOURCE, 1.0,
             )
 
 
@@ -308,7 +306,7 @@ class TestIterativeInvertStep:
         z_prev = np.array([0.4, -0.1, 0.9, 0.2])
 
         def f(z):
-            return fixed_point_map(toy_schedule, pred, z, z_prev, 2, 1, PromptId.SOURCE, 1.0)
+            return fixed_point_map(toy_schedule, pred, z_prev, 2, 1, PromptId.SOURCE, 1.0)(z)
 
         iters = 5
         z_hist = [z_prev, f(z_prev)]
@@ -443,3 +441,134 @@ class TestAndersonHardRegime:
 
     def test_wide_window_converges_past_plain_divergence(self, schedule20):
         assert self.round_trip_error(schedule20, 1.8, window=5, iters=20) <= 1e-6
+
+
+def reference_map(schedule, pred, z_candidate, z_prev, t, t_prev, cond, omega):
+    """One map evaluation with the whole step set-up redone, as the solver once did."""
+    if not t_prev < t:
+        raise ValueError(f"need t_prev < t, got {t_prev} >= {t}")
+    ab_t = float(schedule.alpha_bar[t])
+    ab_p = float(schedule.alpha_bar[t_prev])
+    eps = guided_epsilon(pred, np.asarray(z_candidate, dtype=np.float64), cond, omega, t)
+    coeff = inversion_eps_coeff(ab_t, ab_p)
+    return math.sqrt(ab_t / ab_p) * np.asarray(z_prev, dtype=np.float64) + coeff * eps
+
+
+def reference_anderson_weights(residual_history):
+    g = np.stack([np.ravel(np.asarray(r, dtype=np.float64)) for r in residual_history])
+    diffs = (g[:-1] - g[-1]).T
+    if not (np.all(np.isfinite(diffs)) and np.all(np.isfinite(g[-1]))):
+        plain = np.zeros(len(g))
+        plain[-1] = 1.0
+        return plain
+    beta = np.linalg.lstsq(diffs, -g[-1], rcond=None)[0]
+    return np.concatenate((beta, [1.0 - float(np.sum(beta))]))
+
+
+def reference_step(schedule, pred, z_prev, t, t_prev, cond, omega, cfg):
+    def f(z):
+        return reference_map(schedule, pred, z, z_prev, t, t_prev, cond, omega)
+
+    iters = 0 if cfg is None else cfg.iters
+    z = np.asarray(z_prev, dtype=np.float64)
+    f_hist, g_hist, trace = [], [], []
+    for i in range(iters + 1):
+        f_hist.append(f(z))
+        g_hist.append(f_hist[i] - z)
+        if i > 0:
+            res_norm = float(np.linalg.norm(np.ravel(g_hist[i])))
+            trace.append(res_norm)
+            if i == iters or (cfg.residual_tol > 0.0 and res_norm <= cfg.residual_tol):
+                return z, trace
+        if i == 0 or cfg.variant is FixedPointVariant.PLAIN:
+            z = f_hist[i]
+        elif cfg.variant is FixedPointVariant.AVERAGED:
+            z = 0.5 * f_hist[i - 1] + 0.5 * f_hist[i]
+        else:
+            m_i = min(cfg.window, i)
+            gamma = reference_anderson_weights(g_hist[i - m_i :])
+            z = sum(gamma[j] * f_hist[i - m_i + j] for j in range(m_i + 1))
+        if not np.all(np.isfinite(z)):
+            raise DivergenceError(step_t=t, iteration=i + 1)
+    return z, trace
+
+
+class TestSolverMatchesReferenceLoop:
+    """The solver equals, bit for bit, a loop that rebuilds the map on every evaluation
+    and uses the wrapper forms of the norm, the stacking and the finiteness checks."""
+
+    @pytest.mark.parametrize("omega", [1.0, 7.0])
+    @pytest.mark.parametrize("shape", [(64,), (8, 8)])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            None,
+            FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=7),
+            FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=7),
+            FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=9, window=1),
+            FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=9, window=2),
+            FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=9, window=5),
+            FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=40, residual_tol=1e-9),
+            FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=20, window=2,
+                             residual_tol=1e-11),
+        ],
+        ids=["euler", "plain", "averaged", "anderson-w1", "anderson-w2", "anderson-w5",
+             "plain-tol", "anderson-tol"],
+    )
+    def test_final_state_and_traces(self, schedule20, contractive64, cfg, shape, omega):
+        z_0 = np.random.default_rng(11).standard_normal(shape)
+        z_t, report = invert_trajectory(schedule20, contractive64, z_0, PromptId.SOURCE, omega, cfg)
+        z, traces = z_0, []
+        for t_prev, t in schedule20.inversion_pairs():
+            z, trace = reference_step(
+                schedule20, contractive64, z, t, t_prev, PromptId.SOURCE, omega, cfg
+            )
+            traces.append((t, trace))
+        np.testing.assert_array_equal(z_t, z)
+        assert z_t.shape == shape
+        assert report.step_traces == traces
+        if cfg is not None and cfg.residual_tol > 0.0:
+            assert any(len(trace) < cfg.iters for _, trace in traces)
+
+
+class TestStepSetUpCost:
+    """Deterministic cost guard: the step set-up runs once per step, not per evaluation."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            None,
+            FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=6, window=2),
+            FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=40, residual_tol=1e-9),
+        ],
+        ids=["euler", "anderson", "plain-tol"],
+    )
+    def test_one_coefficient_per_step_one_guidance_per_evaluation(
+        self, schedule10, contractive64, monkeypatch, cfg
+    ):
+        counts = {"coeff": 0, "guided": 0}
+
+        def counting(key, fn):
+            def counted(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(
+            inversion, "inversion_eps_coeff", counting("coeff", inversion.inversion_eps_coeff)
+        )
+        monkeypatch.setattr(inversion, "guided_epsilon", counting("guided", inversion.guided_epsilon))
+        z_0 = np.random.default_rng(2).standard_normal(64)
+        _, report = invert_trajectory(schedule10, contractive64, z_0, PromptId.SOURCE, 7.0, cfg)
+        evaluations = sum(len(trace) + 1 for _, trace in report.step_traces)
+        assert counts["coeff"] == len(report.step_traces) == 10
+        assert counts["guided"] == evaluations
+        assert report.nfe == 2 * evaluations
+
+    @pytest.mark.parametrize("t, t_prev", [(1, 2), (2, 2)])
+    def test_bad_step_fails_when_the_map_is_built(self, toy_schedule, t, t_prev):
+        counter = CallCounter(ConstantPredictor(0.0))
+        with pytest.raises(ValueError, match="t_prev < t"):
+            fixed_point_map(toy_schedule, counter, np.zeros(1), t, t_prev, PromptId.SOURCE, 1.0)
+        assert counter.calls == 0
