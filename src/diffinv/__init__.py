@@ -7,7 +7,7 @@ stochastic editing with best-of-n candidate selection; and a deterministic
 benchmark harness with portable tensor and CSV file formats.
 """
 
-from .editing import EditConfig, EditResult, default_scorer, edit
+from .editing import EditConfig, EditResult, edit
 from .errors import DivergenceError, NumericsError
 from .guidance import (
     AttentionMap,
@@ -69,7 +69,6 @@ __all__ = [
     "build_schedule",
     "ddim_sigma",
     "ddim_step",
-    "default_scorer",
     "edit",
     "fixed_point_map",
     "guided_epsilon",

@@ -171,10 +171,10 @@ def _predictor(opts, size: int):
 
 
 def _write(what: str, write, *args, **kwargs) -> None:
-    """write(*args, **kwargs), with an unwritable file reported as a usage error."""
+    """write(*args, **kwargs), with a file or values it cannot write reported as a usage error."""
     try:
         write(*args, **kwargs)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot write {what}: {exc}") from exc
 
 

@@ -33,11 +33,6 @@ from .sampler import sample_trajectory
 from .schedule import NoiseSchedule
 
 
-def default_scorer(candidate, reference) -> float:
-    """Relative L2 distance to the reference latent; lower is better."""
-    return relative_l2(candidate, reference)
-
-
 @dataclass(frozen=True)
 class EditConfig:
     """Settings for the full pipeline.
@@ -45,7 +40,9 @@ class EditConfig:
     omega is used for inversion and reconstruction, omega_e only inside the
     masked editing region.  attention may be a static AttentionMap or a
     callable t -> AttentionMap for time-varying sources; None builds a
-    centered synthetic blob on the latent's spatial grid.
+    centered synthetic blob on the latent's spatial grid.  scorer(candidate,
+    z_0) ranks the candidates, lower is better; the default is the relative
+    L2 distance to the input.
     """
 
     omega: float = 1.0
@@ -56,7 +53,7 @@ class EditConfig:
     eta: float = 0.0
     n_candidates: int = 1
     seed: int = 0
-    scorer: Callable[[np.ndarray, np.ndarray], float] = default_scorer
+    scorer: Callable[[np.ndarray, np.ndarray], float] = relative_l2
 
     def __post_init__(self):
         if not 0.0 <= self.omega <= self.omega_e < math.inf:

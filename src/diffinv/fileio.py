@@ -26,10 +26,22 @@ def _check_shape(path, shape) -> None:
 
 
 def save_tensor(path, array) -> None:
+    """Write `array` in the layout its suffix picks; ValueError names the file it would not write.
+
+    A finite entry beyond the float32 range is refused for `.bin` rather
+    than stored as inf, which `load_tensor` accepts but no run can use.
+    """
     path = Path(path)
     _check_shape(path, np.shape(array))
     if path.suffix == ".bin":
-        arr = np.asarray(array, dtype=np.float32)
+        with np.errstate(over="ignore"):  # reported below, by name
+            arr = np.asarray(array, dtype=np.float32)
+        overflowed = np.count_nonzero(np.isinf(arr) & np.isfinite(array))
+        if overflowed:
+            raise ValueError(
+                f"{path}: finite entries overflow float32 in the .bin layout: "
+                f"{overflowed} of {arr.size}"
+            )
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", arr.ndim))

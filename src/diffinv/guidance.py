@@ -177,23 +177,19 @@ def blended_scale_field(mask, omega: float, omega_e: float) -> np.ndarray:
     return (float(omega_e) - float(omega)) * values + float(omega)
 
 
-def synthetic_attention(shape, blob_center=None, blob_sigma: float = 2.0) -> AttentionMap:
-    """Isotropic Gaussian bump, value 1 at the center, as a stand-in map.
+def synthetic_attention(shape, blob_sigma: float = 2.0) -> AttentionMap:
+    """Isotropic Gaussian bump, value 1 at the grid's center, as a stand-in map.
 
-    v(k) = exp(-||k - center||^2 / (2 sigma^2)) on an h x w pixel grid.
+    v(k) = exp(-||k - center||^2 / (2 sigma^2)) on an h x w pixel grid whose
+    center is ((h - 1) / 2, (w - 1) / 2).
     """
     h, w = (int(shape[0]), int(shape[1]))
     if h < 1 or w < 1:
         raise ValueError("attention grid shape must be positive")
     if blob_sigma <= 0.0:
         raise ValueError(f"blob_sigma must be positive, got {blob_sigma}")
-    if blob_center is None:
-        blob_center = ((h - 1) / 2.0, (w - 1) / 2.0)
-    cy, cx = float(blob_center[0]), float(blob_center[1])
-    if not (0.0 <= cy <= h - 1 and 0.0 <= cx <= w - 1):
-        raise ValueError(f"blob center {blob_center} lies outside the {h}x{w} grid")
     yy = np.arange(h, dtype=np.float64)[:, None]
     xx = np.arange(w, dtype=np.float64)[None, :]
-    dist2 = (yy - cy) ** 2 + (xx - cx) ** 2
+    dist2 = (yy - (h - 1) / 2.0) ** 2 + (xx - (w - 1) / 2.0) ** 2
     values = np.exp(-dist2 / (2.0 * blob_sigma**2))
     return AttentionMap(values)

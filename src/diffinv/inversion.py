@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError
-from .metrics import relative_l2
+from .metrics import l2, relative_l2
 from .predictor import CallCounter, NoisePredictor, PromptId, guided_epsilon
 from .sampler import _as_state, sample_trajectory
 from .schedule import NoiseSchedule, inversion_eps_coeff
@@ -146,7 +146,8 @@ def iterative_invert_step(
     """Solve one implicit inversion step z = f(z) by accelerated iteration.
 
     Starts from z^0 = z_prev, z^1 = f(z^0), then for i = 1..iters records
-    the residual g^i = f(z^i) - z^i (its norm goes into the trace) and,
+    the residual g^i = f(z^i) - z^i (its `l2` norm, finite whenever g^i
+    is, goes into the trace) and,
     while i < iters, forms
 
         z^{i+1} = sum_j gamma_j * f(z^{i - m_i + j})
@@ -171,8 +172,7 @@ def iterative_invert_step(
         f_hist.append(f(z))
         g_hist.append(f_hist[i] - z)
         if i > 0:
-            flat = g_hist[i].ravel()
-            res_norm = math.sqrt(flat.dot(flat))  # np.linalg.norm's own formula
+            res_norm = l2(g_hist[i])
             trace.append(res_norm)
             if i == iters or (cfg.residual_tol > 0.0 and res_norm <= cfg.residual_tol):
                 return z, trace

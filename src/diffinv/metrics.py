@@ -14,11 +14,12 @@ def l2(x) -> float:
 
     When the plain sum of squares overflows on finite entries, the entries
     are first divided by the largest |entry| (as `spectral_norm` does);
-    otherwise the result is the plain `np.linalg.norm`, bit for bit.
+    otherwise the result is the plain `np.linalg.norm`, bit for bit: the
+    square root of one dot product, which the solver pays once per iteration.
     """
-    flat = np.ravel(np.asarray(x, dtype=np.float64))
+    flat = np.asarray(x, dtype=np.float64).ravel()
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(flat))
+        norm = math.sqrt(flat.dot(flat))
     if norm == math.inf and np.isfinite(flat).all():
         peak = float(np.max(np.abs(flat)))
         norm = peak * float(np.linalg.norm(flat / peak))

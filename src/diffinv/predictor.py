@@ -105,8 +105,9 @@ def _random_weights(rng: np.random.Generator, dim: int, norms: dict[PromptId, fl
     """One standard-normal dim x dim matrix per prompt, scaled to its spectral norm.
 
     The scaling divides by a power-iteration estimate, which undershoots at
-    large sizes: measured exactly, `AffinePredictor.random(256)` exceeds its
-    declared 0.05 by 8e-5 relative.  The weights carry the requested norms.
+    large sizes: measured exactly, `AffinePredictor.random(256)`'s target
+    matrix exceeds its requested 0.05 by 8e-5 relative.  The weights carry
+    the requested norms.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -117,6 +118,11 @@ def _random_weights(rng: np.random.Generator, dim: int, norms: dict[PromptId, fl
         raw = rng.standard_normal((dim, dim))
         weights[p] = raw * (norms[p] / _power_norm(raw))
     return _Weights(weights, norms, copy=False)
+
+
+# Spectral norms of generated weights, by prompt, unless a caller or spec gives others.
+_AFFINE_NORMS = {PromptId.NULL: 0.02, PromptId.SOURCE: 0.05, PromptId.TARGET: 0.05}
+_CONTRACTIVE_NORMS = {PromptId.NULL: 0.1, PromptId.SOURCE: 0.4, PromptId.TARGET: 0.4}
 
 
 class ConstantPredictor(NoisePredictor):
@@ -132,18 +138,9 @@ class ConstantPredictor(NoisePredictor):
 
 
 class AffinePredictor(NoisePredictor):
-    """eps(z, p) = A_p @ flat(z) + b_p with a declared spectral bound on A_p.
+    """eps(z, p) = A_p @ flat(z) + b_p; `weights.norms` holds each ||A_p||_2."""
 
-    The declared bound is checked against each A_p's spectral norm at
-    construction, so downstream convergence reasoning can rely on it.
-    """
-
-    def __init__(
-        self,
-        weights: dict[PromptId, np.ndarray],
-        biases: dict[PromptId, np.ndarray],
-        spectral_bound: float,
-    ):
+    def __init__(self, weights: dict[PromptId, np.ndarray], biases: dict[PromptId, np.ndarray]):
         self.weights = weights if isinstance(weights, _Weights) else _Weights(weights)
         self.dim = self.weights.dim
         self.biases = {}
@@ -157,15 +154,6 @@ class AffinePredictor(NoisePredictor):
                 raise ValueError(f"bias for prompt {prompt.value} contains non-finite entries")
             b.setflags(write=False)
             self.biases[prompt] = b
-        self.spectral_bound = float(spectral_bound)
-        if not 0.0 <= self.spectral_bound < math.inf:
-            raise ValueError(f"bound must be finite and >= 0, got {self.spectral_bound}")
-        for prompt, sn in self.weights.norms.items():
-            if sn > self.spectral_bound * (1.0 + 1e-8):
-                raise ValueError(
-                    f"declared spectral bound {self.spectral_bound} violated for "
-                    f"prompt {prompt.value}: measured {sn:.6g}"
-                )
 
     @classmethod
     def random(
@@ -177,12 +165,10 @@ class AffinePredictor(NoisePredictor):
     ) -> "AffinePredictor":
         if not math.isfinite(bias_scale):
             raise ValueError(f"bias_scale must be finite, got {bias_scale}")
-        if norms is None:
-            norms = {PromptId.NULL: 0.02, PromptId.SOURCE: 0.05, PromptId.TARGET: 0.05}
         rng = np.random.default_rng(seed)
-        weights = _random_weights(rng, dim, norms)
+        weights = _random_weights(rng, dim, _AFFINE_NORMS if norms is None else norms)
         biases = {p: bias_scale * rng.standard_normal(dim) for p in PromptId}
-        return cls(weights, biases, max(norms.values()))
+        return cls(weights, biases)
 
     def predict(self, z, prompt, t):
         z = np.asarray(z, dtype=np.float64)
@@ -223,8 +209,8 @@ class ContractivePredictor(NoisePredictor):
         ones, mirroring how unconditioned predictions are tamer than
         prompted ones.
         """
-        norms = {PromptId.NULL: 0.1, PromptId.SOURCE: 0.4, PromptId.TARGET: 0.4}
-        return cls(scale=0.1, weights=_random_weights(np.random.default_rng(seed), dim, norms))
+        weights = _random_weights(np.random.default_rng(seed), dim, _CONTRACTIVE_NORMS)
+        return cls(scale=0.1, weights=weights)
 
     def predict(self, z, prompt, t):
         z = np.asarray(z, dtype=np.float64)
@@ -294,27 +280,32 @@ def _prompt_keys(prefix: str) -> tuple[str, ...]:
 _GENERATED_KEYS = ("dim", "seed", *_prompt_keys("norm"))
 # The keys besides `kind` that a spec reads, by kind and by whether it names weight files.
 _SPEC_KEYS = {
-    ("zero", False): (),
     ("constant", False): ("value",),
     ("contractive", False): ("scale", *_GENERATED_KEYS),
     ("contractive", True): ("scale", *_prompt_keys("w")),
     ("affine", False): ("bias_scale", *_GENERATED_KEYS),
-    ("affine", True): ("bound", *_prompt_keys("a"), *_prompt_keys("b")),
+    ("affine", True): (*_prompt_keys("a"), *_prompt_keys("b")),
 }
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"expected an integer >= 0, got {seed}")
+    return seed
 
 
 def load_predictor(path) -> NoisePredictor:
     """Build a predictor from a `key = value` spec file.
 
-    `kind` is zero | constant | affine | contractive; zero builds
-    `ConstantPredictor(0.0)`.  Weights load from tensor files referenced
-    relative to the spec file (`w_null = w0.txt`, `a_source = ...`,
-    `b_source = ...`), or are generated from `dim` (>= 1), `seed` and
-    per-prompt spectral norms (`norm_null = 0.1`, ...).  `scale` sets the
-    contractive amplitude, `value` the constant, `bound` the declared
-    spectral bound of explicit affine weights and `bias_scale` the spread of
-    generated affine biases; each must be finite.  A key the kind and weight
-    source do not read raises ValueError.
+    `kind` is constant | affine | contractive.  Weights load from tensor
+    files referenced relative to the spec file (`w_null = w0.txt`,
+    `a_source = ...`, `b_source = ...`), or are generated from `dim` (>= 1),
+    `seed` (>= 0) and per-prompt spectral norms (`norm_null = 0.1`, ...).
+    `scale` sets the contractive amplitude, `value` the constant and
+    `bias_scale` the spread of generated affine biases; each must be finite.
+    A key the kind and weight source do not read, or a number that does not
+    parse, raises ValueError naming the file.
     """
     from pathlib import Path
 
@@ -341,27 +332,33 @@ def load_predictor(path) -> NoisePredictor:
             return default
         return load_tensor(path.parent / spec[key])
 
-    def norms(defaults):
-        return {p: float(spec.get(f"norm_{p.value}", d)) for p, d in zip(PromptId, defaults)}
+    def number(key, default, parse=float):
+        if key not in spec:
+            return default
+        try:
+            return parse(spec[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
 
-    if kind == "zero":
-        return ConstantPredictor(0.0)
+    def norms(defaults):
+        return {p: number(f"norm_{p.value}", defaults[p]) for p in PromptId}
+
     if kind == "constant":
         if "value" not in spec:
             raise ValueError(f"{path}: constant predictor needs 'value'")
-        return ConstantPredictor(float(spec["value"]))
+        return ConstantPredictor(number("value", None))
     if named:
         if not all(key in spec for key in _prompt_keys(prefix)):
             raise ValueError(f"{path}: give all of {'/'.join(_prompt_keys(prefix))} or none")
         weights = _Weights({p: tensor(f"{prefix}_{p.value}") for p in PromptId}, copy=False)
     else:
-        dim, seed = int(spec.get("dim", 64)), int(spec.get("seed", 0))
+        dim, seed = number("dim", 64, int), number("seed", 0, _seed)
         if kind == "affine":
-            bias_scale = float(spec.get("bias_scale", 0.1))
-            return AffinePredictor.random(dim, seed, norms((0.02, 0.05, 0.05)), bias_scale)
-        weights = _random_weights(np.random.default_rng(seed), dim, norms((0.1, 0.4, 0.4)))
+            bias_scale = number("bias_scale", 0.1)
+            return AffinePredictor.random(dim, seed, norms(_AFFINE_NORMS), bias_scale)
+        weights = _random_weights(np.random.default_rng(seed), dim, norms(_CONTRACTIVE_NORMS))
     if kind == "contractive":
-        return ContractivePredictor(float(spec.get("scale", 0.1)), weights)
+        return ContractivePredictor(number("scale", 0.1), weights)
     biases = {p: tensor(f"b_{p.value}", np.zeros(weights.dim)) for p in PromptId}
-    return AffinePredictor(weights, biases, float(spec.get("bound", max(weights.norms.values()))))
+    return AffinePredictor(weights, biases)
 

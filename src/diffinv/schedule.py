@@ -91,28 +91,15 @@ class NoiseSchedule:
         return [(t, prev) for prev, t in reversed(self.inversion_pairs())]
 
 
-def build_schedule(
-    big_t: int = DEFAULT_BIG_T,
-    beta_start: float = DEFAULT_BETA_START,
-    beta_end: float = DEFAULT_BETA_END,
-) -> NoiseSchedule:
-    """Construct a scaled-linear beta schedule and its cumulative products.
+def build_schedule() -> NoiseSchedule:
+    """The scaled-linear beta schedule of public latent diffusion checkpoints.
 
-    beta_s interpolates linearly in sqrt space between beta_start and
-    beta_end; alpha_bar[t] = prod_{s<=t} (1 - beta_s).  The defaults match
-    the schedule commonly used by public latent diffusion checkpoints.
+    T = 1000 steps; beta_s interpolates linearly in sqrt space between
+    0.00085 and 0.012, and alpha_bar[t] = prod_{s<=t} (1 - beta_s).  Other
+    schedules come from `schedule_from_alpha_bar`.
     """
-    if big_t < 1:
-        raise ValueError(f"big_t must be >= 1, got {big_t}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError(
-            f"betas must satisfy 0 < beta_start <= beta_end < 1, "
-            f"got ({beta_start}, {beta_end})"
-        )
-    if big_t == 1 or beta_start == beta_end:
-        betas = np.full(big_t, beta_start, dtype=np.float64)
-    else:
-        betas = np.linspace(math.sqrt(beta_start), math.sqrt(beta_end), big_t) ** 2
+    lo, hi = math.sqrt(DEFAULT_BETA_START), math.sqrt(DEFAULT_BETA_END)
+    betas = np.linspace(lo, hi, DEFAULT_BIG_T) ** 2
     return schedule_from_alpha_bar(np.cumprod(1.0 - betas))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,29 @@ from diffinv import (
     NoiseSchedule,
     PromptId,
     build_schedule,
+    schedule_from_alpha_bar,
 )
 
 
 @pytest.fixture(scope="session")
 def base_schedule():
     return build_schedule()
+
+
+@pytest.fixture(scope="session")
+def scaled_linear():
+    """Builds a scaled-linear schedule of any length and beta range.
+
+    It applies `build_schedule`'s formula to the given parameters and goes
+    through `schedule_from_alpha_bar`, the library's path to any schedule
+    but the default one.
+    """
+
+    def build(big_t, beta_start, beta_end):
+        betas = np.linspace(math.sqrt(beta_start), math.sqrt(beta_end), big_t) ** 2
+        return schedule_from_alpha_bar(np.cumprod(1.0 - betas))
+
+    return build
 
 
 @pytest.fixture(scope="session")
@@ -39,4 +58,4 @@ def toy_schedule():
 @pytest.fixture
 def scalar_affine_half():
     """1-D predictor eps(z) = 0.5 * z for every prompt."""
-    return AffinePredictor({p: [[0.5]] for p in PromptId}, {p: [0.0] for p in PromptId}, 0.5)
+    return AffinePredictor({p: [[0.5]] for p in PromptId}, {p: [0.0] for p in PromptId})

@@ -62,7 +62,7 @@ def closed_form_scalar_fixed_point(a=0.5, z_prev=1.0):
 def test_criterion_1_fixed_point_oracle_exactness():
     with criterion(1, "scalar Anderson solve hits the closed form within 1e-8 in < 1 ms"):
         schedule = toy_two_step()
-        pred = AffinePredictor({p: [[0.5]] for p in PromptId}, {p: [0.0] for p in PromptId}, 0.5)
+        pred = AffinePredictor({p: [[0.5]] for p in PromptId}, {p: [0.0] for p in PromptId})
         cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=6, window=2)
         z_star = closed_form_scalar_fixed_point()
 
@@ -121,7 +121,7 @@ def test_criterion_3_guidance_scale_trend():
 def test_criterion_4_anderson_beats_plain_iteration():
     with criterion(4, "Anderson reaches residual 1e-10 in <= 3 iterations, plain needs >= 10"):
         schedule = toy_two_step()
-        pred = AffinePredictor({p: [[0.5]] for p in PromptId}, {p: [0.0] for p in PromptId}, 0.5)
+        pred = AffinePredictor({p: [[0.5]] for p in PromptId}, {p: [0.0] for p in PromptId})
 
         for window in (1, 2):
             cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=6, window=window)

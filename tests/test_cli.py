@@ -125,6 +125,14 @@ class TestGuidanceScales:
         fields = dict(f.split("=") for f in capsys.readouterr().out.split() if "=" in f)
         assert np.isfinite(float(fields[key]))
 
+    def test_bin_output_beyond_float32_is_usage_error(self, tmp_path, capsys):
+        latent, out = tmp_path / "z.txt", tmp_path / "zt.bin"
+        save_tensor(latent, np.random.default_rng(0).standard_normal((4, 4)))
+        argv = ("invert", "--in", latent, "--steps", "5", "--omega", "1e300", "--out", out)
+        assert run_cli(*argv) == 1
+        assert f"cannot write output: {out}: finite entries overflow" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["invert", "edit", "grid"])
     def test_non_finite_scale_in_config_is_usage_error(self, tmp_path, latent_file, command):
         cfg = tmp_path / "run.cfg"
@@ -202,7 +210,7 @@ class TestInvertReconstruct:
 
     def test_predictor_spec_flag(self, tmp_path, latent_file, capsys):
         spec = tmp_path / "pred.cfg"
-        spec.write_text("kind = zero\n")
+        spec.write_text("kind = constant\nvalue = 0\n")
         code = run_cli(
             "invert", "--in", latent_file, "--predictor", spec, "--steps", "10"
         )
@@ -246,8 +254,6 @@ class TestPredictorSpecValues:
             (["kind = constant", "value = nan"], "value"),
             (["kind = constant", "value = inf"], "value"),
             (["kind = affine", "dim = 32", "bias_scale = nan"], "bias_scale"),
-            (["kind = affine", "bound = nan",
-              *(f"a_{p} = a.txt" for p in ("null", "source", "target"))], "bound"),
         ],
     )
     def test_bad_spec_value_is_usage_error(self, tmp_path, latent_file, lines, key, capsys):
@@ -256,6 +262,12 @@ class TestPredictorSpecValues:
         spec.write_text("\n".join(lines) + "\n")
         assert run_cli("invert", "--in", latent_file, "--predictor", spec, "--steps", "10") == 1
         assert f"usage error: {key} must be" in capsys.readouterr().err
+
+    def test_malformed_spec_number_names_file_and_key(self, tmp_path, latent_file, capsys):
+        spec = tmp_path / "pred.cfg"
+        spec.write_text("kind = contractive\ndim = 32\nseed = -1\n")
+        assert run_cli("invert", "--in", latent_file, "--predictor", spec, "--steps", "10") == 1
+        assert f"usage error: {spec}: seed: " in capsys.readouterr().err
 
 
 class TestEditCommand:

@@ -15,7 +15,6 @@ from diffinv import (
     MaskNormConfig,
     Polarity,
     PromptId,
-    default_scorer,
     edit,
     invert_trajectory,
     relative_l2,
@@ -23,6 +22,11 @@ from diffinv import (
     synthetic_attention,
 )
 from diffinv.editing import write_scores_csv
+
+
+def corner_blob(width):
+    """A 4 x 4 attention map whose Gaussian blob of the given width peaks at pixel (1, 1)."""
+    return AttentionMap(synthetic_attention((5, 5), width).values[1:, 1:])
 
 
 def affine_step_oracle(a, b, ab_t, ab_p):
@@ -63,7 +67,7 @@ class TestReconstruct:
         assert relative_l2(base, z_0) > relative_l2(good, z_0)
 
     def test_mask_stream_uses_attention_source(self, schedule10):
-        amap = synthetic_attention((4, 4), (1, 1), 1.0)
+        amap = corner_blob(1.0)
         cfg = EditConfig(attention=amap, fixed_point=fp_cfg(2))
         z_0 = np.zeros((4, 4))
         zero = ConstantPredictor(0.0)
@@ -79,7 +83,7 @@ class TestReconstruct:
         def provider(t):
             seen.append(t)
             width = 1.0 + t / 500.0
-            return synthetic_attention((4, 4), (1, 1), width)
+            return corner_blob(width)
 
         cfg = EditConfig(attention=provider, fixed_point=fp_cfg(2))
         z_0 = np.zeros((4, 4))
@@ -145,7 +149,6 @@ class TestMaskLocality:
         pred = AffinePredictor(
             weights={p: a_diag for p in PromptId},
             biases={PromptId.NULL: b_null, PromptId.SOURCE: b_src, PromptId.TARGET: b_tgt},
-            spectral_bound=0.05,
         )
         z_0 = rng.standard_normal(dim)
         cfg = EditConfig(
@@ -240,24 +243,26 @@ class TestCandidates:
 
 
 class TestDefaultScorer:
+    scorer = staticmethod(EditConfig().scorer)
+
     def test_identical_is_zero(self):
         z = np.random.default_rng(0).standard_normal(6)
-        assert default_scorer(z, z) == 0.0
+        assert self.scorer(z, z) == 0.0
 
     def test_shifted_reference_ratio(self):
         ref = np.array([3.0, 4.0])  # norm 5
         cand = ref + 1.0
-        assert default_scorer(cand, ref) == pytest.approx(math.sqrt(2.0) / 5.0, rel=1e-12)
+        assert self.scorer(cand, ref) == pytest.approx(math.sqrt(2.0) / 5.0, rel=1e-12)
 
     def test_ranking_preserved(self):
         ref = np.zeros(4)
         cands = [np.full(4, d) for d in (0.1, 0.2, 0.3)]
-        scores = [default_scorer(c, ref) for c in cands]
+        scores = [self.scorer(c, ref) for c in cands]
         assert scores == sorted(scores)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            default_scorer(np.zeros(3), np.zeros(4))
+            self.scorer(np.zeros(3), np.zeros(4))
 
 
 class TestEditConfigValidation:

@@ -86,9 +86,10 @@ class TestOneReaderOneWriter:
     )
     def test_round_trip_keeps_every_bit(self, tmp_path, arr, suffix):
         path = tmp_path / f"t{suffix}"
-        with np.errstate(over="ignore"):  # the largest double is inf in float32
-            save_tensor(path, arr)
-            expected = arr if suffix == ".txt" else arr.astype(np.float32).astype(np.float64)
+        if suffix == ".bin":  # the largest double is refused there; float32's largest is the edge
+            arr = np.where(arr == np.finfo(np.float64).max, np.finfo(np.float32).max, arr)
+        save_tensor(path, arr)
+        expected = arr if suffix == ".txt" else arr.astype(np.float32).astype(np.float64)
         loaded = load_tensor(path)
         assert loaded.dtype == np.float64 and loaded.shape == arr.shape
         assert loaded.tobytes() == expected.tobytes()  # -0.0 and nan bits included
@@ -131,6 +132,13 @@ class TestOneReaderOneWriter:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match=message):
             load_tensor(path)
+
+    @pytest.mark.parametrize("value", [np.finfo(np.float64).max, -1e39, 1e300])
+    def test_bin_save_rejects_float32_overflow_before_writing(self, tmp_path, value):
+        path = tmp_path / "t.bin"
+        with pytest.raises(ValueError, match=f"^{path}: finite entries overflow float32 .*: 1 of 4$"):
+            save_tensor(path, np.array([[1.0, np.inf], [np.nan, value]]))
+        assert not path.exists()
 
     @pytest.mark.parametrize("suffix", [".txt", ".bin"])
     @pytest.mark.parametrize("shape", [(2, 0), (0, 3)])

@@ -161,11 +161,11 @@ class TestBlendedScaleField:
 
 class TestSyntheticAttention:
     def test_center_value_is_one(self):
-        out = synthetic_attention((8, 8), (3, 5), 2.0)
+        out = synthetic_attention((7, 11), 2.0)  # centered at (3, 5)
         assert out.values[3, 5] == 1.0
 
     def test_value_at_one_sigma(self):
-        out = synthetic_attention((9, 9), (4, 4), 2.0)
+        out = synthetic_attention((9, 9), 2.0)
         assert out.values[4, 6] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_grid_sum_matches_enumeration(self):
@@ -176,16 +176,14 @@ class TestSyntheticAttention:
             for x in range(8):
                 d2 = (y - center[0]) ** 2 + (x - center[1]) ** 2
                 total += math.exp(-d2 / (2 * sigma**2))
-        out = synthetic_attention((8, 8), center, sigma)
+        out = synthetic_attention((8, 8), sigma)
         assert out.values.sum() == pytest.approx(total, rel=1e-12)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="sigma"):
-            synthetic_attention((4, 4), (1, 1), 0.0)
-        with pytest.raises(ValueError, match="outside"):
-            synthetic_attention((4, 4), (9, 1), 1.0)
+            synthetic_attention((4, 4), 0.0)
         with pytest.raises(ValueError):
-            synthetic_attention((0, 4), None, 1.0)
+            synthetic_attention((0, 4), 1.0)
 
 
 class TestResampling:

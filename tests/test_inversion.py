@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,9 +89,7 @@ class TestEulerInvertStep:
             )
 
     def test_non_finite_step_raises_with_location(self, toy_schedule):
-        huge = AffinePredictor(
-            {p: [[1e308]] for p in PromptId}, {p: [0.0] for p in PromptId}, 1e308
-        )
+        huge = AffinePredictor({p: [[1e308]] for p in PromptId}, {p: [0.0] for p in PromptId})
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DivergenceError, match="step t=2, iteration 1"
         ):
@@ -332,7 +331,7 @@ class TestIterativeInvertStep:
         assert all(r > 1e-6 for r in trace[:-1])
 
     def test_divergence_raises_with_location(self, toy_schedule):
-        huge = AffinePredictor({p: [[1e80]] for p in PromptId}, {p: [0.0] for p in PromptId}, 1e80)
+        huge = AffinePredictor({p: [[1e80]] for p in PromptId}, {p: [0.0] for p in PromptId})
         cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=10)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DivergenceError, match="t=2"
@@ -399,6 +398,20 @@ class TestInvertTrajectory:
         # trace-based invariant: evaluations = iterations performed + 1 per step
         assert report2.nfe == 2 * sum(len(tr) + 1 for _, tr in report2.step_traces)
 
+    def test_huge_finite_scale_records_finite_residuals(self, base_schedule):
+        # residuals near 1e300 square to inf; their norms are still finite
+        z_0 = np.random.default_rng(0).standard_normal((4, 4))
+        pred = ContractivePredictor.default(16, seed=0)
+        cfg = FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=6)
+        schedule = base_schedule.subsample(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = round_trip(schedule, pred, z_0, PromptId.SOURCE, 1e300, cfg)[2]
+        residuals = [r for _, trace in report.step_traces for r in trace]
+        assert len(residuals) == 5 * 6
+        assert np.isfinite(residuals).all()
+        assert max(residuals) > 1e200
+
     def test_reconstruction_error_shrinks_with_residual_tol(self, schedule10, contractive64):
         z_0 = np.random.default_rng(3).standard_normal(64)
         errors = []
@@ -429,7 +442,7 @@ class TestAndersonHardRegime:
         s = q @ np.diag(np.linspace(0.2, 1.0, 64)) @ q.T
         a = lam / (13.0 * max_inversion_coeff(schedule))
         weights = {PromptId.NULL: a * s, PromptId.SOURCE: -a * s, PromptId.TARGET: -a * s}
-        pred = AffinePredictor(weights, {p: np.zeros(64) for p in PromptId}, a)
+        pred = AffinePredictor(weights, {p: np.zeros(64) for p in PromptId})
         z_0 = np.random.default_rng(1).standard_normal(64)
         cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=iters, window=window)
         return round_trip(schedule, pred, z_0, PromptId.SOURCE, 7.0, cfg)[2].round_trip_l2

@@ -46,28 +46,6 @@ class TestToyPredictors:
         assert a.shape == z.shape
         np.testing.assert_array_equal(a, b)
 
-    def test_affine_rejects_overdeclared_bound(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((8, 8))
-        weights = {p: a for p in PromptId}
-        biases = {p: np.zeros(8) for p in PromptId}
-        with pytest.raises(ValueError, match="spectral bound"):
-            AffinePredictor(weights, biases, spectral_bound=spectral_norm(a) * 0.5)
-
-    def test_affine_rejects_bound_just_below_exact_norm(self):
-        # a 256 x 256 Gaussian: a 200-step power iteration undershoots by
-        # ~3e-5, far more than the constructor's 1e-8 tolerance
-        a = np.random.default_rng(0).standard_normal((256, 256))
-        weights = {p: a for p in PromptId}
-        biases = {p: np.zeros(256) for p in PromptId}
-        with pytest.raises(ValueError, match="spectral bound"):
-            AffinePredictor(weights, biases, spectral_bound=np.linalg.norm(a, 2) * (1 - 1e-6))
-
-    def test_affine_accepts_declared_bound(self):
-        pred = AffinePredictor.random(8, seed=1)
-        for p in PromptId:
-            assert pred.weights.norms[p] <= pred.spectral_bound * (1 + 1e-8)
-
     def test_contractive_margin_enforced(self):
         rng = np.random.default_rng(5)
         big = rng.standard_normal((8, 8))
@@ -187,7 +165,7 @@ WEIGHT_LINES = {
 class TestLoadPredictor:
     def test_zero_and_constant(self, tmp_path):
         spec = tmp_path / "p.cfg"
-        spec.write_text("kind = zero\n")
+        spec.write_text("kind = constant\nvalue = 0\n")
         pred = load_predictor(spec)
         assert isinstance(pred, ConstantPredictor)
         assert pred.value == 0.0
@@ -248,7 +226,7 @@ class TestLoadPredictor:
         [
             (["kind = affine", "dim = 8", "bound = 0.01", "b_source = nope.txt"],
              "b_source, bound"),
-            (["kind = zero", "dim = 8"], "dim"),
+            (["kind = constant", "value = 0", "dim = 8"], "dim"),
             (["kind = constant", "value = 1", "steed = 2"], "steed"),
             (["kind = contractive", "dim = 8", "bias_scale = 0.2"], "bias_scale"),
             (["kind = affine", "dim = 8", "scale = 0.1"], "scale"),
@@ -264,15 +242,14 @@ class TestLoadPredictor:
         with pytest.raises(ValueError, match=f"does not read: {unread}$"):
             load_predictor(spec)
 
-    def test_explicit_affine_reads_bound_and_biases(self, tmp_path):
+    def test_explicit_affine_reads_biases(self, tmp_path):
         for p in PromptId:
             save_tensor(tmp_path / f"a_{p.value}.txt", 0.01 * np.eye(4))
         save_tensor(tmp_path / "b_source.txt", np.ones(4))
         spec = tmp_path / "p.cfg"
-        spec.write_text("\n".join(["kind = affine", "bound = 0.02", "b_source = b_source.txt",
+        spec.write_text("\n".join(["kind = affine", "b_source = b_source.txt",
                                    *WEIGHT_LINES["a"]]) + "\n")
         pred = load_predictor(spec)
-        assert pred.spectral_bound == 0.02
         np.testing.assert_array_equal(pred.predict(np.zeros(4), PromptId.SOURCE, 1), np.ones(4))
 
     @pytest.mark.parametrize("kind, prefix", [("contractive", "w"), ("affine", "a")])
@@ -312,8 +289,6 @@ class TestLoadPredictor:
             (["kind = constant", "value = -inf"], "value must be finite"),
             (["kind = affine", "dim = 8", "bias_scale = nan"], "bias_scale must be finite"),
             (["kind = affine", "dim = 8", "bias_scale = -inf"], "bias_scale must be finite"),
-            (["kind = affine", "bound = nan", *WEIGHT_LINES["a"]], "bound must be finite and >="),
-            (["kind = affine", "bound = inf", *WEIGHT_LINES["a"]], "bound must be finite and >="),
         ],
     )
     def test_out_of_range_scalar_names_its_key(self, tmp_path, lines, message):
@@ -323,6 +298,24 @@ class TestLoadPredictor:
         spec.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
             load_predictor(spec)
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            (["kind = contractive", "dim = 8.5"], "dim"),
+            (["kind = affine", "dim = 8", "seed = -1"], "seed"),
+            (["kind = contractive", "dim = 8", "norm_source = abc"], "norm_source"),
+            (["kind = constant", "value = abc"], "value"),
+            (["kind = contractive", "dim = 8", "scale = x"], "scale"),
+            (["kind = affine", "dim = 8", "bias_scale = 1,5"], "bias_scale"),
+        ],
+    )
+    def test_malformed_number_names_file_and_key(self, tmp_path, lines, key):
+        spec = tmp_path / "p.cfg"
+        spec.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_predictor(spec)
+        assert str(info.value).startswith(f"{spec}: {key}: ")
 
     def test_random_rejects_negative_norm(self):
         norms = {PromptId.NULL: 0.02, PromptId.SOURCE: -50.0, PromptId.TARGET: 0.05}
@@ -378,7 +371,7 @@ class TestCallerArrays:
 
     def test_affine_leaves_caller_weights_and_biases_writable(self):
         w, b = 0.1 * np.eye(4), np.zeros(4)
-        pred = AffinePredictor({p: w for p in PromptId}, {p: b for p in PromptId}, 0.1)
+        pred = AffinePredictor({p: w for p in PromptId}, {p: b for p in PromptId})
         z = np.ones(4)
         before = pred.predict(z, PromptId.SOURCE, 1)
         w[0, 0] = 1.0

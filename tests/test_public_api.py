@@ -1,12 +1,18 @@
-"""Every public name is referenced by the library itself, not only by tests.
+"""Every public name, and every defaulted parameter, is used by the library itself.
 
 A name in `diffinv.__all__` must appear as a `Name` or `Attribute` node in
 the syntax tree of some `src/diffinv/*.py` module other than `__init__.py`.
 Strings and docstrings do not count, so a name that is only documented or
-only exported fails.
+only exported fails.  Likewise every defaulted parameter of a public
+function, or of a public class's classmethod, must be passed by position or
+by keyword in some call in those modules: a default no library call
+overrides is a setting only tests set.
 """
 
 import ast
+import inspect
+import math
+from collections import defaultdict
 from pathlib import Path
 
 import diffinv
@@ -14,22 +20,80 @@ import diffinv
 PACKAGE = Path(diffinv.__file__).parent
 
 
+def library_nodes(package: Path = PACKAGE):
+    """Every syntax-tree node of the package's modules other than `__init__.py`."""
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            yield from ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+
+
 def referenced_names(package: Path = PACKAGE) -> set[str]:
     names = set()
-    for path in package.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+    for node in library_nodes(package):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
     return names
+
+
+def call_arguments(package: Path = PACKAGE) -> dict[str, list[tuple[float, set]]]:
+    """For each called name, the positional count and keyword names of every library call.
+
+    A `*args` call counts as passing every position, and a `**kwargs` call
+    shows up as the keyword None.
+    """
+    calls = defaultdict(list)
+    for node in library_nodes(package):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = math.inf if starred else len(node.args)
+            calls[name].append((count, {keyword.arg for keyword in node.keywords}))
+    return calls
+
+
+def defaulted_parameters():
+    """(public name, function name, position or None, parameter) per defaulted parameter.
+
+    Covers the functions in `diffinv.__all__` and the public classmethods of
+    its classes; the position is None for a keyword-only parameter.
+    """
+    for public in diffinv.__all__:
+        obj = getattr(diffinv, public)
+        if inspect.isfunction(obj):
+            functions = [(public, obj)]
+        elif inspect.isclass(obj):
+            functions = [
+                (f"{public}.{attr}", getattr(obj, attr))
+                for attr, raw in vars(obj).items()
+                if isinstance(raw, classmethod) and not attr.startswith("_")
+            ]
+        else:
+            continue
+        for qualname, function in functions:
+            for i, param in enumerate(inspect.signature(function).parameters.values()):
+                if param.default is not param.empty:
+                    position = i if param.kind is param.POSITIONAL_OR_KEYWORD else None
+                    yield qualname, function.__name__, position, param.name
 
 
 def test_every_public_name_has_a_library_reference():
     referenced = referenced_names()
     assert [name for name in diffinv.__all__ if name not in referenced] == []
+
+
+def test_every_defaulted_parameter_is_passed_by_a_library_call():
+    calls = call_arguments()
+    unpassed = [
+        f"{qualname}({param})"
+        for qualname, name, position, param in defaulted_parameters()
+        if not any(
+            param in keywords or None in keywords or (position is not None and count > position)
+            for count, keywords in calls[name]
+        )
+    ]
+    assert unpassed == []
 
 
 def test_strings_definitions_and_the_init_module_do_not_count(tmp_path):
@@ -38,3 +102,11 @@ def test_strings_definitions_and_the_init_module_do_not_count(tmp_path):
         '"""lonely is documented here."""\n\n\ndef lonely():\n    return "lonely"\n'
     )
     assert "lonely" not in referenced_names(tmp_path)
+
+
+def test_calls_count_positions_keywords_and_not_the_init_module(tmp_path):
+    (tmp_path / "__init__.py").write_text("f(1, 2, c=3)\n")
+    (tmp_path / "module.py").write_text("f(1, b=2)\nobj.f(*args)\ng(**options)\n")
+    calls = call_arguments(tmp_path)
+    assert calls["f"] == [(1, {"b"}), (math.inf, set())]
+    assert calls["g"] == [(0, {None})]

@@ -165,8 +165,8 @@ class TestSigma:
 
 
 class TestSampleTrajectory:
-    def test_single_step_zero_predictor(self):
-        s = build_schedule(1000, 0.001, 0.012).subsample(1)
+    def test_single_step_zero_predictor(self, scaled_linear):
+        s = scaled_linear(1000, 0.001, 0.012).subsample(1)
         z_t = np.full(4, 2.0)
         states = sample_trajectory(s, ConstantPredictor(0.0), z_t, PromptId.SOURCE, 1.0)
         assert len(states) == 2
