@@ -30,7 +30,7 @@ from .inversion import (
     iterative_invert_step,
     round_trip,
 )
-from .metrics import l2, mse, psnr, relative_l2
+from .metrics import l2, psnr, relative_l2
 from .predictor import (
     AffinePredictor,
     CallCounter,
@@ -76,7 +76,6 @@ __all__ = [
     "iterative_invert_step",
     "l2",
     "load_predictor",
-    "mse",
     "normalize_map",
     "psnr",
     "relative_l2",

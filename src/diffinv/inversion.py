@@ -134,16 +134,12 @@ def anderson_weights(residual_history) -> np.ndarray:
 
 
 def iterative_invert_step(
-    schedule: NoiseSchedule,
-    pred: NoisePredictor,
+    f: Callable[[np.ndarray], np.ndarray],
     z_prev,
     t: int,
-    t_prev: int,
-    cond: PromptId,
-    omega: float,
     cfg: FixedPointConfig | None,
 ) -> tuple[np.ndarray, list[float]]:
-    """Solve one implicit inversion step z = f(z) by accelerated iteration.
+    """Solve z = f(z) from z_prev by accelerated iteration.
 
     Starts from z^0 = z_prev, z^1 = f(z^0), then for i = 1..iters records
     the residual g^i = f(z^i) - z^i (its `l2` norm, finite whenever g^i
@@ -159,10 +155,9 @@ def iterative_invert_step(
     evaluation and residual is formed once, so a step with I iterations
     costs exactly I + 1 evaluations and I - 1 combinations.  cfg=None runs
     zero iterations: the linearized (Euler) step returns (z^1, []) at one
-    evaluation.  A non-finite iterate raises DivergenceError naming the step.
+    evaluation.  A non-finite iterate raises DivergenceError naming the
+    step by its timestep `t`, which labels nothing else.
     """
-
-    f = fixed_point_map(schedule, pred, z_prev, t, t_prev, cond, omega)
     iters = 0 if cfg is None else cfg.iters
     z = np.asarray(z_prev, dtype=np.float64)
     f_hist: list[np.ndarray] = []
@@ -199,16 +194,18 @@ def invert_trajectory(
 ) -> tuple[np.ndarray, InversionReport]:
     """Invert a clean latent across the scheduled timesteps in increasing order.
 
-    Each step runs `iterative_invert_step` with `cfg`; cfg=None is the
-    zero-iteration (forward-Euler) baseline.  Returns the final noise
-    vector and a report with per-step residual traces and the
-    noise-predictor call count.  A non-finite z_0 raises ValueError.
+    Each step solves its `fixed_point_map` with `iterative_invert_step`
+    under `cfg`; cfg=None is the zero-iteration (forward-Euler) baseline.
+    Returns the final noise vector and a report with per-step residual
+    traces and the noise-predictor call count.  A non-finite z_0 raises
+    ValueError.
     """
     counter = CallCounter(pred)
     z = _as_state(z_0, "z_0")
     traces: list[tuple[int, list[float]]] = []
     for t_prev, t in schedule.inversion_pairs():
-        z, trace = iterative_invert_step(schedule, counter, z, t, t_prev, cond, omega, cfg)
+        f = fixed_point_map(schedule, counter, z, t, t_prev, cond, omega)
+        z, trace = iterative_invert_step(f, z, t, cfg)
         traces.append((t, trace))
     return z, InversionReport(step_traces=traces, nfe=counter.calls)
 

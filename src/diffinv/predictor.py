@@ -304,8 +304,9 @@ def load_predictor(path) -> NoisePredictor:
     `seed` (>= 0) and per-prompt spectral norms (`norm_null = 0.1`, ...).
     `scale` sets the contractive amplitude, `value` the constant and
     `bias_scale` the spread of generated affine biases; each must be finite.
-    A key the kind and weight source do not read, or a number that does not
-    parse, raises ValueError naming the file.
+    Every ValueError it raises, such as for a key the kind and weight source
+    do not read, a number that does not parse or a value out of range,
+    starts with the spec file's path.
     """
     from pathlib import Path
 
@@ -313,52 +314,52 @@ def load_predictor(path) -> NoisePredictor:
 
     path = Path(path)
     spec = parse_kv_file(path)
-    kind = spec.get("kind")
-    if kind is None:
-        raise ValueError(f"{path}: missing 'kind'")
-    prefix = {"contractive": "w", "affine": "a"}.get(kind)
-    named = prefix is not None and any(key in spec for key in _prompt_keys(prefix))
-    if (kind, named) not in _SPEC_KEYS:
-        raise ValueError(f"{path}: unknown predictor kind {kind!r}")
-    unread = sorted(set(spec) - {"kind", *_SPEC_KEYS[kind, named]})
-    if unread:
-        source = " with weight files" if named else ""
-        raise ValueError(
-            f"{path}: {kind} predictor{source} does not read: {', '.join(unread)}"
-        )
+    try:
+        kind = spec.get("kind")
+        if kind is None:
+            raise ValueError("missing 'kind'")
+        prefix = {"contractive": "w", "affine": "a"}.get(kind)
+        named = prefix is not None and any(key in spec for key in _prompt_keys(prefix))
+        if (kind, named) not in _SPEC_KEYS:
+            raise ValueError(f"unknown predictor kind {kind!r}")
+        unread = sorted(set(spec) - {"kind", *_SPEC_KEYS[kind, named]})
+        if unread:
+            source = " with weight files" if named else ""
+            raise ValueError(f"{kind} predictor{source} does not read: {', '.join(unread)}")
 
-    def tensor(key, default=None):
-        if key not in spec:
-            return default
-        return load_tensor(path.parent / spec[key])
+        def tensor(key, default=None):
+            if key not in spec:
+                return default
+            return load_tensor(path.parent / spec[key])
 
-    def number(key, default, parse=float):
-        if key not in spec:
-            return default
-        try:
-            return parse(spec[key])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {key}: {exc}") from None
+        def number(key, default, parse=float):
+            if key not in spec:
+                return default
+            try:
+                return parse(spec[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
 
-    def norms(defaults):
-        return {p: number(f"norm_{p.value}", defaults[p]) for p in PromptId}
+        def norms(defaults):
+            return {p: number(f"norm_{p.value}", defaults[p]) for p in PromptId}
 
-    if kind == "constant":
-        if "value" not in spec:
-            raise ValueError(f"{path}: constant predictor needs 'value'")
-        return ConstantPredictor(number("value", None))
-    if named:
-        if not all(key in spec for key in _prompt_keys(prefix)):
-            raise ValueError(f"{path}: give all of {'/'.join(_prompt_keys(prefix))} or none")
-        weights = _Weights({p: tensor(f"{prefix}_{p.value}") for p in PromptId}, copy=False)
-    else:
-        dim, seed = number("dim", 64, int), number("seed", 0, _seed)
-        if kind == "affine":
-            bias_scale = number("bias_scale", 0.1)
-            return AffinePredictor.random(dim, seed, norms(_AFFINE_NORMS), bias_scale)
-        weights = _random_weights(np.random.default_rng(seed), dim, norms(_CONTRACTIVE_NORMS))
-    if kind == "contractive":
-        return ContractivePredictor(number("scale", 0.1), weights)
-    biases = {p: tensor(f"b_{p.value}", np.zeros(weights.dim)) for p in PromptId}
-    return AffinePredictor(weights, biases)
-
+        if kind == "constant":
+            if "value" not in spec:
+                raise ValueError("constant predictor needs 'value'")
+            return ConstantPredictor(number("value", None))
+        if named:
+            if not all(key in spec for key in _prompt_keys(prefix)):
+                raise ValueError(f"give all of {'/'.join(_prompt_keys(prefix))} or none")
+            weights = _Weights({p: tensor(f"{prefix}_{p.value}") for p in PromptId}, copy=False)
+        else:
+            dim, seed = number("dim", 64, int), number("seed", 0, _seed)
+            if kind == "affine":
+                bias_scale = number("bias_scale", 0.1)
+                return AffinePredictor.random(dim, seed, norms(_AFFINE_NORMS), bias_scale)
+            weights = _random_weights(np.random.default_rng(seed), dim, norms(_CONTRACTIVE_NORMS))
+        if kind == "contractive":
+            return ContractivePredictor(number("scale", 0.1), weights)
+        biases = {p: tensor(f"b_{p.value}", np.zeros(weights.dim)) for p in PromptId}
+        return AffinePredictor(weights, biases)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

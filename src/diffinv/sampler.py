@@ -11,30 +11,12 @@ from .predictor import NoisePredictor, PromptId, _check_broadcast, guided_epsilo
 from .schedule import NoiseSchedule
 
 
-def _as_state(z, name: str) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if not np.isfinite(z).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return z
-
-
-def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
-    """x, or NumericsError naming `what` when an entry is not finite."""
-    if not np.all(np.isfinite(x)):
-        raise NumericsError(f"{what} contains non-finite entries")
+def _as_state(x, name: str, error=ValueError) -> np.ndarray:
+    """x as a float64 array, or `error` naming `name` when an entry is not finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise error(f"{name} contains non-finite entries")
     return x
-
-
-def _ddim_update(z_t, eps, ab_t: float, ab_to: float, c=None) -> np.ndarray:
-    """sqrt(ab_to) * z0_hat + c * eps, with z0_hat = (z_t - sqrt(1 - ab_t) * eps) / sqrt(ab_t).
-
-    c defaults to sqrt(1 - ab_to), the deterministic DDIM update from the
-    noise level ab_t to ab_to.
-    """
-    if c is None:
-        c = math.sqrt(1.0 - ab_to)
-    z0_hat = (z_t - math.sqrt(1.0 - ab_t) * eps) / math.sqrt(ab_t)
-    return math.sqrt(ab_to) * z0_hat + c * eps
 
 
 def ddim_sigma(schedule: NoiseSchedule, t: int, t_prev: int) -> float:
@@ -88,19 +70,23 @@ def ddim_step(
     ab_t = float(schedule.alpha_bar[t])
     ab_p = float(schedule.alpha_bar[t_prev])
     if eta == 0.0:
-        return _ddim_update(z_t, eps, ab_t, ab_p)
-    mask_arr = np.asarray(1.0 if mask is None else mask, dtype=np.float64)
-    _check_broadcast(mask_arr.shape, z_t.shape, "mask")
-    sigma2 = ddim_sigma(schedule, t, t_prev) ** 2
-    var = eta * sigma2 * mask_arr
-    sqrt_arg = 1.0 - ab_p - var
-    if np.any(sqrt_arg < 0.0):
-        raise NumericsError(
-            f"negative square-root argument at step t={t} -> t_prev={t_prev}: "
-            f"eta * sigma_t^2 * mask exceeds 1 - alpha_bar[{t_prev}]"
-        )
-    mean = _ddim_update(z_t, eps, ab_t, ab_p, np.sqrt(sqrt_arg))
-    return mean + np.sqrt(var) * rng.standard_normal(z_t.shape)
+        c = math.sqrt(1.0 - ab_p)
+    else:
+        mask_arr = np.asarray(1.0 if mask is None else mask, dtype=np.float64)
+        _check_broadcast(mask_arr.shape, z_t.shape, "mask")
+        var = eta * ddim_sigma(schedule, t, t_prev) ** 2 * mask_arr
+        sqrt_arg = 1.0 - ab_p - var
+        if np.any(sqrt_arg < 0.0):
+            raise NumericsError(
+                f"negative square-root argument at step t={t} -> t_prev={t_prev}: "
+                f"eta * sigma_t^2 * mask exceeds 1 - alpha_bar[{t_prev}]"
+            )
+        c = np.sqrt(sqrt_arg)
+    z0_hat = (z_t - math.sqrt(1.0 - ab_t) * eps) / math.sqrt(ab_t)
+    z_prev = math.sqrt(ab_p) * z0_hat + c * eps
+    if eta == 0.0:
+        return z_prev
+    return z_prev + np.sqrt(var) * rng.standard_normal(z_t.shape)
 
 
 def sample_trajectory(
@@ -144,9 +130,9 @@ def sample_trajectory(
         except ValueError:
             # The step rejects non-finite input; here it came from the predictor
             # or an earlier step, which is a numeric failure.
-            _require_finite(eps, f"noise prediction at sampling step t={t}")
-            _require_finite(z, f"state entering sampling step t={t}")
+            _as_state(eps, f"noise prediction at sampling step t={t}", NumericsError)
+            _as_state(z, f"state entering sampling step t={t}", NumericsError)
             raise
         states.append(z)
-    _require_finite(z, "state after the last sampling step")
+    _as_state(z, "state after the last sampling step", NumericsError)
     return states

@@ -23,6 +23,7 @@ from diffinv import (
     build_schedule,
     ddim_step,
     edit,
+    fixed_point_map,
     guided_epsilon,
     invert_trajectory,
     iterative_invert_step,
@@ -69,9 +70,8 @@ def test_criterion_1_fixed_point_oracle_exactness():
         best = math.inf
         for _ in range(10):
             start = time.perf_counter()
-            z, _ = iterative_invert_step(
-                schedule, pred, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
-            )
+            f = fixed_point_map(schedule, pred, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0)
+            z, _ = iterative_invert_step(f, np.array([1.0]), 2, cfg)
             best = min(best, time.perf_counter() - start)
         assert abs(float(z[0]) - z_star) <= 1e-8
         assert best < 1e-3
@@ -125,16 +125,14 @@ def test_criterion_4_anderson_beats_plain_iteration():
 
         for window in (1, 2):
             cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=6, window=window)
-            _, trace = iterative_invert_step(
-                schedule, pred, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
-            )
+            f = fixed_point_map(schedule, pred, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0)
+            _, trace = iterative_invert_step(f, np.array([1.0]), 2, cfg)
             hit = next(i + 1 for i, r in enumerate(trace) if r <= 1e-10)
             assert hit <= 3
 
         cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=25)
-        _, trace = iterative_invert_step(
-            schedule, pred, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
-        )
+        f = fixed_point_map(schedule, pred, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0)
+        _, trace = iterative_invert_step(f, np.array([1.0]), 2, cfg)
         hit = next(i + 1 for i, r in enumerate(trace) if r <= 1e-10)
         assert hit >= 10
 

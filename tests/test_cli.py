@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import math
 import struct
 
 import numpy as np
@@ -241,7 +242,7 @@ class TestPredictorSize:
 
 
 class TestPredictorSpecValues:
-    """A generated dim below 1 or a non-finite spec scalar is a usage error naming its key."""
+    """A generated dim below 1 or a non-finite spec scalar is a usage error naming file and key."""
 
     @pytest.mark.parametrize(
         "lines, key",
@@ -261,7 +262,7 @@ class TestPredictorSpecValues:
         spec = tmp_path / "pred.cfg"
         spec.write_text("\n".join(lines) + "\n")
         assert run_cli("invert", "--in", latent_file, "--predictor", spec, "--steps", "10") == 1
-        assert f"usage error: {key} must be" in capsys.readouterr().err
+        assert f"usage error: {spec}: {key} must be" in capsys.readouterr().err
 
     def test_malformed_spec_number_names_file_and_key(self, tmp_path, latent_file, capsys):
         spec = tmp_path / "pred.cfg"
@@ -352,6 +353,15 @@ class TestGridCommand:
         assert run_cli("grid", "--out", tmp_path / "g.csv", flag, value) == 1
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+    def test_huge_omega_reconstruction_error_reports_finite_psnr(self, tmp_path):
+        out = tmp_path / "g.csv"
+        code = run_cli("grid", "--out", out, "--dim", "2", "--steps", "10",
+                       "--omega", "1e200", "--method", "euler")
+        assert code == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert math.isfinite(float(row[4]))
+        assert float(row[4]) < 0.0
 
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "g.csv"

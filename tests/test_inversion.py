@@ -35,6 +35,12 @@ def implicit_coeff_oracle(ab_t, ab_prev):
     return math.sqrt(1.0 - ab_t) - math.sqrt((1.0 - ab_prev) * ab_t / ab_prev)
 
 
+def invert_step(schedule, pred, z_prev, t, t_prev, cfg):
+    """Solve the source-prompt inversion step t_prev -> t at omega = 1 with `cfg`."""
+    f = fixed_point_map(schedule, pred, z_prev, t, t_prev, PromptId.SOURCE, 1.0)
+    return iterative_invert_step(f, z_prev, t, cfg)
+
+
 def scalar_fixed_point_oracle(a, z_prev, ab_t, ab_prev):
     """Closed-form solve of z = r * z_prev + c * a * z for a linear scalar map."""
     r = math.sqrt(ab_t / ab_prev)
@@ -45,16 +51,14 @@ def scalar_fixed_point_oracle(a, z_prev, ab_t, ab_prev):
 class TestEulerInvertStep:
     def test_zero_predictor_is_rescale(self, toy_schedule):
         z = np.array([2.0])
-        out, _ = iterative_invert_step(
-            toy_schedule, ConstantPredictor(0.0), z, 2, 1, PromptId.SOURCE, 1.0, None
-        )
+        out, _ = invert_step(toy_schedule, ConstantPredictor(0.0), z, 2, 1, None)
         assert out[0] == pytest.approx(2.0 * math.sqrt(AB_T / AB_PREV), rel=1e-15)
 
     def test_constant_predictor_round_trips(self, toy_schedule):
         # eps independent of z and t makes the linearized step exact
         pred = ConstantPredictor(0.3)
         z = np.array([1.0, -0.4])
-        up, _ = iterative_invert_step(toy_schedule, pred, z, 2, 1, PromptId.SOURCE, 1.0, None)
+        up, _ = invert_step(toy_schedule, pred, z, 2, 1, None)
         eps = pred.predict(up, PromptId.SOURCE, 2)
         back = ddim_step(toy_schedule, eps, up, 2, 1)
         np.testing.assert_allclose(back, z, rtol=1e-14)
@@ -63,7 +67,7 @@ class TestEulerInvertStep:
     def test_contractive_round_trip_error_matches_direct_evaluation(self, toy_schedule, seed):
         pred = ContractivePredictor.default(4, seed=seed)
         z = np.array([0.5, -0.2, 1.0, 0.3])
-        up, _ = iterative_invert_step(toy_schedule, pred, z, 2, 1, PromptId.SOURCE, 1.0, None)
+        up, _ = invert_step(toy_schedule, pred, z, 2, 1, None)
 
         # oracle: apply both formulas directly with explicit arithmetic
         def guided(x, t):
@@ -84,18 +88,14 @@ class TestEulerInvertStep:
 
     def test_requires_increasing_time(self, toy_schedule):
         with pytest.raises(ValueError, match="t_prev < t"):
-            iterative_invert_step(
-                toy_schedule, ConstantPredictor(0.0), np.zeros(1), 1, 2, PromptId.SOURCE, 1.0, None
-            )
+            invert_step(toy_schedule, ConstantPredictor(0.0), np.zeros(1), 1, 2, None)
 
     def test_non_finite_step_raises_with_location(self, toy_schedule):
         huge = AffinePredictor({p: [[1e308]] for p in PromptId}, {p: [0.0] for p in PromptId})
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DivergenceError, match="step t=2, iteration 1"
         ):
-            iterative_invert_step(
-                toy_schedule, huge, np.array([1e10]), 2, 1, PromptId.SOURCE, 1.0, None
-            )
+            invert_step(toy_schedule, huge, np.array([1e10]), 2, 1, None)
 
 
 class TestEulerIsZeroIterations:
@@ -114,15 +114,11 @@ class TestEulerIsZeroIterations:
 
     def test_step_is_first_iterate_of_every_variant(self, toy_schedule, scalar_affine_half):
         z = np.array([0.7])
-        euler, trace = iterative_invert_step(
-            toy_schedule, scalar_affine_half, z, 2, 1, PromptId.SOURCE, 1.0, None
-        )
+        euler, trace = invert_step(toy_schedule, scalar_affine_half, z, 2, 1, None)
         assert trace == []
         for variant in FixedPointVariant:
             cfg = FixedPointConfig(variant=variant, iters=1)
-            first, _ = iterative_invert_step(
-                toy_schedule, scalar_affine_half, z, 2, 1, PromptId.SOURCE, 1.0, cfg
-            )
+            first, _ = invert_step(toy_schedule, scalar_affine_half, z, 2, 1, cfg)
             np.testing.assert_array_equal(first, euler)
 
 
@@ -230,18 +226,14 @@ class TestAndersonWeights:
 class TestIterativeInvertStep:
     def test_zero_predictor_converges_immediately(self, toy_schedule):
         cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=4)
-        z, trace = iterative_invert_step(
-            toy_schedule, ConstantPredictor(0.0), np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
-        )
+        z, trace = invert_step(toy_schedule, ConstantPredictor(0.0), np.array([1.0]), 2, 1, cfg)
         assert trace[0] == 0.0
         assert z[0] == pytest.approx(math.sqrt(AB_T / AB_PREV), rel=1e-15)
 
     def test_anderson_hits_closed_form(self, toy_schedule, scalar_affine_half):
         z_star, _ = scalar_fixed_point_oracle(0.5, 1.0, AB_T, AB_PREV)
         cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=6, window=2)
-        z, trace = iterative_invert_step(
-            toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
-        )
+        z, trace = invert_step(toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, cfg)
         assert abs(z[0] - z_star) <= 1e-8
         assert len(trace) == 6
 
@@ -256,18 +248,14 @@ class TestIterativeInvertStep:
         monkeypatch.setattr(inversion, "anderson_weights", counted)
         pred = ContractivePredictor.default(4, seed=3)
         cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=5, window=2)
-        _, trace = iterative_invert_step(
-            toy_schedule, pred, np.array([0.4, -0.1, 0.9, 0.2]), 2, 1, PromptId.SOURCE, 1.0, cfg
-        )
+        _, trace = invert_step(toy_schedule, pred, np.array([0.4, -0.1, 0.9, 0.2]), 2, 1, cfg)
         assert len(trace) == 5
         assert calls == [2, 3, 3, 3]
 
     def test_anderson_window_one_is_secant(self, toy_schedule, scalar_affine_half):
         # exact on scalar linear problems by the second combination
         cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=6, window=1)
-        _, trace = iterative_invert_step(
-            toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
-        )
+        _, trace = invert_step(toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, cfg)
         hit = next(i + 1 for i, r in enumerate(trace) if r <= 1e-10)
         assert hit <= 3
 
@@ -279,9 +267,7 @@ class TestIterativeInvertStep:
         for _ in range(6):
             z_hand = r * 1.0 + c * 0.5 * z_hand
         cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=6)
-        z, trace = iterative_invert_step(
-            toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
-        )
+        z, trace = invert_step(toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, cfg)
         assert z[0] == pytest.approx(z_hand, abs=1e-14)
         z_star, q = scalar_fixed_point_oracle(0.5, 1.0, AB_T, AB_PREV)
         assert abs(z[0] - z_star) == pytest.approx(abs(q) ** 6 * abs(1.0 - z_star), rel=1e-9)
@@ -290,9 +276,7 @@ class TestIterativeInvertStep:
         # residual shrinks by exactly the contraction factor on a linear map
         _, q = scalar_fixed_point_oracle(0.5, 1.0, AB_T, AB_PREV)
         cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=12)
-        _, trace = iterative_invert_step(
-            toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
-        )
+        _, trace = invert_step(toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, cfg)
         for a, b in zip(trace, trace[1:]):
             if a < 1e-12:
                 break
@@ -316,16 +300,12 @@ class TestIterativeInvertStep:
         expected = z_hist[iters]
 
         cfg = FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=iters)
-        z, _ = iterative_invert_step(
-            toy_schedule, pred, z_prev, 2, 1, PromptId.SOURCE, 1.0, cfg
-        )
+        z, _ = invert_step(toy_schedule, pred, z_prev, 2, 1, cfg)
         np.testing.assert_array_equal(z, expected)
 
     def test_residual_tol_early_stop(self, toy_schedule, scalar_affine_half):
         cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=50, residual_tol=1e-6)
-        _, trace = iterative_invert_step(
-            toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
-        )
+        _, trace = invert_step(toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, cfg)
         assert len(trace) < 50
         assert trace[-1] <= 1e-6
         assert all(r > 1e-6 for r in trace[:-1])
@@ -336,9 +316,7 @@ class TestIterativeInvertStep:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DivergenceError, match="t=2"
         ):
-            iterative_invert_step(
-                toy_schedule, huge, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0, cfg
-            )
+            invert_step(toy_schedule, huge, np.array([1.0]), 2, 1, cfg)
 
     def test_window_coerced_for_non_anderson(self):
         cfg = FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=3, window=5)
@@ -585,3 +563,51 @@ class TestStepSetUpCost:
         with pytest.raises(ValueError, match="t_prev < t"):
             fixed_point_map(toy_schedule, counter, np.zeros(1), t, t_prev, PromptId.SOURCE, 1.0)
         assert counter.calls == 0
+
+
+class TestSolverOnPlainMaps:
+    """`iterative_invert_step` solves z = f(z) for any map; no schedule or predictor needed."""
+
+    LAM = -1.5
+    B = np.array([1.0, -2.0, 0.5])
+
+    def affine(self, z):
+        return self.B + self.LAM * z
+
+    def test_anderson_window_one_is_exact_after_its_first_secant_step(self):
+        z_star = self.B / (1.0 - self.LAM)
+        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=2, window=1)
+        z, trace = iterative_invert_step(self.affine, np.zeros(3), 5, cfg)
+        np.testing.assert_allclose(z, z_star, rtol=1e-14, atol=1e-15)
+        assert trace[1] <= 1e-14 * trace[0]
+
+    def test_plain_iteration_residuals_grow(self):
+        cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=6)
+        _, trace = iterative_invert_step(self.affine, np.zeros(3), 5, cfg)
+        for a, b in zip(trace, trace[1:]):
+            assert b == pytest.approx(abs(self.LAM) * a, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [None, *(FixedPointConfig(variant=v, iters=4) for v in FixedPointVariant),
+         FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=7, window=3)],
+    )
+    def test_map_is_called_iters_plus_one_times(self, cfg):
+        calls = []
+
+        def counted(z):
+            calls.append(1)
+            return 0.5 * z + 1.0
+
+        _, trace = iterative_invert_step(counted, np.ones(4), 5, cfg)
+        iters = 0 if cfg is None else cfg.iters
+        assert len(trace) == iters
+        assert len(calls) == iters + 1
+
+    @pytest.mark.parametrize(
+        "cfg", [None, *(FixedPointConfig(variant=v, iters=3) for v in FixedPointVariant)]
+    )
+    def test_non_finite_map_raises_divergence_at_the_first_iteration(self, cfg):
+        with pytest.raises(DivergenceError) as info:
+            iterative_invert_step(lambda z: np.full_like(z, np.inf), np.zeros(2), 7, cfg)
+        assert (info.value.step_t, info.value.iteration) == (7, 1)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diffinv import relative_l2
+from diffinv import psnr, relative_l2
 from diffinv.metrics import l2
 
 
@@ -45,3 +45,28 @@ class TestL2:
     def test_relative_error_of_huge_finite_latents_is_finite(self):
         ref = np.array([1e300, -2e300, 3e300, 1e299])
         assert relative_l2(2.0 * ref, ref) == pytest.approx(1.0, rel=1e-15)
+
+
+class TestPsnr:
+    def test_identical_pair_reports_3000_db_above_a_unit_peak(self):
+        ref = np.array([0.0, 1.0, 0.25, 0.5])
+        assert psnr(ref, ref) == pytest.approx(3000.0, rel=1e-15)
+
+    def test_matches_the_mean_squared_error_form(self):
+        rng = np.random.default_rng(4)
+        ref = rng.standard_normal(64)
+        cand = ref + 1e-3 * rng.standard_normal(64)
+        peak = ref.max() - ref.min()
+        expected = 10.0 * math.log10(peak**2 / np.mean((cand - ref) ** 2))
+        assert psnr(cand, ref) == pytest.approx(expected, rel=1e-12)
+
+    def test_error_whose_square_overflows_is_finite_without_warning(self):
+        ref = np.array([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = psnr(np.array([1e200, -1e200]), ref)
+        assert value == pytest.approx(-4000.0, rel=1e-12)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            psnr(np.zeros(3), np.zeros(4))

@@ -296,8 +296,9 @@ class TestLoadPredictor:
             save_tensor(tmp_path / f"a_{p.value}.txt", 0.01 * np.eye(4))
         spec = tmp_path / "p.cfg"
         spec.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as info:
             load_predictor(spec)
+        assert str(info.value).startswith(f"{spec}: ")
 
     @pytest.mark.parametrize(
         "lines, key",
