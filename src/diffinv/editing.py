@@ -1,18 +1,18 @@
 """Invert / reconstruct / edit pipeline with best-of-n stochastic candidates.
 
-The pipeline inverts the input under the source prompt at a small guidance
-scale, reconstructs it with the same settings (which also supplies the
-per-step soft masks), and then samples edited candidates under the target
-prompt using a per-pixel guidance field blended between the inversion
-scale and a larger editing scale.  With eta > 0 the candidate passes are
-stochastic inside the masked region and a pluggable scorer ranks them.
+The pipeline builds one soft mask from the attention map, inverts the
+input under the source prompt at a small guidance scale, reconstructs it
+with the same settings, and then samples edited candidates under the target
+prompt using a per-pixel guidance field blended by the mask between the
+inversion scale and a larger editing scale.  With eta > 0 the candidate
+passes are stochastic inside the masked region, and the candidate closest
+to the input in relative L2 ranks first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -38,22 +38,19 @@ class EditConfig:
     """Settings for the full pipeline.
 
     omega is used for inversion and reconstruction, omega_e only inside the
-    masked editing region.  attention may be a static AttentionMap or a
-    callable t -> AttentionMap for time-varying sources; None builds a
-    centered synthetic blob on the latent's spatial grid.  scorer(candidate,
-    z_0) ranks the candidates, lower is better; the default is the relative
-    L2 distance to the input.
+    masked editing region.  attention is the map the edit's one soft mask
+    is built from; None builds a centered synthetic blob on the latent's
+    spatial grid.
     """
 
     omega: float = 1.0
     omega_e: float = 7.0
-    attention: AttentionMap | Callable[[int], AttentionMap] | None = None
+    attention: AttentionMap | None = None
     mask: MaskNormConfig = field(default_factory=MaskNormConfig)
     fixed_point: FixedPointConfig | None = field(default_factory=FixedPointConfig)
     eta: float = 0.0
     n_candidates: int = 1
     seed: int = 0
-    scorer: Callable[[np.ndarray, np.ndarray], float] = relative_l2
 
     def __post_init__(self):
         if not 0.0 <= self.omega <= self.omega_e < math.inf:
@@ -77,34 +74,12 @@ class EditResult:
     scores: list[float]
     best_index: int
     reconstruction: np.ndarray
-    masks: list[SoftMask]
+    mask: SoftMask
     report: InversionReport
 
     @property
     def best(self) -> np.ndarray:
         return self.candidates[self.best_index]
-
-
-def _step_masks(schedule: NoiseSchedule, cfg: EditConfig, latent_shape):
-    """Soft masks, latent-shaped mask arrays and blended scale fields per sampling step.
-
-    Steps run in decreasing timestep order.  A static attention map is
-    processed once and every step shares the result.
-    """
-    attention = cfg.attention
-    if attention is None:
-        h, w = spatial_shape(latent_shape)
-        attention = synthetic_attention((h, w), blob_sigma=max(h, w) / 4.0)
-
-    def stages(amap):
-        mask = soft_mask(normalize_map(amap, cfg.mask), cfg.mask.polarity)
-        array = mask.for_latent(latent_shape)
-        return mask, array, blended_scale_field(array, cfg.omega, cfg.omega_e)
-
-    steps = [t for t, _ in schedule.sampling_pairs()]
-    if isinstance(attention, AttentionMap):
-        return [[x] * len(steps) for x in stages(attention)]
-    return [list(x) for x in zip(*(stages(attention(t)) for t in steps))]
 
 
 def edit(
@@ -122,13 +97,19 @@ def edit(
     inverted noise vector.  With eta = 0 all candidates coincide with the
     single deterministic edit, so it is sampled once and copied.
     target == source with omega_e == omega and eta == 0 reproduces the
-    reconstruction bit-exactly.  The lowest score wins; an exception raised
-    by the scorer reaches the caller.  The masks do not depend on the
-    inversion and are built first, so mask settings that cannot be applied
-    raise ValueError before any predictor call.
+    reconstruction bit-exactly.  The candidate with the lowest relative L2
+    to z_0 wins.  The mask does not depend on the inversion and is built
+    first, so mask settings that cannot be applied raise ValueError before
+    any predictor call.
     """
     z_0 = np.asarray(z_0, dtype=np.float64)
-    masks, mask_arrays, fields = _step_masks(schedule, cfg, z_0.shape)
+    attention = cfg.attention
+    if attention is None:
+        h, w = spatial_shape(z_0.shape)
+        attention = synthetic_attention((h, w), blob_sigma=max(h, w) / 4.0)
+    mask = soft_mask(normalize_map(attention, cfg.mask), cfg.mask.polarity)
+    mask_array = mask.for_latent(z_0.shape)
+    scale_field = blended_scale_field(mask_array, cfg.omega, cfg.omega_e)
     z_t, reconstruction, report = round_trip(
         schedule, pred, z_0, source_prompt, cfg.omega, cfg.fixed_point
     )
@@ -141,22 +122,22 @@ def edit(
             pred,
             z_t,
             target_prompt,
-            scale_fields=fields,
+            scale_field,
             eta=cfg.eta,
-            masks=mask_arrays,
+            mask=mask_array,
             rng=np.random.default_rng(seed),
         )[-1]
         for seed in seeds[:n_sampled]
     ]
     candidates += [candidates[0].copy() for _ in range(cfg.n_candidates - n_sampled)]
 
-    scores = [float(cfg.scorer(c, z_0)) for c in candidates]
+    scores = [relative_l2(c, z_0) for c in candidates]
     return EditResult(
         candidates=candidates,
         scores=scores,
         best_index=int(np.argmin(scores)),
         reconstruction=reconstruction,
-        masks=masks,
+        mask=mask,
         report=report,
     )
 

@@ -112,9 +112,11 @@ def _binary_body(path: Path, body: bytes) -> np.ndarray:
 def parse_kv_file(path) -> dict[str, str]:
     """Parse `key = value` lines; `#` starts a comment, blank lines ignored.
 
-    Keys are lower-cased with dashes normalized to underscores.
+    Keys are lower-cased with dashes normalized to underscores; a key set
+    twice after that normalization is a ValueError naming both lines.
     """
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -127,5 +129,10 @@ def parse_kv_file(path) -> dict[str, str]:
             value = value.strip()
             if not key or not value:
                 raise ValueError(f"{path}:{lineno}: empty key or value")
+            if key in out:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate key '{key}' (first on line {first_line[key]})"
+                )
             out[key] = value
+            first_line[key] = lineno
     return out

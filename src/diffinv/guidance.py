@@ -167,14 +167,12 @@ def soft_mask(norm: np.ndarray, polarity: Polarity) -> SoftMask:
 
 
 def blended_scale_field(mask, omega: float, omega_e: float) -> np.ndarray:
-    """Per-pixel guidance scale (omega_e - omega) * mask + omega.
+    """Per-pixel guidance scale (omega_e - omega) * mask + omega for a mask array.
 
     Every entry lies between the two scales; a mask of 0 keeps the base
-    scale and a mask of 1 applies the editing scale.  Accepts a SoftMask
-    or a plain array.
+    scale and a mask of 1 applies the editing scale.
     """
-    values = mask.values if isinstance(mask, SoftMask) else np.asarray(mask, dtype=np.float64)
-    return (float(omega_e) - float(omega)) * values + float(omega)
+    return (float(omega_e) - float(omega)) * np.asarray(mask, dtype=np.float64) + float(omega)
 
 
 def synthetic_attention(shape, blob_sigma: float = 2.0) -> AttentionMap:

@@ -94,37 +94,26 @@ def sample_trajectory(
     pred: NoisePredictor,
     z_start,
     cond: PromptId,
-    omega: float = 1.0,
+    omega=1.0,
     *,
-    scale_fields=None,
     eta: float = 0.0,
-    masks=None,
+    mask=None,
     rng: np.random.Generator | None = None,
 ) -> list[np.ndarray]:
     """Run the sampler across the scheduled timesteps in decreasing order.
 
-    Each step guides with the scalar `omega`, or with its entry of
-    `scale_fields` (one per-pixel field per step, aligned with decreasing
-    timesteps) when given, then takes a `ddim_step` with noise scale
-    `eta`, its entry of `masks` (ones when absent) and the generator `rng`,
-    which eta > 0 requires; eta = 0 is deterministic DDIM sampling.  Returns
+    Every step guides with `omega`, a float or a per-pixel field that
+    broadcasts to the latent, then takes a `ddim_step` with noise scale
+    `eta`, the mask `mask` (ones when None) and the generator `rng`, which
+    eta > 0 requires; eta = 0 is deterministic DDIM sampling.  Returns
     every state visited, starting with `z_start` and ending with the clean
     latent.  A non-finite noise prediction or state raises NumericsError
     naming the step.
     """
-    pairs = schedule.sampling_pairs()
-    if scale_fields is not None and len(scale_fields) != len(pairs):
-        raise ValueError(
-            f"need one scale field per step: got {len(scale_fields)} for {len(pairs)} steps"
-        )
-    if masks is not None and len(masks) != len(pairs):
-        raise ValueError(f"need one mask per step: got {len(masks)} for {len(pairs)} steps")
-    scales = [omega] * len(pairs) if scale_fields is None else scale_fields
-    masks = [None] * len(pairs) if masks is None else masks
     z = _as_state(z_start, "z_start")
     states = [z]
-    for (t, t_prev), scale, mask in zip(pairs, scales, masks):
-        eps = guided_epsilon(pred, z, cond, scale, t)
+    for t, t_prev in schedule.sampling_pairs():
+        eps = guided_epsilon(pred, z, cond, omega, t)
         try:
             z = ddim_step(schedule, eps, z, t, t_prev, mask, eta, rng)
         except ValueError:

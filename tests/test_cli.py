@@ -412,6 +412,19 @@ class TestConfigFile:
         assert run_cli("invert", "--config", cfg, "--in", latent_file) == 1
         assert "--steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, text, key",
+        [
+            ("--config", "steps = 10\nomega = 1\nsteps = 20\n", "steps"),
+            ("--predictor", "value = 0\nkind = constant\nvalue = 1\n", "value"),
+        ],
+    )
+    def test_key_set_twice_is_usage_error(self, tmp_path, latent_file, flag, text, key, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert run_cli("invert", "--in", latent_file, flag, path) == 1
+        assert f"{path}:3: duplicate key '{key}' (first on line 1)" in capsys.readouterr().err
+
     def test_bad_boolean_in_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("timing = maybe\n")

@@ -17,8 +17,10 @@ from diffinv import (
     PromptId,
     edit,
     invert_trajectory,
+    normalize_map,
     relative_l2,
     round_trip,
+    soft_mask,
     synthetic_attention,
 )
 from diffinv.editing import write_scores_csv
@@ -51,9 +53,9 @@ class TestReconstruct:
         cfg = EditConfig(fixed_point=fp_cfg(2))
         zero = ConstantPredictor(0.0)
         z_rec = round_trip(schedule10, zero, z_0, PromptId.SOURCE, 1.0, fp_cfg(2))[1]
-        masks = edit(schedule10, zero, z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
+        mask = edit(schedule10, zero, z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).mask
         np.testing.assert_allclose(z_rec, z_0, rtol=1e-12)
-        assert len(masks) == 10
+        assert mask.values.shape == (1, 8)  # the blob on the flat latent's 1 x 8 grid
 
     def test_contractive_round_trip(self, schedule20, contractive64):
         z_0 = np.random.default_rng(1).standard_normal(64)
@@ -71,26 +73,9 @@ class TestReconstruct:
         cfg = EditConfig(attention=amap, fixed_point=fp_cfg(2))
         z_0 = np.zeros((4, 4))
         zero = ConstantPredictor(0.0)
-        masks = edit(schedule10, zero, z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
-        assert len(masks) == 10
-        for m in masks[1:]:  # static source: identical mask at every step
-            np.testing.assert_array_equal(m.values, masks[0].values)
-
-    def test_time_varying_attention_source(self, schedule10):
-        # a callable source receives the scheduled timestep and may vary
-        seen = []
-
-        def provider(t):
-            seen.append(t)
-            width = 1.0 + t / 500.0
-            return corner_blob(width)
-
-        cfg = EditConfig(attention=provider, fixed_point=fp_cfg(2))
-        z_0 = np.zeros((4, 4))
-        zero = ConstantPredictor(0.0)
-        masks = edit(schedule10, zero, z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).masks
-        assert seen == [t for t, _ in schedule10.sampling_pairs()]
-        assert not np.array_equal(masks[0].values, masks[-1].values)
+        mask = edit(schedule10, zero, z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).mask
+        expected = soft_mask(normalize_map(amap, cfg.mask), cfg.mask.polarity)
+        np.testing.assert_array_equal(mask.values, expected.values)
 
 
 class TestEditDegenerateIdentity:
@@ -157,7 +142,7 @@ class TestMaskLocality:
         )
         result = edit(schedule10, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
 
-        mask = result.masks[0].for_latent((dim,))
+        mask = result.mask.for_latent((dim,))
         assert set(np.unique(mask)) == {0.0, 1.0}  # saturated binary limit
         cold = mask == 0.0
         edited = result.best
@@ -217,17 +202,6 @@ class TestCandidates:
         assert result.report.nfe == invert_calls
         assert counter.calls == invert_calls + recon_calls + candidate_calls
 
-    def test_scorer_failure_reaches_caller(self, schedule10):
-        def broken(candidate, reference):
-            raise RuntimeError("no metric today")
-
-        pred = AffinePredictor.random(8, seed=3)
-        z_0 = np.random.default_rng(10).standard_normal(8)
-        cfg = EditConfig(omega=1.0, omega_e=2.0, eta=0.1, n_candidates=3, seed=1,
-                         fixed_point=fp_cfg(3), scorer=broken)
-        with pytest.raises(RuntimeError, match="no metric today"):
-            edit(schedule10, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
-
     def test_scores_csv(self, tmp_path, schedule10):
         pred = AffinePredictor.random(8, seed=3)
         z_0 = np.random.default_rng(11).standard_normal(8)
@@ -242,8 +216,10 @@ class TestCandidates:
         assert sum(line.endswith(",1") for line in lines[1:]) == 1
 
 
-class TestDefaultScorer:
-    scorer = staticmethod(EditConfig().scorer)
+class TestCandidateScore:
+    """Candidates are ranked by their relative L2 to the input."""
+
+    scorer = staticmethod(relative_l2)
 
     def test_identical_is_zero(self):
         z = np.random.default_rng(0).standard_normal(6)

@@ -170,3 +170,19 @@ class TestKvFiles:
         path.write_text("key =\n")
         with pytest.raises(ValueError, match="empty"):
             parse_kv_file(path)
+
+    @pytest.mark.parametrize(
+        "text, lineno, key, first",
+        [
+            ("steps = 10\nsteps = 20\n", 2, "steps", 1),
+            ("omega = 3\n# comment\nOmega = 4\n", 3, "omega", 1),
+            ("seed = 1\nmask-m = 2\nmask_m = 5\n", 3, "mask_m", 2),
+        ],
+    )
+    def test_rejects_a_key_set_twice(self, tmp_path, text, lineno, key, first):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        message = f"{path}:{lineno}: duplicate key '{key}' (first on line {first})"
+        with pytest.raises(ValueError) as info:
+            parse_kv_file(path)
+        assert str(info.value) == message

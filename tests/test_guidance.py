@@ -130,8 +130,7 @@ class TestSoftMask:
 
 class TestBlendedScaleField:
     def test_equal_scales_uniform(self):
-        mask = SoftMask(np.full((3, 3), 0.37))
-        out = blended_scale_field(mask, 1.5, 1.5)
+        out = blended_scale_field(np.full((3, 3), 0.37), 1.5, 1.5)
         np.testing.assert_array_equal(out, np.full((3, 3), 1.5))
 
     def test_midpoint(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from diffinv import (
-    AttentionMap,
     CallCounter,
     ContractivePredictor,
     EditConfig,
@@ -82,13 +81,13 @@ class TestStochasticCandidates:
         z_t, _ = invert_trajectory(
             schedule10, pred, z_0, PromptId.SOURCE, cfg.omega, cfg.fixed_point
         )
-        mask_arrays = [m.for_latent(z_0.shape) for m in result.masks]
-        fields = [blended_scale_field(m, cfg.omega, cfg.omega_e) for m in mask_arrays]
+        mask = result.mask.for_latent(z_0.shape)
+        field = blended_scale_field(mask, cfg.omega, cfg.omega_e)
         seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_candidates)
         for k, seed in enumerate(seeds):
             expected = sample_trajectory(
-                schedule10, pred, z_t, PromptId.TARGET, scale_fields=fields,
-                eta=cfg.eta, masks=mask_arrays,
+                schedule10, pred, z_t, PromptId.TARGET, field,
+                eta=cfg.eta, mask=mask,
                 rng=np.random.default_rng(seed),
             )[-1]
             np.testing.assert_array_equal(result.candidates[k], expected)
@@ -122,13 +121,3 @@ class TestStepMasks:
     def test_static_map_is_processed_once(self, schedule10, calls):
         result = self.run_edit(schedule10, synthetic_attention((4, 4), blob_sigma=1.0))
         assert calls == {"soft_mask": 1, "for_latent": 1, "blended_scale_field": 1}
-        assert len(result.masks) == 10
-        assert all(m is result.masks[0] for m in result.masks)
-
-    def test_time_varying_map_is_processed_per_step(self, schedule10, calls):
-        def attention(t):
-            return AttentionMap(np.full((4, 4), 1.0 + t) + np.eye(4))
-
-        result = self.run_edit(schedule10, attention)
-        assert calls == {"soft_mask": 10, "for_latent": 10, "blended_scale_field": 10}
-        assert len({id(m) for m in result.masks}) == 10

@@ -254,9 +254,8 @@ class TestSampleTrajectory:
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="sampling step t="):
             sample_trajectory(schedule, pred, np.ones(8), PromptId.SOURCE, 1.0)
 
-    def test_scale_fields_count_checked(self, schedule10):
+    def test_scale_field_shape_checked(self, schedule10):
         with pytest.raises(ValueError, match="scale field"):
             sample_trajectory(
-                schedule10, ConstantPredictor(0.0), np.zeros(4), PromptId.SOURCE,
-                scale_fields=[np.ones(4)] * 3,
+                schedule10, ConstantPredictor(0.0), np.zeros(4), PromptId.SOURCE, np.ones(3)
             )
