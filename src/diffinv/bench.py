@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_integer
 from .inversion import FixedPointConfig, FixedPointVariant, round_trip
 from .metrics import psnr
 from .predictor import ContractivePredictor, NoisePredictor, PromptId
@@ -63,6 +64,8 @@ class ExperimentGrid:
                            ("method", self.methods)):
             if len(set(axis)) != len(axis):
                 raise ValueError(f"grid {name} values must be distinct, got {list(axis)}")
+        check_integer("dim", self.dim)
+        check_integer("seed", self.seed)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.seed < 0:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_integer
 from .guidance import (
     AttentionMap,
     MaskNormConfig,
@@ -53,6 +54,8 @@ class EditConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer("n_candidates", self.n_candidates)
+        check_integer("seed", self.seed)
         if not 0.0 <= self.omega <= self.omega_e < math.inf:
             raise ValueError(
                 f"need 0 <= omega <= omega_e < inf, got omega={self.omega}, "

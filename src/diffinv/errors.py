@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer-setting check shared across the package."""
+
+import operator
 
 
 class NumericsError(RuntimeError):
@@ -19,3 +21,15 @@ class DivergenceError(NumericsError):
             f"fixed-point iteration diverged at step t={step_t}, iteration {iteration}: "
             "non-finite iterate"
         )
+
+
+def check_integer(name: str, value) -> None:
+    """ValueError naming `name` unless `value` is an integer (numpy integers included).
+
+    Settings objects call it when they are built, so a count such as 2.5
+    fails there instead of deep inside a run.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None

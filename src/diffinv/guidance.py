@@ -175,7 +175,7 @@ def blended_scale_field(mask, omega: float, omega_e: float) -> np.ndarray:
     return (float(omega_e) - float(omega)) * np.asarray(mask, dtype=np.float64) + float(omega)
 
 
-def synthetic_attention(shape, blob_sigma: float = 2.0) -> AttentionMap:
+def synthetic_attention(shape, blob_sigma: float) -> AttentionMap:
     """Isotropic Gaussian bump, value 1 at the grid's center, as a stand-in map.
 
     v(k) = exp(-||k - center||^2 / (2 sigma^2)) on an h x w pixel grid whose

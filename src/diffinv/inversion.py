@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, check_integer
 from .metrics import l2, relative_l2
 from .predictor import CallCounter, NoisePredictor, PromptId, guided_epsilon
 from .sampler import _as_state, sample_trajectory
@@ -42,8 +43,9 @@ class FixedPointConfig:
     """Iteration budget and acceleration settings for one inversion step.
 
     `iters` fixes the number of iterations unless `residual_tol` > 0 stops
-    earlier.  `window` is the Anderson history length m (coerced to 1 for
-    the other variants, which do not use it).
+    earlier.  `window` is the Anderson history length m; the other variants
+    coerce it to 1, the averaged variant's pair of map values.  Both counts
+    must be integers.
     """
 
     variant: FixedPointVariant = FixedPointVariant.AVERAGED
@@ -52,6 +54,8 @@ class FixedPointConfig:
     residual_tol: float = 0.0
 
     def __post_init__(self):
+        check_integer("iters", self.iters)
+        check_integer("window", self.window)
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
         if self.window < 1:
@@ -143,42 +147,41 @@ def iterative_invert_step(
 
     Starts from z^0 = z_prev, z^1 = f(z^0), then for i = 1..iters records
     the residual g^i = f(z^i) - z^i (its `l2` norm, finite whenever g^i
-    is, goes into the trace) and,
-    while i < iters, forms
-
-        z^{i+1} = sum_j gamma_j * f(z^{i - m_i + j})
-
-    with gamma from Anderson least squares over the last m_i + 1 residuals
-    (window m), the fixed pair (0.5, 0.5) for the averaged variant, or
-    (0, 1) for plain iteration.  Returns (z^iters, residual trace), or an
-    earlier iterate when `residual_tol` > 0 is reached.  Each map
-    evaluation and residual is formed once, so a step with I iterations
-    costs exactly I + 1 evaluations and I - 1 combinations.  cfg=None runs
+    is, goes into the trace) and, while i < iters, forms z^{i+1} as the
+    combination sum_j gamma_j * f(z^j) over the last min(m, i) + 1 map
+    values, with gamma from Anderson least squares over the matching
+    residuals (window m), the fixed pair (0.5, 0.5) for the averaged
+    variant, or (0, 1) for plain iteration.  Returns (z^iters, residual
+    trace), or an earlier iterate when `residual_tol` > 0 is reached.  Each
+    map evaluation and residual is formed once, so a step with I iterations
+    costs exactly I + 1 evaluations and I - 1 combinations, and holds at
+    most m + 1 map values and m + 1 residuals whatever I is.  cfg=None runs
     zero iterations: the linearized (Euler) step returns (z^1, []) at one
     evaluation.  A non-finite iterate raises DivergenceError naming the
     step by its timestep `t`, which labels nothing else.
     """
     iters = 0 if cfg is None else cfg.iters
     z = np.asarray(z_prev, dtype=np.float64)
-    f_hist: list[np.ndarray] = []
-    g_hist: list[np.ndarray] = []
+    # Only the last m + 1 map values and residuals are ever read.
+    width = 1 if cfg is None else cfg.window + 1
+    f_win: deque[np.ndarray] = deque(maxlen=width)
+    g_win: deque[np.ndarray] = deque(maxlen=width)
     trace: list[float] = []
     for i in range(iters + 1):
-        f_hist.append(f(z))
-        g_hist.append(f_hist[i] - z)
+        f_win.append(f(z))
+        g_win.append(f_win[-1] - z)
         if i > 0:
-            res_norm = l2(g_hist[i])
+            res_norm = l2(g_win[-1])
             trace.append(res_norm)
             if i == iters or (cfg.residual_tol > 0.0 and res_norm <= cfg.residual_tol):
                 return z, trace
         if i == 0 or cfg.variant is FixedPointVariant.PLAIN:
-            z = f_hist[i]
+            z = f_win[-1]
         elif cfg.variant is FixedPointVariant.AVERAGED:
-            z = 0.5 * f_hist[i - 1] + 0.5 * f_hist[i]
+            z = 0.5 * f_win[0] + 0.5 * f_win[1]
         else:
-            m_i = min(cfg.window, i)
-            gamma = anderson_weights(g_hist[i - m_i :])
-            z = sum(gamma[j] * f_hist[i - m_i + j] for j in range(m_i + 1))
+            gamma = anderson_weights(g_win)
+            z = sum(w * fz for w, fz in zip(gamma, f_win))
         if not np.isfinite(z).all():
             raise DivergenceError(step_t=t, iteration=i + 1)
     return z, trace

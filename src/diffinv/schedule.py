@@ -64,10 +64,6 @@ class NoiseSchedule:
     def big_t(self) -> int:
         return int(self.alpha_bar.size - 1)
 
-    @property
-    def n_steps(self) -> int:
-        return int(self.timesteps.size)
-
     def subsample(self, n_steps: int) -> "NoiseSchedule":
         """Select a uniform-stride grid of `n_steps` timesteps ending at big_t.
 

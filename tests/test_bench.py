@@ -108,6 +108,15 @@ class TestRunGrid:
             ExperimentGrid(step_counts=())
         with pytest.raises(ValueError, match="unknown method 'warp'"):
             ExperimentGrid(methods=("euler", "warp"))
+        with pytest.raises(ValueError, match=r"dim must be an integer, got 2\.5"):
+            ExperimentGrid(dim=2.5)
+        with pytest.raises(ValueError, match=r"seed must be an integer, got 1\.5"):
+            ExperimentGrid(seed=1.5)
+        with pytest.raises(ValueError, match=r"iters must be an integer, got 2\.5"):
+            ExperimentGrid(iters=2.5)
+        with pytest.raises(ValueError, match=r"window must be an integer, got 1\.5"):
+            ExperimentGrid(methods=("euler",), window=1.5)
+        assert ExperimentGrid(dim=np.int64(8), seed=np.int64(1)).dim == 8
 
     @pytest.mark.parametrize(
         "fields,message",

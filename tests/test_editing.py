@@ -265,3 +265,9 @@ class TestEditConfigValidation:
             EditConfig(eta=float("inf"))
         with pytest.raises(ValueError, match="seed must be >= 0"):
             EditConfig(seed=-1)
+        with pytest.raises(ValueError, match=r"n_candidates must be an integer, got 2\.5"):
+            EditConfig(n_candidates=2.5)
+        with pytest.raises(ValueError, match=r"seed must be an integer, got 1\.5"):
+            EditConfig(seed=1.5)
+        cfg = EditConfig(n_candidates=np.int64(3), seed=np.int64(4))
+        assert (cfg.n_candidates, cfg.seed) == (3, 4)

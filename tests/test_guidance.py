@@ -199,6 +199,11 @@ class TestResampling:
         )
         np.testing.assert_array_equal(out, expected)
 
+    @pytest.mark.parametrize("out_shape", [(0, 4), (4, 0), (0, 0)])
+    def test_rejects_an_empty_output_grid(self, out_shape):
+        with pytest.raises(ValueError, match="output shape must be positive"):
+            nearest_resample(np.ones((2, 2)), out_shape)
+
     def test_identity_when_shapes_match(self):
         values = np.random.default_rng(0).uniform(size=(5, 7))
         np.testing.assert_array_equal(nearest_resample(values, (5, 7)), values)
@@ -243,6 +248,11 @@ class TestValidation:
     def test_soft_mask_range_check(self):
         with pytest.raises(ValueError, match="lie in"):
             SoftMask(np.array([[1.5]]))
+
+    @pytest.mark.parametrize("values", [np.full(4, 0.5), np.zeros((0, 3)), np.zeros((2, 0))])
+    def test_soft_mask_needs_a_nonempty_2d_grid(self, values):
+        with pytest.raises(ValueError, match="nonempty 2-D grid"):
+            SoftMask(values)
 
     @pytest.mark.parametrize("cls", [AttentionMap, SoftMask])
     def test_caller_array_stays_writable(self, cls):

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -174,6 +175,10 @@ class TestAndersonWeights:
         gamma = anderson_weights([np.array([3.0])])
         np.testing.assert_array_equal(gamma, [1.0])
 
+    def test_rejects_an_empty_history(self):
+        with pytest.raises(ValueError, match="residual history must be nonempty"):
+            anderson_weights([])
+
     def test_scalar_secant_solve(self):
         # oracle: minimizing |g0*w0 + g1*w1| with w0 + w1 = 1 for g = (2, 1)
         # gives w1 = g0 / (g0 - g1) = 2, w0 = -1; the combination is exactly 0
@@ -329,6 +334,14 @@ class TestIterativeInvertStep:
             FixedPointConfig(iters=0)
         with pytest.raises(ValueError):
             FixedPointConfig(residual_tol=-1.0)
+        with pytest.raises(ValueError, match=r"iters must be an integer, got 2\.5"):
+            FixedPointConfig(iters=2.5)
+        for variant in FixedPointVariant:  # checked before the window is coerced
+            with pytest.raises(ValueError, match=r"window must be an integer, got 1\.5"):
+                FixedPointConfig(variant=variant, window=1.5)
+        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=np.int64(3),
+                               window=np.int64(2))
+        assert (cfg.iters, cfg.window) == (3, 2)
 
 
 class TestInvertTrajectory:
@@ -603,6 +616,28 @@ class TestSolverOnPlainMaps:
         iters = 0 if cfg is None else cfg.iters
         assert len(trace) == iters
         assert len(calls) == iters + 1
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [*(FixedPointConfig(variant=v, iters=12)
+           for v in (FixedPointVariant.PLAIN, FixedPointVariant.AVERAGED)),
+         *(FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=12, window=m)
+           for m in (1, 2, 4))],
+    )
+    def test_holds_at_most_window_plus_one_map_values(self, cfg):
+        # Each map value is tracked by a weak reference, so one the solver
+        # has dropped no longer counts as alive.
+        outputs, alive = [], []
+
+        def tracked(z):
+            alive.append(sum(ref() is not None for ref in outputs))
+            fz = self.B + 0.5 * z
+            outputs.append(weakref.ref(fz))
+            return fz
+
+        iterative_invert_step(tracked, np.zeros(3), 5, cfg)
+        assert len(alive) == cfg.iters + 1
+        assert max(alive) <= cfg.window + 1
 
     @pytest.mark.parametrize(
         "cfg", [None, *(FixedPointConfig(variant=v, iters=3) for v in FixedPointVariant)]

@@ -67,6 +67,10 @@ class TestPsnr:
             value = psnr(np.array([1e200, -1e200]), ref)
         assert value == pytest.approx(-4000.0, rel=1e-12)
 
+    def test_constant_reference_uses_a_unit_peak(self):
+        ref = np.full(4, 3.0)
+        assert psnr(ref + 0.1, ref) == pytest.approx(20.0, rel=1e-12)
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             psnr(np.zeros(3), np.zeros(4))

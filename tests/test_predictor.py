@@ -26,6 +26,51 @@ def test_spectral_norm_zero_matrix():
     assert spectral_norm(np.zeros((4, 4))) == 0.0
 
 
+def test_spectral_norm_rejects_a_vector():
+    with pytest.raises(ValueError, match="expects a 2-D matrix"):
+        spectral_norm(np.ones(4))
+
+
+EYE_WEIGHTS = {p: 0.1 * np.eye(4) for p in PromptId}
+ZERO_BIASES = {p: np.zeros(4) for p in PromptId}
+
+
+class TestWeightSetValidation:
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({p: EYE_WEIGHTS[p] for p in (PromptId.NULL, PromptId.SOURCE)},
+             "missing weights for prompt target"),
+            ({**EYE_WEIGHTS, PromptId.SOURCE: np.zeros((4, 3))}, "weights must be square matrices"),
+            ({**EYE_WEIGHTS, PromptId.SOURCE: np.zeros(4)}, "weights must be square matrices"),
+            ({**EYE_WEIGHTS, PromptId.TARGET: 0.1 * np.eye(5)},
+             "all prompts must share one latent dimension"),
+        ],
+    )
+    @pytest.mark.parametrize("build", [
+        lambda w: ContractivePredictor(0.1, w),
+        lambda w: AffinePredictor(w, ZERO_BIASES),
+    ])
+    def test_rejects_malformed_weights(self, build, weights, message):
+        with pytest.raises(ValueError, match=message):
+            build(weights)
+
+    @pytest.mark.parametrize(
+        "biases, message",
+        [
+            ({PromptId.NULL: np.zeros(4), PromptId.TARGET: np.zeros(4)},
+             "missing bias for prompt source"),
+            ({**ZERO_BIASES, PromptId.NULL: np.zeros(3)},
+             "bias length must match the weight matrix size"),
+            ({**ZERO_BIASES, PromptId.TARGET: np.zeros((4, 1))},
+             "bias length must match the weight matrix size"),
+        ],
+    )
+    def test_affine_rejects_malformed_biases(self, biases, message):
+        with pytest.raises(ValueError, match=message):
+            AffinePredictor(EYE_WEIGHTS, biases)
+
+
 class TestToyPredictors:
     def test_zero(self):
         z = np.random.default_rng(1).standard_normal((3, 4))
@@ -102,6 +147,14 @@ class TestGuidedEpsilon:
     def test_rejects_null_conditioning(self):
         with pytest.raises(ValueError, match="null"):
             guided_epsilon(ConstantPredictor(0.0), np.zeros(2), PromptId.NULL, 1.0, 1)
+
+    def test_rejects_predictions_of_different_shapes(self):
+        class Ragged(predictor.NoisePredictor):
+            def predict(self, z, prompt, t):
+                return np.zeros(3 if prompt is PromptId.NULL else 2)
+
+        with pytest.raises(ValueError, match=r"shape mismatch: \(2,\) vs \(3,\)"):
+            guided_epsilon(Ragged(), np.zeros(2), PromptId.SOURCE, 1.0, 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_affine_in_omega_collinearity(self, seed):
@@ -317,6 +370,20 @@ class TestLoadPredictor:
         with pytest.raises(ValueError) as info:
             load_predictor(spec)
         assert str(info.value).startswith(f"{spec}: {key}: ")
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["dim = 8"], "missing 'kind'"),
+            (["kind = constant"], "constant predictor needs 'value'"),
+        ],
+    )
+    def test_incomplete_spec_names_the_file(self, tmp_path, lines, message):
+        spec = tmp_path / "p.cfg"
+        spec.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message) as info:
+            load_predictor(spec)
+        assert str(info.value).startswith(f"{spec}: ")
 
     def test_random_rejects_negative_norm(self):
         norms = {PromptId.NULL: 0.02, PromptId.SOURCE: -50.0, PromptId.TARGET: 0.05}

@@ -12,6 +12,7 @@ from diffinv import (
     ddim_sigma,
     ddim_step,
     sample_trajectory,
+    schedule_from_alpha_bar,
 )
 from diffinv import sampler
 from diffinv.errors import NumericsError
@@ -162,6 +163,12 @@ class TestSigma:
         assert ddim_sigma(toy_schedule, 2, 1) == pytest.approx(
             ddim_sigma_oracle(0.25, 0.64), rel=1e-14
         )
+
+    def test_zero_at_a_noiseless_level(self):
+        # ab_t = 1 would divide by 1 - ab_t = 0 in the formula
+        s = schedule_from_alpha_bar([1.0, 0.5])
+        assert ddim_sigma(s, 1, 0) == 0.0
+        assert ddim_sigma(s, 0, 0) == 0.0
 
 
 class TestSampleTrajectory:

@@ -107,6 +107,20 @@ class TestInvariants:
         with pytest.raises(ValueError):
             NoiseSchedule(np.array([1.0, 0.5, 0.0]), np.array([1, 2]))
 
+    @pytest.mark.parametrize(
+        "ab, message",
+        [
+            (np.array([[1.0, 0.5]]), "1-D with at least one step entry"),
+            (np.array([1.0]), "1-D with at least one step entry"),
+            (np.array([0.9, 0.5]), r"alpha_bar\[0\] must be exactly 1"),
+            (np.array([1.0, np.nan]), "non-finite entries"),
+            (np.array([1.0, 0.5, np.inf]), "non-finite entries"),
+        ],
+    )
+    def test_rejects_malformed_alpha_bar(self, ab, message):
+        with pytest.raises(ValueError, match=message):
+            NoiseSchedule(ab, np.array([1]))
+
     def test_rejects_bad_timesteps(self):
         ab = np.array([1.0, 0.8, 0.5])
         with pytest.raises(ValueError):
@@ -167,6 +181,10 @@ class TestAlphaBarFile:
         assert s.big_t == 3
         assert s.alpha_bar[0] == 1.0
         assert s.timesteps.tolist() == [1, 2, 3]
+
+    def test_rejects_a_2d_array(self):
+        with pytest.raises(ValueError, match="flat list of alpha_bar values"):
+            schedule_from_alpha_bar([[0.9, 0.5], [0.4, 0.1]])
 
 
 class TestInversionCoeff:
