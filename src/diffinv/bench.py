@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_integer
+from .errors import check_count
 from .inversion import FixedPointConfig, FixedPointVariant, round_trip
 from .metrics import psnr
 from .predictor import ContractivePredictor, NoisePredictor, PromptId
@@ -64,12 +64,8 @@ class ExperimentGrid:
                            ("method", self.methods)):
             if len(set(axis)) != len(axis):
                 raise ValueError(f"grid {name} values must be distinct, got {list(axis)}")
-        check_integer("dim", self.dim)
-        check_integer("seed", self.seed)
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_count("dim", self.dim, 1)
+        check_count("seed", self.seed, 0)
         # Every cell's solver config and schedule, built here so that a bad
         # method, budget or step count is rejected before any cell runs.
         base = build_schedule()

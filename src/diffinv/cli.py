@@ -18,7 +18,7 @@ import numpy as np
 
 from .bench import METHODS, ExperimentGrid, method_config, run_grid, write_grid_csv
 from .editing import EditConfig, edit, write_scores_csv
-from .errors import NumericsError
+from .errors import NumericsError, check_finite
 from .fileio import load_tensor, parse_kv_file, save_tensor
 from .guidance import AttentionMap, MaskNormConfig, Polarity
 from .inversion import round_trip
@@ -153,10 +153,9 @@ def _read(load, path, what: str):
 def _load_input(opts) -> np.ndarray:
     if not opts["in"]:
         raise UsageError("--in <tensor file> is required")
-    z_0 = _read(load_tensor, opts["in"], "input tensor")
-    if not np.all(np.isfinite(z_0)):
-        raise UsageError(f"{opts['in']}: input tensor contains non-finite entries")
-    return z_0
+    return _read(
+        lambda p: check_finite(load_tensor(p), f"{p}: input tensor"), opts["in"], "input tensor"
+    )
 
 
 def _predictor(opts, size: int):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_integer
+from .errors import check_count, check_real
 from .guidance import (
     AttentionMap,
     MaskNormConfig,
@@ -54,19 +54,14 @@ class EditConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer("n_candidates", self.n_candidates)
-        check_integer("seed", self.seed)
+        check_count("n_candidates", self.n_candidates, 1)
+        check_count("seed", self.seed, 0)
         if not 0.0 <= self.omega <= self.omega_e < math.inf:
             raise ValueError(
                 f"need 0 <= omega <= omega_e < inf, got omega={self.omega}, "
                 f"omega_e={self.omega_e}"
             )
-        if self.n_candidates < 1:
-            raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
-        if not 0.0 <= self.eta < math.inf:
-            raise ValueError(f"need 0 <= eta < inf, got {self.eta}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_real("eta", self.eta, 0.0)
 
 
 @dataclass

@@ -1,6 +1,13 @@
-"""Exception types and the integer-setting check shared across the package."""
+"""Exception types, and the one check per kind of input: count, real, finite array, broadcast.
 
+Each rejection is a ValueError (or the given error type) whose message
+starts with the name of the setting.
+"""
+
+import math
 import operator
+
+import numpy as np
 
 
 class NumericsError(RuntimeError):
@@ -23,13 +30,51 @@ class DivergenceError(NumericsError):
         )
 
 
-def check_integer(name: str, value) -> None:
-    """ValueError naming `name` unless `value` is an integer (numpy integers included).
+def check_count(name: str, value, low: int, high: int | None = None) -> int:
+    """`value` as an int, or ValueError naming `name` unless it is an integer in [low, high].
 
-    Settings objects call it when they are built, so a count such as 2.5
-    fails there instead of deep inside a run.
+    numpy integers count and bool does not; `high` None leaves the range
+    open above.  Settings objects call it when they are built, so a count
+    such as 2.5 or True fails there instead of deep inside a run.
     """
     try:
-        operator.index(value)
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if high is None and count < low:
+        raise ValueError(f"{name} must be >= {low}, got {count}")
+    if high is not None and not low <= count <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {count}")
+    return count
+
+
+def check_real(name: str, value, low: float | None = None, strict: bool = False) -> float:
+    """`value` as a float, or ValueError naming `name` unless it is finite and >= low.
+
+    `strict` asks for > low instead; `low` None asks only for finiteness.
+    """
+    bound = "" if low is None else f" and {'>' if strict else '>='} {low:g}"
+    ok = math.isfinite(value) and (low is None or (value > low if strict else value >= low))
+    if not ok:
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+    return float(value)
+
+
+def check_finite(x, name: str, error=ValueError) -> np.ndarray:
+    """x as a float64 array, or `error` naming `name` when an entry is not finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise error(f"{name} contains non-finite entries")
+    return x
+
+
+def check_broadcast(shape, latent_shape, what: str) -> None:
+    """ValueError naming `what` unless an array of `shape` broadcasts to the latent shape."""
+    try:
+        if np.broadcast_shapes(shape, latent_shape) == latent_shape:
+            return
+    except ValueError:
+        pass
+    raise ValueError(f"{what} of shape {shape} does not broadcast to latent shape {latent_shape}")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count, check_finite, check_real
+
 
 class Polarity(enum.Enum):
     """Whether high attention marks pixels to edit (positive) or keep (negative)."""
@@ -32,8 +34,7 @@ class AttentionMap:
         values = np.array(self.values, dtype=np.float64)  # copy: caller's array stays writable
         if values.ndim != 2 or values.size == 0:
             raise ValueError("attention map must be a nonempty 2-D grid")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("attention map contains non-finite entries")
+        check_finite(values, "attention map")
         if np.any(values < 0.0):
             raise ValueError("attention map entries must be nonnegative")
         values.setflags(write=False)
@@ -54,10 +55,9 @@ class MaskNormConfig:
     polarity: Polarity = Polarity.POSITIVE
 
     def __post_init__(self):
-        if not (np.isfinite(self.big_m) and self.big_m > 0.0):
-            raise ValueError(f"big_m must be positive and finite, got {self.big_m}")
-        if self.delta is not None and not np.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta}")
+        check_real("big_m", self.big_m, 0.0, strict=True)
+        if self.delta is not None:
+            check_real("delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -157,10 +157,7 @@ def soft_mask(norm: np.ndarray, polarity: Polarity) -> SoftMask:
     The negative mask is computed as 1 - sigmoid(norm), identical to
     sigmoid(-norm) and bit-exactly complementary to the positive mask.
     """
-    norm = np.asarray(norm, dtype=np.float64)
-    if not np.all(np.isfinite(norm)):
-        raise ValueError("normalized map contains non-finite entries")
-    s = sigmoid(norm)
+    s = sigmoid(check_finite(norm, "normalized map"))
     if polarity is Polarity.NEGATIVE:
         return SoftMask(1.0 - s)
     return SoftMask(s)
@@ -179,13 +176,12 @@ def synthetic_attention(shape, blob_sigma: float) -> AttentionMap:
     """Isotropic Gaussian bump, value 1 at the grid's center, as a stand-in map.
 
     v(k) = exp(-||k - center||^2 / (2 sigma^2)) on an h x w pixel grid whose
-    center is ((h - 1) / 2, (w - 1) / 2).
+    center is ((h - 1) / 2, (w - 1) / 2).  h and w must be integers >= 1
+    and sigma finite and > 0.
     """
-    h, w = (int(shape[0]), int(shape[1]))
-    if h < 1 or w < 1:
-        raise ValueError("attention grid shape must be positive")
-    if blob_sigma <= 0.0:
-        raise ValueError(f"blob_sigma must be positive, got {blob_sigma}")
+    h = check_count("attention grid height", shape[0], 1)
+    w = check_count("attention grid width", shape[1], 1)
+    check_real("blob_sigma", blob_sigma, 0.0, strict=True)
     yy = np.arange(h, dtype=np.float64)[:, None]
     xx = np.arange(w, dtype=np.float64)[None, :]
     dist2 = (yy - (h - 1) / 2.0) ** 2 + (xx - (w - 1) / 2.0) ** 2

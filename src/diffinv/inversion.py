@@ -25,10 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, check_integer
+from .errors import DivergenceError, check_count, check_finite, check_real
 from .metrics import l2, relative_l2
 from .predictor import CallCounter, NoisePredictor, PromptId, guided_epsilon
-from .sampler import _as_state, sample_trajectory
+from .sampler import sample_trajectory
 from .schedule import NoiseSchedule, inversion_eps_coeff
 
 
@@ -45,7 +45,7 @@ class FixedPointConfig:
     `iters` fixes the number of iterations unless `residual_tol` > 0 stops
     earlier.  `window` is the Anderson history length m; the other variants
     coerce it to 1, the averaged variant's pair of map values.  Both counts
-    must be integers.
+    must be integers >= 1, and `residual_tol` finite and >= 0.
     """
 
     variant: FixedPointVariant = FixedPointVariant.AVERAGED
@@ -54,14 +54,9 @@ class FixedPointConfig:
     residual_tol: float = 0.0
 
     def __post_init__(self):
-        check_integer("iters", self.iters)
-        check_integer("window", self.window)
-        if self.iters < 1:
-            raise ValueError(f"iters must be >= 1, got {self.iters}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.residual_tol < 0.0:
-            raise ValueError(f"residual_tol must be >= 0, got {self.residual_tol}")
+        check_count("iters", self.iters, 1)
+        check_count("window", self.window, 1)
+        check_real("residual_tol", self.residual_tol, 0.0)
         if self.variant is not FixedPointVariant.ANDERSON and self.window != 1:
             object.__setattr__(self, "window", 1)
 
@@ -204,7 +199,7 @@ def invert_trajectory(
     ValueError.
     """
     counter = CallCounter(pred)
-    z = _as_state(z_0, "z_0")
+    z = check_finite(z_0, "z_0")
     traces: list[tuple[int, list[float]]] = []
     for t_prev, t in schedule.inversion_pairs():
         f = fixed_point_map(schedule, counter, z, t, t_prev, cond, omega)

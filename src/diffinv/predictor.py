@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .errors import check_broadcast, check_count, check_finite, check_real
 from .schedule import NoiseSchedule, build_schedule, inversion_eps_coeff
 
 
@@ -82,8 +83,8 @@ class _Weights(dict):
             w = (np.array if copy else np.asarray)(weights[prompt], dtype=np.float64)
             if w.ndim != 2 or w.shape[0] != w.shape[1]:
                 raise ValueError("weights must be square matrices")
-            if norms is None and not np.all(np.isfinite(w)):
-                raise ValueError(f"weights for prompt {prompt.value} contain non-finite entries")
+            if norms is None:
+                check_finite(w, f"weights for prompt {prompt.value}")
             w.setflags(write=False)
             self[prompt] = w
         self.dim = self[PromptId.NULL].shape[0]
@@ -109,12 +110,10 @@ def _random_weights(rng: np.random.Generator, dim: int, norms: dict[PromptId, fl
     matrix exceeds its requested 0.05 by 8e-5 relative.  The weights carry
     the requested norms.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    check_count("dim", dim, 1)
     weights = {}
     for p in PromptId:
-        if not (math.isfinite(norms[p]) and norms[p] >= 0.0):
-            raise ValueError(f"norm for prompt {p.value} must be finite and >= 0, got {norms[p]}")
+        check_real(f"norm_{p.value}", norms[p], 0.0)
         raw = rng.standard_normal((dim, dim))
         weights[p] = raw * (norms[p] / _power_norm(raw))
     return _Weights(weights, norms, copy=False)
@@ -129,9 +128,7 @@ class ConstantPredictor(NoisePredictor):
     """Predicts one finite constant for every pixel, prompt and timestep; 0.0 is zero noise."""
 
     def __init__(self, value: float):
-        self.value = float(value)
-        if not math.isfinite(self.value):
-            raise ValueError(f"value must be finite, got {self.value}")
+        self.value = check_real("value", value)
 
     def predict(self, z, prompt, t):
         return np.full_like(np.asarray(z, dtype=np.float64), self.value)
@@ -150,8 +147,7 @@ class AffinePredictor(NoisePredictor):
             b = np.array(biases[prompt], dtype=np.float64)
             if b.shape != (self.dim,):
                 raise ValueError("bias length must match the weight matrix size")
-            if not np.all(np.isfinite(b)):
-                raise ValueError(f"bias for prompt {prompt.value} contains non-finite entries")
+            check_finite(b, f"bias for prompt {prompt.value}")
             b.setflags(write=False)
             self.biases[prompt] = b
 
@@ -163,8 +159,7 @@ class AffinePredictor(NoisePredictor):
         norms: dict[PromptId, float] | None = None,
         bias_scale: float = 0.1,
     ) -> "AffinePredictor":
-        if not math.isfinite(bias_scale):
-            raise ValueError(f"bias_scale must be finite, got {bias_scale}")
+        check_real("bias_scale", bias_scale)
         rng = np.random.default_rng(seed)
         weights = _random_weights(rng, dim, _AFFINE_NORMS if norms is None else norms)
         biases = {p: bias_scale * rng.standard_normal(dim) for p in PromptId}
@@ -188,9 +183,7 @@ class ContractivePredictor(NoisePredictor):
     CONTRACTION_LIMIT = 0.9
 
     def __init__(self, scale: float, weights: dict[PromptId, np.ndarray]):
-        self.scale = float(scale)
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
+        self.scale = check_real("scale", scale, 0.0, strict=True)
         self.weights = weights if isinstance(weights, _Weights) else _Weights(weights)
         self.dim = self.weights.dim
         coeff = max_inversion_coeff(build_schedule().subsample(20))
@@ -237,16 +230,6 @@ class CallCounter(NoisePredictor):
         return self.inner.predict(z, prompt, t)
 
 
-def _check_broadcast(shape, latent_shape, what: str) -> None:
-    """ValueError naming `what` unless an array of `shape` broadcasts to the latent shape."""
-    try:
-        if np.broadcast_shapes(shape, latent_shape) == latent_shape:
-            return
-    except ValueError:
-        pass
-    raise ValueError(f"{what} of shape {shape} does not broadcast to latent shape {latent_shape}")
-
-
 def guided_epsilon(
     pred: NoisePredictor, z: np.ndarray, cond: PromptId, scale, t: int
 ) -> np.ndarray:
@@ -261,7 +244,7 @@ def guided_epsilon(
         raise ValueError("conditioning prompt must not be the null prompt")
     if isinstance(scale, np.ndarray) and scale.ndim > 0:
         scale = scale.astype(np.float64, copy=False)
-        _check_broadcast(scale.shape, np.shape(z), "scale field")
+        check_broadcast(scale.shape, np.shape(z), "scale field")
     else:
         scale = float(scale)
     eps_cond = pred.predict(z, cond, t)
@@ -286,13 +269,6 @@ _SPEC_KEYS = {
     ("affine", False): ("bias_scale", *_GENERATED_KEYS),
     ("affine", True): (*_prompt_keys("a"), *_prompt_keys("b")),
 }
-
-
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(f"expected an integer >= 0, got {seed}")
-    return seed
 
 
 def load_predictor(path) -> NoisePredictor:
@@ -352,7 +328,7 @@ def load_predictor(path) -> NoisePredictor:
                 raise ValueError(f"give all of {'/'.join(_prompt_keys(prefix))} or none")
             weights = _Weights({p: tensor(f"{prefix}_{p.value}") for p in PromptId}, copy=False)
         else:
-            dim, seed = number("dim", 64, int), number("seed", 0, _seed)
+            dim, seed = number("dim", 64, int), check_count("seed", number("seed", 0, int), 0)
             if kind == "affine":
                 bias_scale = number("bias_scale", 0.1)
                 return AffinePredictor.random(dim, seed, norms(_AFFINE_NORMS), bias_scale)

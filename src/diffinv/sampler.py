@@ -6,17 +6,9 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError
-from .predictor import NoisePredictor, PromptId, _check_broadcast, guided_epsilon
+from .errors import NumericsError, check_broadcast, check_finite
+from .predictor import NoisePredictor, PromptId, guided_epsilon
 from .schedule import NoiseSchedule
-
-
-def _as_state(x, name: str, error=ValueError) -> np.ndarray:
-    """x as a float64 array, or `error` naming `name` when an entry is not finite."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise error(f"{name} contains non-finite entries")
-    return x
 
 
 def ddim_sigma(schedule: NoiseSchedule, t: int, t_prev: int) -> float:
@@ -63,8 +55,8 @@ def ddim_step(
         raise ValueError("eta > 0 needs a random generator: pass rng")
     if t_prev > t:
         raise ValueError(f"t_prev={t_prev} must not exceed t={t}")
-    z_t = _as_state(z_t, "z_t")
-    eps = _as_state(pred_eps, "pred_eps")
+    z_t = check_finite(z_t, "z_t")
+    eps = check_finite(pred_eps, "pred_eps")
     if eps.shape != z_t.shape:
         raise ValueError(f"eps shape {eps.shape} does not match latent shape {z_t.shape}")
     ab_t = float(schedule.alpha_bar[t])
@@ -73,7 +65,7 @@ def ddim_step(
         c = math.sqrt(1.0 - ab_p)
     else:
         mask_arr = np.asarray(1.0 if mask is None else mask, dtype=np.float64)
-        _check_broadcast(mask_arr.shape, z_t.shape, "mask")
+        check_broadcast(mask_arr.shape, z_t.shape, "mask")
         var = eta * ddim_sigma(schedule, t, t_prev) ** 2 * mask_arr
         sqrt_arg = 1.0 - ab_p - var
         if np.any(sqrt_arg < 0.0):
@@ -110,7 +102,7 @@ def sample_trajectory(
     latent.  A non-finite noise prediction or state raises NumericsError
     naming the step.
     """
-    z = _as_state(z_start, "z_start")
+    z = check_finite(z_start, "z_start")
     states = [z]
     for t, t_prev in schedule.sampling_pairs():
         eps = guided_epsilon(pred, z, cond, omega, t)
@@ -119,9 +111,9 @@ def sample_trajectory(
         except ValueError:
             # The step rejects non-finite input; here it came from the predictor
             # or an earlier step, which is a numeric failure.
-            _as_state(eps, f"noise prediction at sampling step t={t}", NumericsError)
-            _as_state(z, f"state entering sampling step t={t}", NumericsError)
+            check_finite(eps, f"noise prediction at sampling step t={t}", NumericsError)
+            check_finite(z, f"state entering sampling step t={t}", NumericsError)
             raise
         states.append(z)
-    _as_state(z, "state after the last sampling step", NumericsError)
+    check_finite(z, "state after the last sampling step", NumericsError)
     return states

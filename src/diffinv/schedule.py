@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count, check_finite
+
 DEFAULT_BIG_T = 1000
 DEFAULT_BETA_START = 0.00085
 DEFAULT_BETA_END = 0.012
@@ -39,9 +41,7 @@ class NoiseSchedule:
             raise ValueError("alpha_bar must be 1-D with at least one step entry")
         if alpha_bar[0] != 1.0:
             raise ValueError("alpha_bar[0] must be exactly 1")
-        core = alpha_bar[1:]
-        if not np.all(np.isfinite(core)):
-            raise ValueError("alpha_bar contains non-finite entries")
+        core = check_finite(alpha_bar[1:], "alpha_bar")
         if np.any(core <= 0.0) or np.any(core > 1.0):
             raise ValueError("alpha_bar entries for t >= 1 must lie in (0, 1]")
         if core.size > 1 and np.any(np.diff(core) >= 0.0):
@@ -71,8 +71,7 @@ class NoiseSchedule:
         horizon so the last entry always equals big_t.  Idempotent for a
         fixed `n_steps`.
         """
-        if not 1 <= n_steps <= self.big_t:
-            raise ValueError(f"n_steps must be in [1, {self.big_t}], got {n_steps}")
+        check_count("n_steps", n_steps, 1, self.big_t)
         stride = self.big_t // n_steps
         ts = self.big_t - stride * np.arange(n_steps - 1, -1, -1, dtype=np.int64)
         return NoiseSchedule(self.alpha_bar, ts)

@@ -110,6 +110,8 @@ class TestRunGrid:
             ExperimentGrid(methods=("euler", "warp"))
         with pytest.raises(ValueError, match=r"dim must be an integer, got 2\.5"):
             ExperimentGrid(dim=2.5)
+        with pytest.raises(ValueError, match="dim must be an integer, got True"):
+            ExperimentGrid(dim=True)
         with pytest.raises(ValueError, match=r"seed must be an integer, got 1\.5"):
             ExperimentGrid(seed=1.5)
         with pytest.raises(ValueError, match=r"iters must be an integer, got 2\.5"):
@@ -126,6 +128,7 @@ class TestRunGrid:
             ({"iters": 0}, "iters must be >= 1"),
             ({"window": 0}, "window must be >= 1"),
             ({"step_counts": (10, 0)}, "n_steps must be in"),
+            ({"step_counts": (10, 2.5)}, "n_steps must be an integer"),
             ({"seed": -1}, "seed must be >= 0"),
             ({"step_counts": (10, 20, 10)}, "grid steps values must be distinct"),
             ({"omegas": (1.0, 1.0)}, "grid omega values must be distinct"),

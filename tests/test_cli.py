@@ -255,6 +255,7 @@ class TestPredictorSpecValues:
             (["kind = constant", "value = nan"], "value"),
             (["kind = constant", "value = inf"], "value"),
             (["kind = affine", "dim = 32", "bias_scale = nan"], "bias_scale"),
+            (["kind = contractive", "dim = 32", "seed = -1"], "seed"),
         ],
     )
     def test_bad_spec_value_is_usage_error(self, tmp_path, latent_file, lines, key, capsys):
@@ -266,7 +267,7 @@ class TestPredictorSpecValues:
 
     def test_malformed_spec_number_names_file_and_key(self, tmp_path, latent_file, capsys):
         spec = tmp_path / "pred.cfg"
-        spec.write_text("kind = contractive\ndim = 32\nseed = -1\n")
+        spec.write_text("kind = contractive\ndim = 32\nseed = 1.5\n")
         assert run_cli("invert", "--in", latent_file, "--predictor", spec, "--steps", "10") == 1
         assert f"usage error: {spec}: seed: " in capsys.readouterr().err
 

@@ -267,6 +267,8 @@ class TestEditConfigValidation:
             EditConfig(seed=-1)
         with pytest.raises(ValueError, match=r"n_candidates must be an integer, got 2\.5"):
             EditConfig(n_candidates=2.5)
+        with pytest.raises(ValueError, match="n_candidates must be an integer, got True"):
+            EditConfig(n_candidates=True)
         with pytest.raises(ValueError, match=r"seed must be an integer, got 1\.5"):
             EditConfig(seed=1.5)
         cfg = EditConfig(n_candidates=np.int64(3), seed=np.int64(4))

@@ -181,8 +181,12 @@ class TestSyntheticAttention:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="sigma"):
             synthetic_attention((4, 4), 0.0)
+        with pytest.raises(ValueError, match="blob_sigma must be finite and > 0"):
+            synthetic_attention((4, 4), math.inf)
         with pytest.raises(ValueError):
             synthetic_attention((0, 4), 1.0)
+        with pytest.raises(ValueError, match=r"height must be an integer, got 2\.5"):
+            synthetic_attention((2.5, 4), 1.0)
 
 
 class TestResampling:

@@ -334,8 +334,13 @@ class TestIterativeInvertStep:
             FixedPointConfig(iters=0)
         with pytest.raises(ValueError):
             FixedPointConfig(residual_tol=-1.0)
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="residual_tol must be finite and >= 0"):
+                FixedPointConfig(residual_tol=tol)
         with pytest.raises(ValueError, match=r"iters must be an integer, got 2\.5"):
             FixedPointConfig(iters=2.5)
+        with pytest.raises(ValueError, match="iters must be an integer, got True"):
+            FixedPointConfig(iters=True)
         for variant in FixedPointVariant:  # checked before the window is coerced
             with pytest.raises(ValueError, match=r"window must be an integer, got 1\.5"):
                 FixedPointConfig(variant=variant, window=1.5)

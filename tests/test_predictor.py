@@ -91,6 +91,12 @@ class TestToyPredictors:
         assert a.shape == z.shape
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("dim", [2.5, True])
+    @pytest.mark.parametrize("factory", [ContractivePredictor.default, AffinePredictor.random])
+    def test_generators_reject_a_non_integer_dim(self, factory, dim):
+        with pytest.raises(ValueError, match=f"dim must be an integer, got {dim}"):
+            factory(dim)
+
     def test_contractive_margin_enforced(self):
         rng = np.random.default_rng(5)
         big = rng.standard_normal((8, 8))
@@ -314,7 +320,7 @@ class TestLoadPredictor:
             save_tensor(tmp_path / f"{prefix}_{p.value}.txt", w)
         spec = tmp_path / "p.cfg"
         spec.write_text("\n".join([f"kind = {kind}", *WEIGHT_LINES[prefix]]) + "\n")
-        with pytest.raises(ValueError, match="prompt source contain non-finite"):
+        with pytest.raises(ValueError, match="prompt source contains non-finite"):
             load_predictor(spec)
 
     def test_non_finite_bias_names_the_prompt(self, tmp_path):
@@ -342,6 +348,9 @@ class TestLoadPredictor:
             (["kind = constant", "value = -inf"], "value must be finite"),
             (["kind = affine", "dim = 8", "bias_scale = nan"], "bias_scale must be finite"),
             (["kind = affine", "dim = 8", "bias_scale = -inf"], "bias_scale must be finite"),
+            (["kind = affine", "dim = 8", "seed = -1"], "seed must be >= 0, got -1"),
+            (["kind = contractive", "dim = 8", "norm_source = -1"],
+             "norm_source must be finite and >= 0"),
         ],
     )
     def test_out_of_range_scalar_names_its_key(self, tmp_path, lines, message):
@@ -357,7 +366,6 @@ class TestLoadPredictor:
         "lines, key",
         [
             (["kind = contractive", "dim = 8.5"], "dim"),
-            (["kind = affine", "dim = 8", "seed = -1"], "seed"),
             (["kind = contractive", "dim = 8", "norm_source = abc"], "norm_source"),
             (["kind = constant", "value = abc"], "value"),
             (["kind = contractive", "dim = 8", "scale = x"], "scale"),

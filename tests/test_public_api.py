@@ -133,3 +133,27 @@ def test_calls_count_positions_keywords_and_not_the_init_module(tmp_path):
     calls = call_arguments(tmp_path)
     assert calls["f"] == [(1, {"b"}), (math.inf, set())]
     assert calls["g"] == [(0, {None})]
+
+
+def private_imports(package: Path = PACKAGE) -> list[str]:
+    """`module: from .x import _name` for each private name a module imports from a sibling."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [
+                    f"{path.stem}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    return found
+
+
+def test_no_module_imports_a_private_helper_of_another():
+    assert private_imports() == []
+
+
+def test_private_imports_are_found(tmp_path):
+    (tmp_path / "a.py").write_text("from .b import _hidden, shown\nfrom . import _c\n")
+    (tmp_path / "b.py").write_text("from os import _exit\n\n\ndef _hidden():\n    pass\n")
+    assert private_imports(tmp_path) == ["a: from .b import _hidden", "a: from . import _c"]

@@ -69,6 +69,8 @@ class TestSubsample:
             s.subsample(0)
         with pytest.raises(ValueError):
             s.subsample(101)
+        with pytest.raises(ValueError, match=r"n_steps must be an integer, got 2\.5"):
+            build_schedule().subsample(2.5)
 
 
 class TestInvariants:
