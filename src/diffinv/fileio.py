@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"TENSRAW1"
+# Characters per text read: a one-line file is parsed in pieces no longer than this.
+_PIECE = 1 << 15
 
 
 def _check_shape(path, shape) -> None:
@@ -35,30 +38,39 @@ def save_tensor(path, array) -> None:
     _check_shape(path, np.shape(array))
     if path.suffix == ".bin":
         with np.errstate(over="ignore"):  # reported below, by name
-            arr = np.asarray(array, dtype=np.float32)
-        overflowed = np.count_nonzero(np.isinf(arr) & np.isfinite(array))
-        if overflowed:
-            raise ValueError(
-                f"{path}: finite entries overflow float32 in the .bin layout: "
-                f"{overflowed} of {arr.size}"
-            )
+            arr = np.asarray(array, dtype="<f4", order="C")
+        inf = np.isinf(arr)
+        if inf.any():
+            overflowed = np.count_nonzero(inf & np.isfinite(array))
+            if overflowed:
+                raise ValueError(
+                    f"{path}: finite entries overflow float32 in the .bin layout: "
+                    f"{overflowed} of {arr.size}"
+                )
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4").tobytes(order="C"))
+            fh.write(arr.data)
         return
     arr = np.asarray(array, dtype=np.float64)
     flat = arr.reshape(-1)
     row = arr.shape[-1] if arr.ndim > 0 else 1
+    row_format = " ".join(["%.17g"] * row) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("shape: " + " ".join(str(d) for d in arr.shape) + "\n")
         for start in range(0, flat.size, row):
-            chunk = flat[start : start + row]
-            fh.write(" ".join(f"{x:.17g}" for x in chunk) + "\n")
+            fh.write(row_format % tuple(flat[start : start + row].tolist()))
 
 
 def load_tensor(path) -> np.ndarray:
+    """The tensor stored at `path`, in whichever layout its first bytes name.
+
+    A text body is parsed while it is read, a bounded piece at a time,
+    straight into the result, so a load needs the result plus one piece.
+    Errors come in this order: header, shape, value count, then a value
+    that is not a number.
+    """
     path = Path(path)
     # Unbuffered: the text decoder then reads the same chunks a text-mode
     # open would, so a decoding error names the same byte position.
@@ -75,17 +87,39 @@ def load_tensor(path) -> np.ndarray:
         except ValueError as exc:
             raise ValueError(f"{path}: malformed shape header: {header.strip()!r}") from exc
         _check_shape(path, shape)
-        tokens = text.read().split()
-    expected = math.prod(shape)
-    if len(tokens) != expected:
-        raise ValueError(
-            f"{path}: expected {expected} values for shape {shape}, found {len(tokens)}"
-        )
-    try:
-        data = np.array(tokens, dtype=np.float64)
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric tensor data") from exc
-    return data.reshape(shape)
+        expected = math.prod(shape)
+        # n values take at least 2n - 1 bytes; a shorter file can only fail the
+        # count, so it is counted without allocating what its header claims.
+        out = np.empty(expected) if 2 * expected - 1 <= os.fstat(fh.fileno()).st_size else None
+        found, bad = 0, None
+        for tokens in _text_pieces(text):
+            end = found + len(tokens)
+            if out is not None and bad is None:  # too many tokens also fail, on the count
+                try:
+                    out[found:end] = tokens
+                except ValueError as exc:
+                    bad = exc
+            found = end
+    if found != expected:
+        raise ValueError(f"{path}: expected {expected} values for shape {shape}, found {found}")
+    if bad is not None:
+        raise ValueError(f"{path}: non-numeric tensor data") from bad
+    return out.reshape(shape)
+
+
+def _text_pieces(text):
+    """The whitespace-separated tokens of `text`, one list per line.
+
+    A line longer than `_PIECE` characters comes in several lists; a token
+    the cap cuts is carried over whole into the next one.
+    """
+    carry = ""
+    while piece := text.readline(_PIECE):
+        tokens = (carry + piece).split()
+        carry = tokens.pop() if tokens and not piece[-1].isspace() else ""
+        yield tokens
+    if carry:
+        yield [carry]
 
 
 def _binary_body(path: Path, body: bytes) -> np.ndarray:

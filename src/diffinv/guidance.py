@@ -106,6 +106,8 @@ def nearest_resample(values: np.ndarray, out_shape: tuple[int, int]) -> np.ndarr
     out_h, out_w = out_shape
     if out_h < 1 or out_w < 1:
         raise ValueError("output shape must be positive")
+    out_h = check_count("output grid height", out_h, 1)
+    out_w = check_count("output grid width", out_w, 1)
     rows = np.minimum((np.floor((np.arange(out_h) + 0.5) * h / out_h)).astype(int), h - 1)
     cols = np.minimum((np.floor((np.arange(out_w) + 0.5) * w / out_w)).astype(int), w - 1)
     return values[np.ix_(rows, cols)]

@@ -115,8 +115,14 @@ def _random_weights(rng: np.random.Generator, dim: int, norms: dict[PromptId, fl
     for p in PromptId:
         check_real(f"norm_{p.value}", norms[p], 0.0)
         raw = rng.standard_normal((dim, dim))
-        weights[p] = raw * (norms[p] / _power_norm(raw))
+        raw *= norms[p] / _power_norm(raw)  # in place: no second dim x dim matrix
+        weights[p] = raw
     return _Weights(weights, norms, copy=False)
+
+
+def _generator(seed) -> np.random.Generator:
+    """The generator that generated weights and biases draw from; `seed` is an integer >= 0."""
+    return np.random.default_rng(check_count("seed", seed, 0))
 
 
 # Spectral norms of generated weights, by prompt, unless a caller or spec gives others.
@@ -159,8 +165,8 @@ class AffinePredictor(NoisePredictor):
         norms: dict[PromptId, float] | None = None,
         bias_scale: float = 0.1,
     ) -> "AffinePredictor":
+        rng = _generator(seed)
         check_real("bias_scale", bias_scale)
-        rng = np.random.default_rng(seed)
         weights = _random_weights(rng, dim, _AFFINE_NORMS if norms is None else norms)
         biases = {p: bias_scale * rng.standard_normal(dim) for p in PromptId}
         return cls(weights, biases)
@@ -202,7 +208,7 @@ class ContractivePredictor(NoisePredictor):
         ones, mirroring how unconditioned predictions are tamer than
         prompted ones.
         """
-        weights = _random_weights(np.random.default_rng(seed), dim, _CONTRACTIVE_NORMS)
+        weights = _random_weights(_generator(seed), dim, _CONTRACTIVE_NORMS)
         return cls(scale=0.1, weights=weights)
 
     def predict(self, z, prompt, t):
@@ -328,11 +334,11 @@ def load_predictor(path) -> NoisePredictor:
                 raise ValueError(f"give all of {'/'.join(_prompt_keys(prefix))} or none")
             weights = _Weights({p: tensor(f"{prefix}_{p.value}") for p in PromptId}, copy=False)
         else:
-            dim, seed = number("dim", 64, int), check_count("seed", number("seed", 0, int), 0)
+            dim, seed = number("dim", 64, int), number("seed", 0, int)
             if kind == "affine":
                 bias_scale = number("bias_scale", 0.1)
                 return AffinePredictor.random(dim, seed, norms(_AFFINE_NORMS), bias_scale)
-            weights = _random_weights(np.random.default_rng(seed), dim, norms(_CONTRACTIVE_NORMS))
+            weights = _random_weights(_generator(seed), dim, norms(_CONTRACTIVE_NORMS))
         if kind == "contractive":
             return ContractivePredictor(number("scale", 0.1), weights)
         biases = {p: tensor(f"b_{p.value}", np.zeros(weights.dim)) for p in PromptId}

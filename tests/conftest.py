@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,3 +60,20 @@ def toy_schedule():
 def scalar_affine_half():
     """1-D predictor eps(z) = 0.5 * z for every prompt."""
     return AffinePredictor({p: [[0.5]] for p in PromptId}, {p: [0.0] for p in PromptId})
+
+
+@pytest.fixture
+def traced_peak():
+    """Call `fn()` under tracemalloc: its result and the most bytes it held at once."""
+
+    def run(fn):
+        tracemalloc.start()
+        try:
+            held_before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - held_before
+        finally:
+            tracemalloc.stop()
+
+    return run

@@ -8,6 +8,7 @@ from diffinv import fileio
 from diffinv.fileio import MAGIC, load_tensor, parse_kv_file, save_tensor
 
 EDGES = [0.0, -0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
+ORDINARY = [0.1, -1.5, 1e-300, 2.2250738585072014e-308, 1e16, 123456789.125, -7.0]
 
 
 class TestTextTensors:
@@ -51,6 +52,27 @@ class TestTextTensors:
             load_tensor(path)
 
 
+class TestTextWriter:
+    @pytest.mark.parametrize(
+        "arr, written",
+        [
+            (
+                np.array([EDGES, ORDINARY]),
+                b"shape: 2 7\n"
+                b"0 -0 4.9406564584124654e-324 1.7976931348623157e+308 nan inf -inf\n"
+                b"0.10000000000000001 -1.5 1e-300 2.2250738585072014e-308 10000000000000000"
+                b" 123456789.125 -7\n",
+            ),
+            (np.array(-2.5), b"shape: \n-2.5\n"),
+        ],
+        ids=["edges", "0d"],
+    )
+    def test_golden_bytes(self, tmp_path, arr, written):
+        path = tmp_path / "t.txt"
+        save_tensor(path, arr)
+        assert path.read_bytes() == written
+
+
 class TestBinaryTensors:
     def test_round_trip_float32(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -67,6 +89,13 @@ class TestBinaryTensors:
         (tmp_path / "t.bin").rename(path)
         assert path.read_bytes()[:8] == MAGIC
         np.testing.assert_array_equal(load_tensor(path), np.ones(3))
+
+    def test_bytes_are_row_major_float32(self, tmp_path):
+        arr = np.arange(24.0).reshape(2, 3, 4)[:, ::2, 1:].transpose(2, 0, 1)  # not contiguous
+        path = tmp_path / "t.bin"
+        save_tensor(path, arr)
+        header = MAGIC + struct.pack("<4I", 3, 3, 2, 2)
+        assert path.read_bytes() == header + arr.astype("<f4").tobytes(order="C")
 
     def test_rejects_truncated(self, tmp_path):
         path = tmp_path / "t.bin"
@@ -186,3 +215,47 @@ class TestKvFiles:
         with pytest.raises(ValueError) as info:
             parse_kv_file(path)
         assert str(info.value) == message
+
+
+class TestTextLoadMemory:
+    """A text load holds its result plus one bounded piece of the file."""
+
+    @pytest.fixture
+    def arr(self):
+        return np.random.default_rng(0).standard_normal((256, 256))
+
+    @pytest.mark.parametrize("one_line", [False, True])
+    def test_peaks_below_twice_its_result(self, tmp_path, arr, traced_peak, one_line):
+        path = tmp_path / "t.txt"
+        save_tensor(path, arr)
+        if one_line:
+            header, body = path.read_text().split("\n", 1)
+            path.write_text(header + "\n" + " ".join(body.split()) + "\n")
+        loaded, peak = traced_peak(lambda: load_tensor(path))
+        assert loaded.tobytes() == arr.tobytes()
+        assert peak < 2 * arr.nbytes
+
+    def test_an_impossible_header_allocates_nothing(self, tmp_path, traced_peak):
+        path = tmp_path / "t.txt"
+        path.write_text("shape: 4294967296 4294967296\n1 2 3\n")
+
+        def load():
+            with pytest.raises(ValueError, match="expected 18446744073709551616 values .* found 3"):
+                load_tensor(path)
+
+        assert traced_peak(load)[1] < 64 * 1024
+
+    @pytest.mark.parametrize("text", ["shape: 3\n1 x\n", "shape: 2\n1 x 3\n", "shape: 9\n1 x\n"])
+    def test_a_wrong_count_is_reported_before_a_bad_token(self, tmp_path, text):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected .* values for shape"):
+            load_tensor(path)
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
+    def test_tokens_cut_by_the_piece_cap_parse_whole(self, tmp_path, monkeypatch, piece):
+        arr = np.array(EDGES * 3).reshape(3, 7)
+        path = tmp_path / "t.txt"
+        save_tensor(path, arr)
+        monkeypatch.setattr(fileio, "_PIECE", piece)
+        assert load_tensor(path).tobytes() == arr.tobytes()

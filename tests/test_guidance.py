@@ -208,6 +208,11 @@ class TestResampling:
         with pytest.raises(ValueError, match="output shape must be positive"):
             nearest_resample(np.ones((2, 2)), out_shape)
 
+    @pytest.mark.parametrize("out_shape, name", [((2.5, 4), "height"), ((4, 3.0), "width")])
+    def test_rejects_a_non_integer_output_grid(self, out_shape, name):
+        with pytest.raises(ValueError, match=f"output grid {name} must be an integer"):
+            nearest_resample(np.ones((2, 2)), out_shape)
+
     def test_identity_when_shapes_match(self):
         values = np.random.default_rng(0).uniform(size=(5, 7))
         np.testing.assert_array_equal(nearest_resample(values, (5, 7)), values)

@@ -97,6 +97,16 @@ class TestToyPredictors:
         with pytest.raises(ValueError, match=f"dim must be an integer, got {dim}"):
             factory(dim)
 
+    @pytest.mark.parametrize("seed, message", [(2.5, "must be an integer"), (-1, "must be >= 0")])
+    @pytest.mark.parametrize("factory", [ContractivePredictor.default, AffinePredictor.random])
+    def test_generators_reject_a_bad_seed(self, factory, seed, message):
+        with pytest.raises(ValueError, match=f"^seed {message}, got {seed}$"):
+            factory(8, seed=seed)
+
+    def test_generating_holds_only_the_weights(self, traced_peak):
+        pred, peak = traced_peak(lambda: ContractivePredictor.default(256))
+        assert peak <= 1.1 * sum(w.nbytes for w in pred.weights.values())
+
     def test_contractive_margin_enforced(self):
         rng = np.random.default_rng(5)
         big = rng.standard_normal((8, 8))
