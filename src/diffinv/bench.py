@@ -15,22 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count
+from .errors import check_count, check_real
 from .inversion import FixedPointConfig, FixedPointVariant, round_trip
 from .metrics import psnr
-from .predictor import ContractivePredictor, NoisePredictor, PromptId
+from .predictor import NoisePredictor, PromptId
 from .schedule import build_schedule
 
 METHODS = ("anderson", "averaged", "euler", "plain")
 
-# Iteration budgets per step count; unlisted counts fall back to 6.
+# Iteration budgets per step count; unlisted counts fall back to FixedPointConfig's.
 DEFAULT_ITERS = {10: 11, 20: 6, 50: 5}
-FALLBACK_ITERS = 6
 
 CSV_HEADER = "method,steps,omega,round_trip_relative_l2,psnr,nfe,wall_ms,seed"
 
 
-def method_config(method: str, steps: int, iters: int | None = None, window: int = 2):
+def method_config(
+    method: str, steps: int, iters: int | None = None, window: int = FixedPointConfig.window
+):
     """FixedPointConfig for a named method, or None for Euler, the zero-iteration solve.
 
     The budget is checked for every method, Euler included.
@@ -38,7 +39,7 @@ def method_config(method: str, steps: int, iters: int | None = None, window: int
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if iters is None:
-        iters = DEFAULT_ITERS.get(steps, FALLBACK_ITERS)
+        iters = DEFAULT_ITERS.get(steps, FixedPointConfig.iters)
     variant = FixedPointVariant.PLAIN if method == "euler" else FixedPointVariant(method)
     cfg = FixedPointConfig(variant=variant, iters=iters, window=window)
     return None if method == "euler" else cfg
@@ -46,20 +47,21 @@ def method_config(method: str, steps: int, iters: int | None = None, window: int
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Axes and fixed inputs of one benchmark run; each axis is nonempty and duplicate-free."""
+    """Axes and inputs of one run; each axis nonempty and duplicate-free, each omega finite."""
 
     step_counts: tuple[int, ...] = (10, 20, 50)
     omegas: tuple[float, ...] = (0.0, 1.0, 3.0, 5.0, 7.0)
     methods: tuple[str, ...] = METHODS
     dim: int = 64
     seed: int = 0
-    predictor: NoisePredictor | None = None
     iters: int | None = None
-    window: int = 2
+    window: int = FixedPointConfig.window
 
     def __post_init__(self):
         if not self.step_counts or not self.omegas or not self.methods:
             raise ValueError("grid axes must be nonempty")
+        for omega in self.omegas:
+            check_real("omega", omega)
         for name, axis in (("steps", self.step_counts), ("omega", self.omegas),
                            ("method", self.methods)):
             if len(set(axis)) != len(axis):
@@ -89,16 +91,14 @@ class GridRow:
     seed: int
 
 
-def run_grid(grid: ExperimentGrid) -> list[GridRow]:
-    """Evaluate every cell; deterministic under a fixed seed.
+def run_grid(grid: ExperimentGrid, pred: NoisePredictor) -> list[GridRow]:
+    """Evaluate every cell with `pred`; deterministic under a fixed seed.
 
-    The same reference latent (standard normal, drawn from the grid seed)
-    is inverted in every cell so errors are comparable across methods.
-    Rows come back in canonical (method, steps, omega) order.
+    The same reference latent (standard normal, drawn from the grid seed,
+    of `grid.dim` elements) is inverted in every cell so errors are
+    comparable across methods.  Rows come back in canonical (method, steps,
+    omega) order.
     """
-    pred = grid.predictor
-    if pred is None:
-        pred = ContractivePredictor.default(grid.dim, seed=0)
     z_0 = np.random.default_rng(grid.seed).standard_normal(grid.dim)
     rows: list[GridRow] = []
     for method in sorted(grid.methods):

@@ -10,18 +10,17 @@ the subcommand's flag names without `--`; flags override it.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 
 import numpy as np
 
-from .bench import METHODS, ExperimentGrid, method_config, run_grid, write_grid_csv
+from .bench import ExperimentGrid, method_config, run_grid, write_grid_csv
 from .editing import EditConfig, edit, write_scores_csv
 from .errors import NumericsError, check_finite
 from .fileio import load_tensor, parse_kv_file, save_tensor
 from .guidance import AttentionMap, MaskNormConfig, Polarity
-from .inversion import round_trip
+from .inversion import FixedPointConfig, round_trip
 from .predictor import ContractivePredictor, PromptId, load_predictor
 from .schedule import build_schedule
 
@@ -53,17 +52,6 @@ def _boolean(text: str) -> bool:
         raise argparse.ArgumentTypeError(f"expects a boolean, got {text!r}") from None
 
 
-def _finite(text: str) -> float:
-    """An argparse type: a finite real number."""
-    try:
-        value = float(text)
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expects a finite number, got {text!r}")
-
-
 def _comma_list(parse):
     """An argparse type: a comma-separated list of `parse` values, as a tuple."""
 
@@ -77,7 +65,8 @@ def _comma_list(parse):
 def build_parser() -> _Parser:
     """The `diffinv` parser; each subcommand declares exactly the options it reads.
 
-    `subcommands` maps each command name to its parser.
+    `subcommands` maps each command name to its parser.  An option's default
+    is the default of the settings field it feeds; only `--steps 20` has none.
     """
     parser = _Parser(prog="diffinv", description=__doc__)
     parser.subcommands = {}
@@ -93,32 +82,38 @@ def build_parser() -> _Parser:
         option("--config", help="key = value file of option values; flags override it")
         option("--out", help="output CSV file (required)" if name == "grid" else "output file")
         if name == "grid":
-            option("--steps", type=_comma_list(int), default=(10, 20, 50),
+            option("--steps", type=_comma_list(int), default=ExperimentGrid.step_counts,
                    help="comma list of step counts")
-            option("--omega", type=_comma_list(_finite), default=(0.0, 1.0, 3.0, 5.0, 7.0),
+            option("--omega", type=_comma_list(float), default=ExperimentGrid.omegas,
                    help="comma list of guidance scales")
-            option("--method", type=_comma_list(str), default=METHODS,
+            option("--method", type=_comma_list(str), default=ExperimentGrid.methods,
                    help="comma list of euler, plain, averaged, anderson")
-            option("--dim", type=int, default=64, help="latent dimension")
-            option("--timing", type=_boolean, nargs="?", const=True, default=False,
+            option("--dim", type=int, default=ExperimentGrid.dim, help="latent dimension")
+            option("--timing", type=_boolean, nargs="?", const=True,
                    help="record measured wall_ms in the CSV (breaks byte determinism)")
         else:
             option("--in", help="input tensor file (required)")
             option("--steps", type=int, default=20, help="scheduled step count")
-            option("--omega", type=_finite, default=1.0, help="guidance scale")
-            option("--method", default="averaged", help="euler | plain | averaged | anderson")
+            option("--omega", type=float, default=EditConfig.omega, help="guidance scale")
+            option("--method", default=FixedPointConfig.variant.value,
+                   help="euler | plain | averaged | anderson")
         if name in ("edit", "grid"):
-            option("--seed", type=int, default=0, help="random seed")
+            settings = ExperimentGrid if name == "grid" else EditConfig
+            option("--seed", type=int, default=settings.seed, help="random seed")
         option("--iters", type=int, help="fixed-point iterations per step (default: by steps)")
-        option("--window", type=int, default=2, help="Anderson history window")
+        option("--window", type=int, default=FixedPointConfig.window,
+               help="Anderson history window")
         option("--predictor", help="predictor spec file (default: generated contractive)")
         if name == "edit":
-            option("--omega-e", type=_finite, default=7.0, help="editing guidance scale")
-            option("--eta", type=float, default=0.0, help="stochastic noise scale")
-            option("--candidates", type=int, default=1, help="number of stochastic candidates")
-            option("--polarity", type=Polarity, default="positive",
+            option("--omega-e", type=float, default=EditConfig.omega_e,
+                   help="editing guidance scale")
+            option("--eta", type=float, default=EditConfig.eta, help="stochastic noise scale")
+            option("--candidates", type=int, default=EditConfig.n_candidates,
+                   help="number of stochastic candidates")
+            option("--polarity", type=Polarity, default=MaskNormConfig.polarity,
                    help="positive | negative anchor")
-            option("--mask-m", type=float, default=10.0, help="mask normalization amplitude")
+            option("--mask-m", type=float, default=MaskNormConfig.big_m,
+                   help="mask normalization amplitude")
             option("--delta", type=float, help="mask threshold (default: map mean)")
             option("--attention", help="attention map tensor file (default: centered blob)")
     return parser
@@ -184,9 +179,9 @@ def cmd_invert(opts: dict, reconstruct_out: bool = False) -> int:
     try:
         schedule = build_schedule().subsample(steps)
         cfg = method_config(opts["method"], steps, opts["iters"], opts["window"])
-    except ValueError as exc:
+        z_t, z_rec, report = round_trip(schedule, pred, z_0, PromptId.SOURCE, omega, cfg)
+    except ValueError as exc:  # a bad setting; numeric failures are not ValueErrors
         raise UsageError(str(exc)) from exc
-    z_t, z_rec, report = round_trip(schedule, pred, z_0, PromptId.SOURCE, omega, cfg)
     if opts["out"]:
         _write("output", save_tensor, opts["out"], z_rec if reconstruct_out else z_t)
     name = "reconstruct" if reconstruct_out else "invert"
@@ -240,8 +235,6 @@ def cmd_edit(opts: dict) -> int:
 def cmd_grid(opts: dict) -> int:
     if not opts["out"]:
         raise UsageError("--out <csv file> is required for grid")
-    # Without a spec, run_grid builds the default predictor once the grid is valid.
-    predictor = _predictor(opts, opts["dim"]) if opts["predictor"] else None
     try:
         grid = ExperimentGrid(
             step_counts=opts["steps"],
@@ -249,14 +242,13 @@ def cmd_grid(opts: dict) -> int:
             methods=opts["method"],
             dim=opts["dim"],
             seed=opts["seed"],
-            predictor=predictor,
             iters=opts["iters"],
             window=opts["window"],
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rows = run_grid(grid)
-    _write("CSV", write_grid_csv, rows, opts["out"], timing=opts["timing"])
+    rows = run_grid(grid, _predictor(opts, grid.dim))
+    _write("CSV", write_grid_csv, rows, opts["out"], timing=bool(opts["timing"]))
     print(f"grid: {len(rows)} rows -> {opts['out']}")
     return 0
 

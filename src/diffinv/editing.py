@@ -11,7 +11,6 @@ to the input in relative L2 ranks first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +38,9 @@ class EditConfig:
     """Settings for the full pipeline.
 
     omega is used for inversion and reconstruction, omega_e only inside the
-    masked editing region.  attention is the map the edit's one soft mask
-    is built from; None builds a centered synthetic blob on the latent's
-    spatial grid.
+    masked editing region; both are finite, with 0 <= omega <= omega_e.
+    attention is the map the edit's one soft mask is built from; None
+    builds a centered synthetic blob on the latent's spatial grid.
     """
 
     omega: float = 1.0
@@ -56,11 +55,8 @@ class EditConfig:
     def __post_init__(self):
         check_count("n_candidates", self.n_candidates, 1)
         check_count("seed", self.seed, 0)
-        if not 0.0 <= self.omega <= self.omega_e < math.inf:
-            raise ValueError(
-                f"need 0 <= omega <= omega_e < inf, got omega={self.omega}, "
-                f"omega_e={self.omega_e}"
-            )
+        check_real("omega", self.omega, 0.0)
+        check_real("omega_e", self.omega_e, self.omega)
         check_real("eta", self.eta, 0.0)
 
 

@@ -5,6 +5,7 @@ starts with the name of the setting.
 """
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -51,10 +52,13 @@ def check_count(name: str, value, low: int, high: int | None = None) -> int:
 
 
 def check_real(name: str, value, low: float | None = None, strict: bool = False) -> float:
-    """`value` as a float, or ValueError naming `name` unless it is finite and >= low.
+    """`value` as a float, or ValueError naming `name` unless it is a finite real >= low.
 
-    `strict` asks for > low instead; `low` None asks only for finiteness.
+    numpy reals count and bool and strings do not; `strict` asks for > low
+    instead, and `low` None asks only for finiteness.
     """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     bound = "" if low is None else f" and {'>' if strict else '>='} {low:g}"
     ok = math.isfinite(value) and (low is None or (value > low if strict else value >= low))
     if not ok:

@@ -195,11 +195,12 @@ def invert_trajectory(
     Each step solves its `fixed_point_map` with `iterative_invert_step`
     under `cfg`; cfg=None is the zero-iteration (forward-Euler) baseline.
     Returns the final noise vector and a report with per-step residual
-    traces and the noise-predictor call count.  A non-finite z_0 raises
-    ValueError.
+    traces and the noise-predictor call count.  A non-finite z_0 or omega
+    raises ValueError.
     """
     counter = CallCounter(pred)
     z = check_finite(z_0, "z_0")
+    check_finite(omega, "omega")
     traces: list[tuple[int, list[float]]] = []
     for t_prev, t in schedule.inversion_pairs():
         f = fixed_point_map(schedule, counter, z, t, t_prev, cond, omega)

@@ -128,6 +128,9 @@ def _generator(seed) -> np.random.Generator:
 # Spectral norms of generated weights, by prompt, unless a caller or spec gives others.
 _AFFINE_NORMS = {PromptId.NULL: 0.02, PromptId.SOURCE: 0.05, PromptId.TARGET: 0.05}
 _CONTRACTIVE_NORMS = {PromptId.NULL: 0.1, PromptId.SOURCE: 0.4, PromptId.TARGET: 0.4}
+# The generated predictors' contractive amplitude and affine bias spread, unless given.
+_CONTRACTIVE_SCALE = 0.1
+_BIAS_SCALE = 0.1
 
 
 class ConstantPredictor(NoisePredictor):
@@ -163,7 +166,7 @@ class AffinePredictor(NoisePredictor):
         dim: int,
         seed: int = 0,
         norms: dict[PromptId, float] | None = None,
-        bias_scale: float = 0.1,
+        bias_scale: float = _BIAS_SCALE,
     ) -> "AffinePredictor":
         rng = _generator(seed)
         check_real("bias_scale", bias_scale)
@@ -209,7 +212,7 @@ class ContractivePredictor(NoisePredictor):
         prompted ones.
         """
         weights = _random_weights(_generator(seed), dim, _CONTRACTIVE_NORMS)
-        return cls(scale=0.1, weights=weights)
+        return cls(scale=_CONTRACTIVE_SCALE, weights=weights)
 
     def predict(self, z, prompt, t):
         z = np.asarray(z, dtype=np.float64)
@@ -336,11 +339,11 @@ def load_predictor(path) -> NoisePredictor:
         else:
             dim, seed = number("dim", 64, int), number("seed", 0, int)
             if kind == "affine":
-                bias_scale = number("bias_scale", 0.1)
+                bias_scale = number("bias_scale", _BIAS_SCALE)
                 return AffinePredictor.random(dim, seed, norms(_AFFINE_NORMS), bias_scale)
             weights = _random_weights(_generator(seed), dim, norms(_CONTRACTIVE_NORMS))
         if kind == "contractive":
-            return ContractivePredictor(number("scale", 0.1), weights)
+            return ContractivePredictor(number("scale", _CONTRACTIVE_SCALE), weights)
         biases = {p: tensor(f"b_{p.value}", np.zeros(weights.dim)) for p in PromptId}
         return AffinePredictor(weights, biases)
     except ValueError as exc:

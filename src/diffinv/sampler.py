@@ -99,10 +99,11 @@ def sample_trajectory(
     `eta`, the mask `mask` (ones when None) and the generator `rng`, which
     eta > 0 requires; eta = 0 is deterministic DDIM sampling.  Returns
     every state visited, starting with `z_start` and ending with the clean
-    latent.  A non-finite noise prediction or state raises NumericsError
-    naming the step.
+    latent.  A non-finite `z_start` or `omega` entry raises ValueError; a
+    non-finite noise prediction or state raises NumericsError naming the step.
     """
     z = check_finite(z_start, "z_start")
+    check_finite(omega, "omega")
     states = [z]
     for t, t_prev in schedule.sampling_pairs():
         eps = guided_epsilon(pred, z, cond, omega, t)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffinv import ConstantPredictor, FixedPointVariant
+from diffinv import ConstantPredictor, ContractivePredictor, FixedPointVariant
 from diffinv.bench import (
     CSV_HEADER,
     DEFAULT_ITERS,
@@ -53,10 +53,9 @@ class TestMethodConfig:
 class TestRunGrid:
     def test_single_cell_zero_predictor(self):
         grid = ExperimentGrid(
-            step_counts=(10,), omegas=(1.0,), methods=("averaged",),
-            dim=8, seed=5, predictor=ConstantPredictor(0.0),
+            step_counts=(10,), omegas=(1.0,), methods=("averaged",), dim=8, seed=5
         )
-        rows = run_grid(grid)
+        rows = run_grid(grid, ConstantPredictor(0.0))
         assert len(rows) == 1
         row = rows[0]
         assert row.method == "averaged"
@@ -70,7 +69,7 @@ class TestRunGrid:
             step_counts=(20, 10), omegas=(1.0, 0.0), methods=("euler", "averaged"),
             dim=8, seed=0,
         )
-        rows = run_grid(grid)
+        rows = run_grid(grid, ContractivePredictor.default(grid.dim))
         assert len(rows) == 8
         keys = [(r.method, r.steps, r.omega) for r in rows]
         assert keys == sorted(keys)
@@ -80,7 +79,7 @@ class TestRunGrid:
             step_counts=(10, 20), omegas=(0.0,), methods=("euler", "averaged"),
             dim=16, seed=3,
         )
-        rows = run_grid(grid)
+        rows = run_grid(grid, ContractivePredictor.default(grid.dim))
         by_key = {(r.method, r.steps): r.round_trip_relative_l2 for r in rows}
         for steps in (10, 20):
             assert by_key[("averaged", steps)] < by_key[("euler", steps)]
@@ -88,7 +87,7 @@ class TestRunGrid:
     def test_default_grid_averaged_beats_euler_in_every_steps_row(self):
         # paired-run property on the default axes with the default predictor
         grid = ExperimentGrid(methods=("euler", "averaged"))
-        rows = run_grid(grid)
+        rows = run_grid(grid, ContractivePredictor.default(grid.dim))
         by_key = {(r.method, r.steps, r.omega): r.round_trip_relative_l2 for r in rows}
         default = ExperimentGrid()
         for steps in default.step_counts:
@@ -98,7 +97,7 @@ class TestRunGrid:
         grid = ExperimentGrid(
             step_counts=(10,), omegas=(1.0,), methods=("euler", "plain"), dim=8, seed=1
         )
-        rows = run_grid(grid)
+        rows = run_grid(grid, ContractivePredictor.default(grid.dim))
         by_method = {r.method: r for r in rows}
         assert by_method["euler"].nfe == 2 * 10
         assert by_method["plain"].nfe == 2 * 10 * (DEFAULT_ITERS[10] + 1)
@@ -132,6 +131,9 @@ class TestRunGrid:
             ({"seed": -1}, "seed must be >= 0"),
             ({"step_counts": (10, 20, 10)}, "grid steps values must be distinct"),
             ({"omegas": (1.0, 1.0)}, "grid omega values must be distinct"),
+            ({"omegas": (1.0, np.nan)}, "omega must be finite, got nan"),
+            ({"omegas": (np.inf,)}, "omega must be finite, got inf"),
+            ({"omegas": ("1",)}, "omega must be a real number, got '1'"),
             ({"methods": ("plain", "euler", "plain")}, "grid method values must be distinct"),
         ],
     )
@@ -162,9 +164,10 @@ class TestCsv:
             step_counts=(10,), omegas=(0.0, 1.0), methods=("euler", "averaged"),
             dim=8, seed=9,
         )
+        pred = ContractivePredictor.default(grid.dim)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_grid_csv(run_grid(grid), p1)
-        write_grid_csv(run_grid(grid), p2)
+        write_grid_csv(run_grid(grid, pred), p1)
+        write_grid_csv(run_grid(grid, pred), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_newline_discipline(self, tmp_path):

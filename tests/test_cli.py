@@ -1,11 +1,15 @@
 from pathlib import Path
 
+import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from diffinv import EditConfig, FixedPointConfig, MaskNormConfig
+from diffinv.bench import ExperimentGrid
 from diffinv.cli import build_parser, main
 from diffinv.fileio import MAGIC, load_tensor, save_tensor
 
@@ -104,15 +108,16 @@ COMMAND_OPTIONS["reconstruct"] = COMMAND_OPTIONS["invert"]
 
 class TestGuidanceScales:
     @pytest.mark.parametrize(
-        "argv",
-        [("invert", "--omega", "nan"), ("invert", "--omega", "inf"),
-         ("reconstruct", "--omega", "nan"), ("edit", "--omega-e", "inf"),
-         ("grid", "--omega", "1,nan")],
+        "argv, scale",
+        [(("invert", "--omega", "nan"), "omega"), (("invert", "--omega", "inf"), "omega"),
+         (("reconstruct", "--omega", "nan"), "omega"), (("edit", "--omega-e", "inf"), "omega_e"),
+         (("grid", "--omega", "1,nan"), "omega")],
     )
-    def test_non_finite_scale_is_usage_error(self, tmp_path, latent_file, argv, capsys):
+    def test_non_finite_scale_is_usage_error(self, tmp_path, latent_file, argv, scale, capsys):
         where = ("--out", tmp_path / "g.csv") if argv[0] == "grid" else ("--in", latent_file)
         assert run_cli(*argv, *where, "--steps", "10", "--method", "euler") == 1
-        assert "expects a finite number, got" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(rf"usage error: {scale} (must be finite|contains non-finite)", err), err
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -135,11 +140,40 @@ class TestGuidanceScales:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["invert", "edit", "grid"])
-    def test_non_finite_scale_in_config_is_usage_error(self, tmp_path, latent_file, command):
+    def test_non_finite_scale_in_config_is_usage_error(
+        self, tmp_path, latent_file, command, capsys
+    ):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("omega = -inf\n")
         where = ("--out", tmp_path / "g.csv") if command == "grid" else ("--in", latent_file)
         assert run_cli(command, "--config", cfg, *where, "--steps", "10") == 1
+        assert "usage error: omega " in capsys.readouterr().err
+
+
+def field_defaults(settings) -> dict:
+    """A settings class's declared field defaults, by field name."""
+    return {f.name: f.default for f in dataclasses.fields(settings)}
+
+
+class TestDefaultParity:
+    """Each option default is read from the settings field it feeds, so the two cannot drift."""
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_option_defaults_equal_their_settings_defaults(self, command):
+        grid, edit = field_defaults(ExperimentGrid), field_defaults(EditConfig)
+        fixed_point, mask = field_defaults(FixedPointConfig), field_defaults(MaskNormConfig)
+        owners = {"window": fixed_point["window"]}
+        if command == "grid":
+            owners.update(steps=grid["step_counts"], omega=grid["omegas"],
+                          method=grid["methods"], dim=grid["dim"], seed=grid["seed"])
+        else:
+            owners.update(omega=edit["omega"], method=fixed_point["variant"].value)
+        if command == "edit":
+            owners.update(seed=edit["seed"], omega_e=edit["omega_e"], eta=edit["eta"],
+                          candidates=edit["n_candidates"], polarity=mask["polarity"],
+                          mask_m=mask["big_m"])
+        parser = build_parser().subcommands[command]
+        assert {option: parser.get_default(option) for option in owners} == owners
 
 
 class TestNegativeNumbers:

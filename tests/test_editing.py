@@ -255,6 +255,9 @@ class TestEditConfigValidation:
             EditConfig(omega=3.0, omega_e=1.0)
         with pytest.raises(ValueError, match="omega"):
             EditConfig(omega=-1.0)
+        for name, value in (("omega", math.nan), ("omega_e", math.inf), ("omega_e", math.nan)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                EditConfig(**{name: value})
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="n_candidates"):
@@ -263,6 +266,8 @@ class TestEditConfigValidation:
             EditConfig(eta=-0.1)
         with pytest.raises(ValueError, match="eta"):
             EditConfig(eta=float("inf"))
+        with pytest.raises(ValueError, match="^eta must be a real number, got '0.3'$"):
+            EditConfig(eta="0.3")
         with pytest.raises(ValueError, match="seed must be >= 0"):
             EditConfig(seed=-1)
         with pytest.raises(ValueError, match=r"n_candidates must be an integer, got 2\.5"):

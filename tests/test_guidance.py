@@ -187,6 +187,8 @@ class TestSyntheticAttention:
             synthetic_attention((0, 4), 1.0)
         with pytest.raises(ValueError, match=r"height must be an integer, got 2\.5"):
             synthetic_attention((2.5, 4), 1.0)
+        with pytest.raises(ValueError, match="blob_sigma must be a real number, got True"):
+            synthetic_attention((4, 4), blob_sigma=True)
 
 
 class TestResampling:
@@ -253,6 +255,9 @@ class TestValidation:
     def test_mask_norm_config_checks(self):
         with pytest.raises(ValueError, match="big_m"):
             MaskNormConfig(big_m=0.0)
+        for big_m in (None, "10", True):
+            with pytest.raises(ValueError, match=f"^big_m must be a real number, got {big_m!r}$"):
+                MaskNormConfig(big_m=big_m)
 
     def test_soft_mask_range_check(self):
         with pytest.raises(ValueError, match="lie in"):

@@ -337,6 +337,8 @@ class TestIterativeInvertStep:
         for tol in (math.inf, math.nan):
             with pytest.raises(ValueError, match="residual_tol must be finite and >= 0"):
                 FixedPointConfig(residual_tol=tol)
+        with pytest.raises(ValueError, match="residual_tol must be a real number, got True"):
+            FixedPointConfig(residual_tol=True)
         with pytest.raises(ValueError, match=r"iters must be an integer, got 2\.5"):
             FixedPointConfig(iters=2.5)
         with pytest.raises(ValueError, match="iters must be an integer, got True"):
@@ -355,6 +357,13 @@ class TestInvertTrajectory:
         z_0 = np.array([1.0, bad, 0.5])
         with pytest.raises(ValueError, match="z_0 contains non-finite entries"):
             invert_trajectory(schedule10, ConstantPredictor(0.0), z_0, PromptId.SOURCE, 1.0)
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_scale_before_any_call(self, schedule10, omega):
+        counter = CallCounter(ContractivePredictor.default(8))
+        with pytest.raises(ValueError, match="^omega contains non-finite entries$"):
+            invert_trajectory(schedule10, counter, np.ones(8), PromptId.SOURCE, omega)
+        assert counter.calls == 0
 
     def test_zero_predictor_telescopes(self, schedule20):
         z_0 = np.random.default_rng(0).standard_normal(8)

@@ -103,6 +103,11 @@ class TestToyPredictors:
         with pytest.raises(ValueError, match=f"^seed {message}, got {seed}$"):
             factory(8, seed=seed)
 
+    @pytest.mark.parametrize("value", [True, "0.3", None])
+    def test_constant_rejects_a_non_number(self, value):
+        with pytest.raises(ValueError, match=f"^value must be a real number, got {value!r}$"):
+            ConstantPredictor(value)
+
     def test_generating_holds_only_the_weights(self, traced_peak):
         pred, peak = traced_peak(lambda: ContractivePredictor.default(256))
         assert peak <= 1.1 * sum(w.nbytes for w in pred.weights.values())

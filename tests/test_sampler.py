@@ -5,6 +5,7 @@ import pytest
 
 from diffinv import (
     AffinePredictor,
+    CallCounter,
     ConstantPredictor,
     ContractivePredictor,
     PromptId,
@@ -260,6 +261,13 @@ class TestSampleTrajectory:
         pred = AffinePredictor.random(8, 0, {p: 1e200 for p in PromptId})
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="sampling step t="):
             sample_trajectory(schedule, pred, np.ones(8), PromptId.SOURCE, 1.0)
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, np.array([1.0, 2.0, np.nan, 1.0])])
+    def test_rejects_a_non_finite_scale_before_any_call(self, schedule10, omega):
+        counter = CallCounter(ContractivePredictor.default(4))
+        with pytest.raises(ValueError, match="^omega contains non-finite entries$"):
+            sample_trajectory(schedule10, counter, np.ones(4), PromptId.SOURCE, omega)
+        assert counter.calls == 0
 
     def test_scale_field_shape_checked(self, schedule10):
         with pytest.raises(ValueError, match="scale field"):
