@@ -2,9 +2,10 @@
 
 Each subcommand accepts only the options it reads.  `--config` names a
 `key = value` file (one pair per line, `#` starts a comment) whose keys are
-the subcommand's flag names without `--`; flags override it.  Exit codes:
-0 success, 1 usage error (bad flags or config keys, unreadable files),
-2 numeric failure (divergence, negative variance, non-finite states).
+the subcommand's flag names without `--`; flags override it.  Exit codes,
+decided in `main` alone: 0 success, 1 usage error (any ValueError: bad
+flags, settings or config keys, unreadable files), 2 numeric failure (any
+NumericsError: divergence, negative variance, non-finite states).
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .predictor import ContractivePredictor, PromptId, load_predictor
 from .schedule import build_schedule
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -36,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):  # argparse default exits with code 2
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 _BOOLEANS = {
@@ -124,30 +121,28 @@ def _parse(argv) -> dict:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
-        raise UsageError("a command is required (invert, reconstruct, edit, grid)")
+        raise ValueError("a command is required (invert, reconstruct, edit, grid)")
     if args.config:
         config = _read(parse_kv_file, args.config, "config file")
         unread = sorted(set(config) - (set(vars(args)) - {"command", "config"}))
         if unread:
-            raise UsageError(f"unknown config key for {args.command}: {', '.join(unread)}")
+            raise ValueError(f"unknown config key for {args.command}: {', '.join(unread)}")
         parser.subcommands[args.command].set_defaults(**config)
         args = parser.parse_args(argv)  # argparse converts the string defaults via type=
     return vars(args)
 
 
 def _read(load, path, what: str):
-    """load(path), with unreadable or malformed files reported as usage errors."""
+    """load(path), with an unreadable file reported as a ValueError naming `what`."""
     try:
         return load(path)
     except OSError as exc:
-        raise UsageError(f"cannot read {what}: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"cannot read {what}: {exc}") from exc
 
 
 def _load_input(opts) -> np.ndarray:
     if not opts["in"]:
-        raise UsageError("--in <tensor file> is required")
+        raise ValueError("--in <tensor file> is required")
     return _read(
         lambda p: check_finite(load_tensor(p), f"{p}: input tensor"), opts["in"], "input tensor"
     )
@@ -160,28 +155,25 @@ def _predictor(opts, size: int):
     pred = _read(load_predictor, opts["predictor"], "predictor spec")
     dim = getattr(pred, "dim", size)  # the matrix predictors fix their latent size
     if dim != size:
-        raise UsageError(f"predictor spec has dim {dim}, but the latent has {size} elements")
+        raise ValueError(f"predictor spec has dim {dim}, but the latent has {size} elements")
     return pred
 
 
 def _write(what: str, write, *args, **kwargs) -> None:
-    """write(*args, **kwargs), with a file or values it cannot write reported as a usage error."""
+    """write(*args, **kwargs), with a file or values it cannot write reported as a ValueError."""
     try:
         write(*args, **kwargs)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot write {what}: {exc}") from exc
+        raise ValueError(f"cannot write {what}: {exc}") from exc
 
 
 def cmd_invert(opts: dict, reconstruct_out: bool = False) -> int:
     steps, omega = opts["steps"], opts["omega"]
     z_0 = _load_input(opts)
     pred = _predictor(opts, z_0.size)
-    try:
-        schedule = build_schedule().subsample(steps)
-        cfg = method_config(opts["method"], steps, opts["iters"], opts["window"])
-        z_t, z_rec, report = round_trip(schedule, pred, z_0, PromptId.SOURCE, omega, cfg)
-    except ValueError as exc:  # a bad setting; numeric failures are not ValueErrors
-        raise UsageError(str(exc)) from exc
+    schedule = build_schedule().subsample(steps)
+    cfg = method_config(opts["method"], steps, opts["iters"], opts["window"])
+    z_t, z_rec, report = round_trip(schedule, pred, z_0, PromptId.SOURCE, omega, cfg)
     if opts["out"]:
         _write("output", save_tensor, opts["out"], z_rec if reconstruct_out else z_t)
     name = "reconstruct" if reconstruct_out else "invert"
@@ -201,26 +193,21 @@ def cmd_edit(opts: dict) -> int:
         attention = _read(
             lambda path: AttentionMap(load_tensor(path)), opts["attention"], "attention map"
         )
-    try:
-        schedule = build_schedule().subsample(steps)
-        cfg = EditConfig(
-            omega=opts["omega"],
-            omega_e=opts["omega_e"],
-            attention=attention,
-            mask=MaskNormConfig(
-                delta=opts["delta"], big_m=opts["mask_m"], polarity=opts["polarity"]
-            ),
-            fixed_point=method_config(opts["method"], steps, opts["iters"], opts["window"]),
-            eta=opts["eta"],
-            n_candidates=opts["candidates"],
-            seed=opts["seed"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    schedule = build_schedule().subsample(steps)
+    cfg = EditConfig(
+        omega=opts["omega"],
+        omega_e=opts["omega_e"],
+        attention=attention,
+        mask=MaskNormConfig(delta=opts["delta"], big_m=opts["mask_m"], polarity=opts["polarity"]),
+        fixed_point=method_config(opts["method"], steps, opts["iters"], opts["window"]),
+        eta=opts["eta"],
+        n_candidates=opts["candidates"],
+        seed=opts["seed"],
+    )
     try:
         result = edit(schedule, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
     except ValueError as exc:  # edit's masks, built before its first predictor call
-        raise UsageError(f"mask settings (--delta, --mask-m): {exc}") from exc
+        raise ValueError(f"mask settings (--delta, --mask-m): {exc}") from exc
     if opts["out"]:
         _write("output", save_tensor, opts["out"], result.best)
         _write("scores CSV", write_scores_csv, result, str(opts["out"]) + ".scores.csv")
@@ -234,19 +221,16 @@ def cmd_edit(opts: dict) -> int:
 
 def cmd_grid(opts: dict) -> int:
     if not opts["out"]:
-        raise UsageError("--out <csv file> is required for grid")
-    try:
-        grid = ExperimentGrid(
-            step_counts=opts["steps"],
-            omegas=opts["omega"],
-            methods=opts["method"],
-            dim=opts["dim"],
-            seed=opts["seed"],
-            iters=opts["iters"],
-            window=opts["window"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError("--out <csv file> is required for grid")
+    grid = ExperimentGrid(
+        step_counts=opts["steps"],
+        omegas=opts["omega"],
+        methods=opts["method"],
+        dim=opts["dim"],
+        seed=opts["seed"],
+        iters=opts["iters"],
+        window=opts["window"],
+    )
     rows = run_grid(grid, _predictor(opts, grid.dim))
     _write("CSV", write_grid_csv, rows, opts["out"], timing=bool(opts["timing"]))
     print(f"grid: {len(rows)} rows -> {opts['out']}")
@@ -263,7 +247,7 @@ def main(argv=None) -> int:
         if opts["command"] == "edit":
             return cmd_edit(opts)
         return cmd_grid(opts)
-    except UsageError as exc:
+    except ValueError as exc:  # a rejected input; numeric failures are not ValueErrors
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

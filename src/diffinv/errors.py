@@ -67,7 +67,11 @@ def check_real(name: str, value, low: float | None = None, strict: bool = False)
 
 
 def check_finite(x, name: str, error=ValueError) -> np.ndarray:
-    """x as a float64 array, or `error` naming `name` when an entry is not finite."""
+    """x as a float64 array; ValueError naming `name` unless its dtype is integer or float
+    (so not bool, string, object or complex), and `error` if an entry is not finite."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {x.dtype}")
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise error(f"{name} contains non-finite entries")

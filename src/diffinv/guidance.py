@@ -31,10 +31,9 @@ class AttentionMap:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)  # copy: caller's array stays writable
+        values = check_finite(self.values, "attention map").copy()  # caller's stays writable
         if values.ndim != 2 or values.size == 0:
             raise ValueError("attention map must be a nonempty 2-D grid")
-        check_finite(values, "attention map")
         if np.any(values < 0.0):
             raise ValueError("attention map entries must be nonnegative")
         values.setflags(write=False)

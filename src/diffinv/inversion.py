@@ -187,20 +187,21 @@ def invert_trajectory(
     pred: NoisePredictor,
     z_0,
     cond: PromptId,
-    omega: float = 1.0,
-    cfg: FixedPointConfig | None = None,
+    omega,
+    cfg: FixedPointConfig | None,
 ) -> tuple[np.ndarray, InversionReport]:
     """Invert a clean latent across the scheduled timesteps in increasing order.
 
     Each step solves its `fixed_point_map` with `iterative_invert_step`
     under `cfg`; cfg=None is the zero-iteration (forward-Euler) baseline.
     Returns the final noise vector and a report with per-step residual
-    traces and the noise-predictor call count.  A non-finite z_0 or omega
-    raises ValueError.
+    traces and the noise-predictor call count.  A z_0 or omega entry that
+    is not a finite real raises ValueError.
     """
     counter = CallCounter(pred)
     z = check_finite(z_0, "z_0")
-    check_finite(omega, "omega")
+    omega = check_finite(omega, "omega")
+    omega = omega if omega.ndim else float(omega)
     traces: list[tuple[int, list[float]]] = []
     for t_prev, t in schedule.inversion_pairs():
         f = fixed_point_map(schedule, counter, z, t, t_prev, cond, omega)
@@ -214,8 +215,8 @@ def round_trip(
     pred: NoisePredictor,
     z_0,
     cond: PromptId,
-    omega: float = 1.0,
-    cfg: FixedPointConfig | None = None,
+    omega,
+    cfg: FixedPointConfig | None,
 ) -> tuple[np.ndarray, np.ndarray, InversionReport]:
     """Invert a clean latent, then resample it under the same prompt and scale.
 

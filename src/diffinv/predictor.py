@@ -106,7 +106,7 @@ def _random_weights(rng: np.random.Generator, dim: int, norms: dict[PromptId, fl
     """One standard-normal dim x dim matrix per prompt, scaled to its spectral norm.
 
     The scaling divides by a power-iteration estimate, which undershoots at
-    large sizes: measured exactly, `AffinePredictor.random(256)`'s target
+    large sizes: measured exactly, `AffinePredictor.random(256, 0)`'s target
     matrix exceeds its requested 0.05 by 8e-5 relative.  The weights carry
     the requested norms.
     """
@@ -164,7 +164,7 @@ class AffinePredictor(NoisePredictor):
     def random(
         cls,
         dim: int,
-        seed: int = 0,
+        seed: int,
         norms: dict[PromptId, float] | None = None,
         bias_scale: float = _BIAS_SCALE,
     ) -> "AffinePredictor":
@@ -204,7 +204,7 @@ class ContractivePredictor(NoisePredictor):
             )
 
     @classmethod
-    def default(cls, dim: int = 64, seed: int = 0) -> "ContractivePredictor":
+    def default(cls, dim: int, seed: int) -> "ContractivePredictor":
         """Weak nonlinear predictor with a milder null branch.
 
         The null-conditioned weights get a smaller norm than the prompted

@@ -86,7 +86,7 @@ def sample_trajectory(
     pred: NoisePredictor,
     z_start,
     cond: PromptId,
-    omega=1.0,
+    omega,
     *,
     eta: float = 0.0,
     mask=None,
@@ -99,11 +99,12 @@ def sample_trajectory(
     `eta`, the mask `mask` (ones when None) and the generator `rng`, which
     eta > 0 requires; eta = 0 is deterministic DDIM sampling.  Returns
     every state visited, starting with `z_start` and ending with the clean
-    latent.  A non-finite `z_start` or `omega` entry raises ValueError; a
-    non-finite noise prediction or state raises NumericsError naming the step.
+    latent.  A `z_start` or `omega` entry that is not a finite real raises
+    ValueError; a non-finite prediction or state, NumericsError naming the step.
     """
     z = check_finite(z_start, "z_start")
-    check_finite(omega, "omega")
+    omega = check_finite(omega, "omega")
+    omega = omega if omega.ndim else float(omega)
     states = [z]
     for t, t_prev in schedule.sampling_pairs():
         eps = guided_epsilon(pred, z, cond, omega, t)

@@ -69,7 +69,7 @@ class TestRunGrid:
             step_counts=(20, 10), omegas=(1.0, 0.0), methods=("euler", "averaged"),
             dim=8, seed=0,
         )
-        rows = run_grid(grid, ContractivePredictor.default(grid.dim))
+        rows = run_grid(grid, ContractivePredictor.default(grid.dim, 0))
         assert len(rows) == 8
         keys = [(r.method, r.steps, r.omega) for r in rows]
         assert keys == sorted(keys)
@@ -79,7 +79,7 @@ class TestRunGrid:
             step_counts=(10, 20), omegas=(0.0,), methods=("euler", "averaged"),
             dim=16, seed=3,
         )
-        rows = run_grid(grid, ContractivePredictor.default(grid.dim))
+        rows = run_grid(grid, ContractivePredictor.default(grid.dim, 0))
         by_key = {(r.method, r.steps): r.round_trip_relative_l2 for r in rows}
         for steps in (10, 20):
             assert by_key[("averaged", steps)] < by_key[("euler", steps)]
@@ -87,7 +87,7 @@ class TestRunGrid:
     def test_default_grid_averaged_beats_euler_in_every_steps_row(self):
         # paired-run property on the default axes with the default predictor
         grid = ExperimentGrid(methods=("euler", "averaged"))
-        rows = run_grid(grid, ContractivePredictor.default(grid.dim))
+        rows = run_grid(grid, ContractivePredictor.default(grid.dim, 0))
         by_key = {(r.method, r.steps, r.omega): r.round_trip_relative_l2 for r in rows}
         default = ExperimentGrid()
         for steps in default.step_counts:
@@ -97,7 +97,7 @@ class TestRunGrid:
         grid = ExperimentGrid(
             step_counts=(10,), omegas=(1.0,), methods=("euler", "plain"), dim=8, seed=1
         )
-        rows = run_grid(grid, ContractivePredictor.default(grid.dim))
+        rows = run_grid(grid, ContractivePredictor.default(grid.dim, 0))
         by_method = {r.method: r for r in rows}
         assert by_method["euler"].nfe == 2 * 10
         assert by_method["plain"].nfe == 2 * 10 * (DEFAULT_ITERS[10] + 1)
@@ -164,7 +164,7 @@ class TestCsv:
             step_counts=(10,), omegas=(0.0, 1.0), methods=("euler", "averaged"),
             dim=8, seed=9,
         )
-        pred = ContractivePredictor.default(grid.dim)
+        pred = ContractivePredictor.default(grid.dim, 0)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_grid_csv(run_grid(grid, pred), p1)
         write_grid_csv(run_grid(grid, pred), p2)

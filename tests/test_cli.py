@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from diffinv import EditConfig, FixedPointConfig, MaskNormConfig
+from diffinv import EditConfig, FixedPointConfig, MaskNormConfig, NoisePredictor, cli
 from diffinv.bench import ExperimentGrid
 from diffinv.cli import build_parser, main
 from diffinv.fileio import MAGIC, load_tensor, save_tensor
@@ -406,6 +406,21 @@ class TestGridCommand:
         )
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
+
+    def test_predictor_value_error_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        class Refusing(NoisePredictor):
+            def predict(self, z, prompt, t):
+                raise ValueError("refused latent")
+
+        monkeypatch.setattr(cli, "_predictor", lambda opts, size: Refusing())
+        out = tmp_path / "g.csv"
+        code = run_cli(
+            "grid", "--out", out, "--steps", "10", "--omega", "1", "--method", "euler",
+            "--dim", "4",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: refused latent\n"
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -251,6 +251,8 @@ class TestValidation:
             AttentionMap(np.array([[-1.0]]))
         with pytest.raises(ValueError, match="non-finite"):
             AttentionMap(np.array([[np.inf]]))
+        with pytest.raises(ValueError, match="^attention map must hold real numbers, got dtype b"):
+            AttentionMap(np.array([[True, False]]))
 
     def test_mask_norm_config_checks(self):
         with pytest.raises(ValueError, match="big_m"):

@@ -356,13 +356,26 @@ class TestInvertTrajectory:
     def test_rejects_non_finite_input(self, schedule10, bad):
         z_0 = np.array([1.0, bad, 0.5])
         with pytest.raises(ValueError, match="z_0 contains non-finite entries"):
-            invert_trajectory(schedule10, ConstantPredictor(0.0), z_0, PromptId.SOURCE, 1.0)
+            invert_trajectory(schedule10, ConstantPredictor(0.0), z_0, PromptId.SOURCE, 1.0, None)
 
     @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_scale_before_any_call(self, schedule10, omega):
-        counter = CallCounter(ContractivePredictor.default(8))
+        counter = CallCounter(ContractivePredictor.default(8, 0))
         with pytest.raises(ValueError, match="^omega contains non-finite entries$"):
-            invert_trajectory(schedule10, counter, np.ones(8), PromptId.SOURCE, omega)
+            invert_trajectory(schedule10, counter, np.ones(8), PromptId.SOURCE, omega, None)
+        assert counter.calls == 0
+
+    @pytest.mark.parametrize("omega", ["abc", "0.5", None, {}, True, 1j, np.array(["1.0"])])
+    def test_rejects_a_non_number_scale_before_any_call(self, schedule10, omega):
+        counter = CallCounter(ContractivePredictor.default(8, 0))
+        with pytest.raises(ValueError, match="^omega must hold real numbers, got dtype "):
+            invert_trajectory(schedule10, counter, np.ones(8), PromptId.SOURCE, omega, None)
+        assert counter.calls == 0
+
+    def test_a_list_scale_is_a_field(self, schedule10):
+        counter = CallCounter(ContractivePredictor.default(8, 0))
+        with pytest.raises(ValueError, match=r"^scale field of shape \(2,\) does not broadcast"):
+            invert_trajectory(schedule10, counter, np.ones(8), PromptId.SOURCE, [1.0, 2.0], None)
         assert counter.calls == 0
 
     def test_zero_predictor_telescopes(self, schedule20):

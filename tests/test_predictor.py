@@ -95,7 +95,7 @@ class TestToyPredictors:
     @pytest.mark.parametrize("factory", [ContractivePredictor.default, AffinePredictor.random])
     def test_generators_reject_a_non_integer_dim(self, factory, dim):
         with pytest.raises(ValueError, match=f"dim must be an integer, got {dim}"):
-            factory(dim)
+            factory(dim, 0)
 
     @pytest.mark.parametrize("seed, message", [(2.5, "must be an integer"), (-1, "must be >= 0")])
     @pytest.mark.parametrize("factory", [ContractivePredictor.default, AffinePredictor.random])
@@ -109,7 +109,7 @@ class TestToyPredictors:
             ConstantPredictor(value)
 
     def test_generating_holds_only_the_weights(self, traced_peak):
-        pred, peak = traced_peak(lambda: ContractivePredictor.default(256))
+        pred, peak = traced_peak(lambda: ContractivePredictor.default(256, 0))
         assert peak <= 1.1 * sum(w.nbytes for w in pred.weights.values())
 
     def test_contractive_margin_enforced(self):
@@ -411,7 +411,7 @@ class TestLoadPredictor:
     def test_random_rejects_negative_norm(self):
         norms = {PromptId.NULL: 0.02, PromptId.SOURCE: -50.0, PromptId.TARGET: 0.05}
         with pytest.raises(ValueError, match="finite and >= 0"):
-            AffinePredictor.random(8, norms=norms)
+            AffinePredictor.random(8, 0, norms=norms)
 
 
 class TestMeasureOnce:
@@ -431,7 +431,7 @@ class TestMeasureOnce:
 
     @pytest.mark.parametrize("factory", [ContractivePredictor.default, AffinePredictor.random])
     def test_generated_weights_are_normalized_once_and_not_measured(self, calls, factory):
-        pred = factory(64)
+        pred = factory(64, 0)
         assert calls == {"spectral_norm": 0, "_power_norm": 3}
         for p in PromptId:
             pred.weights.norms[p]

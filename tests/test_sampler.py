@@ -264,9 +264,22 @@ class TestSampleTrajectory:
 
     @pytest.mark.parametrize("omega", [np.nan, np.inf, np.array([1.0, 2.0, np.nan, 1.0])])
     def test_rejects_a_non_finite_scale_before_any_call(self, schedule10, omega):
-        counter = CallCounter(ContractivePredictor.default(4))
+        counter = CallCounter(ContractivePredictor.default(4, 0))
         with pytest.raises(ValueError, match="^omega contains non-finite entries$"):
             sample_trajectory(schedule10, counter, np.ones(4), PromptId.SOURCE, omega)
+        assert counter.calls == 0
+
+    @pytest.mark.parametrize("omega", ["abc", "0.5", None, {}, True, 1j, np.array(["1.0"])])
+    def test_rejects_a_non_number_scale_before_any_call(self, schedule10, omega):
+        counter = CallCounter(ContractivePredictor.default(4, 0))
+        with pytest.raises(ValueError, match="^omega must hold real numbers, got dtype "):
+            sample_trajectory(schedule10, counter, np.ones(4), PromptId.SOURCE, omega)
+        assert counter.calls == 0
+
+    def test_a_list_scale_is_a_field(self, schedule10):
+        counter = CallCounter(ContractivePredictor.default(4, 0))
+        with pytest.raises(ValueError, match=r"^scale field of shape \(2,\) does not broadcast"):
+            sample_trajectory(schedule10, counter, np.ones(4), PromptId.SOURCE, [1.0, 2.0])
         assert counter.calls == 0
 
     def test_scale_field_shape_checked(self, schedule10):
