@@ -18,7 +18,7 @@ import numpy as np
 
 from .bench import ExperimentGrid, method_config, run_grid, write_grid_csv
 from .editing import EditConfig, edit, write_scores_csv
-from .errors import NumericsError, check_finite
+from .errors import MaskSettingsError, NumericsError, check_finite
 from .fileio import load_tensor, parse_kv_file, save_tensor
 from .guidance import AttentionMap, MaskNormConfig, Polarity
 from .inversion import FixedPointConfig, round_trip
@@ -206,7 +206,7 @@ def cmd_edit(opts: dict) -> int:
     )
     try:
         result = edit(schedule, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
-    except ValueError as exc:  # edit's masks, built before its first predictor call
+    except MaskSettingsError as exc:  # the rest of edit's ValueErrors reach main unlabelled
         raise ValueError(f"mask settings (--delta, --mask-m): {exc}") from exc
     if opts["out"]:
         _write("output", save_tensor, opts["out"], result.best)

@@ -93,8 +93,8 @@ def edit(
     target == source with omega_e == omega and eta == 0 reproduces the
     reconstruction bit-exactly.  The candidate with the lowest relative L2
     to z_0 wins.  The mask does not depend on the inversion and is built
-    first, so mask settings that cannot be applied raise ValueError before
-    any predictor call.
+    first, so mask settings that cannot be applied raise MaskSettingsError
+    (a ValueError) before any predictor call.
     """
     z_0 = np.asarray(z_0, dtype=np.float64)
     attention = cfg.attention

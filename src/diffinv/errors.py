@@ -31,6 +31,10 @@ class DivergenceError(NumericsError):
         )
 
 
+class MaskSettingsError(ValueError):
+    """A mask threshold and amplitude that cannot normalize the attention map they meet."""
+
+
 def check_count(name: str, value, low: int, high: int | None = None) -> int:
     """`value` as an int, or ValueError naming `name` unless it is an integer in [low, high].
 

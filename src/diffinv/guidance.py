@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count, check_finite, check_real
+from .errors import MaskSettingsError, check_count, check_finite, check_real
 
 
 class Polarity(enum.Enum):
@@ -130,7 +130,8 @@ def normalize_map(amap: AttentionMap, cfg: MaskNormConfig) -> np.ndarray:
     exactly at the threshold maps to 0.  Empty partitions are skipped and a
     constant map returns all zeros.  Monotone within each partition and
     across the threshold.  A threshold so far from the map's values that the
-    arithmetic overflows float64 raises ValueError naming it.
+    arithmetic overflows float64 raises MaskSettingsError (a ValueError)
+    naming it.
     """
     v = amap.values
     delta = float(v.mean()) if cfg.delta is None else float(cfg.delta)
@@ -145,7 +146,7 @@ def normalize_map(amap: AttentionMap, cfg: MaskNormConfig) -> np.ndarray:
         if hi > delta:
             out[above] = cfg.big_m * (v[above] - delta) / (hi - delta)
     if not np.isfinite(out).all():
-        raise ValueError(
+        raise MaskSettingsError(
             f"mask threshold delta={delta:g} with big_m={cfg.big_m:g} overflows the "
             f"normalization of an attention map with values in [{lo:g}, {hi:g}]"
         )

@@ -36,12 +36,12 @@ class NoiseSchedule:
     timesteps: np.ndarray
 
     def __post_init__(self):
-        alpha_bar = np.array(self.alpha_bar, dtype=np.float64)
+        alpha_bar = check_finite(self.alpha_bar, "alpha_bar").copy()  # caller's stays writable
         if alpha_bar.ndim != 1 or alpha_bar.size < 2:
             raise ValueError("alpha_bar must be 1-D with at least one step entry")
         if alpha_bar[0] != 1.0:
             raise ValueError("alpha_bar[0] must be exactly 1")
-        core = check_finite(alpha_bar[1:], "alpha_bar")
+        core = alpha_bar[1:]
         if np.any(core <= 0.0) or np.any(core > 1.0):
             raise ValueError("alpha_bar entries for t >= 1 must lie in (0, 1]")
         if core.size > 1 and np.any(np.diff(core) >= 0.0):
@@ -103,7 +103,7 @@ def schedule_from_alpha_bar(values) -> NoiseSchedule:
 
     The t = 0 sentinel value of 1 is prepended automatically.
     """
-    core = np.asarray(values, dtype=np.float64)
+    core = check_finite(values, "alpha_bar")
     if core.ndim != 1:
         raise ValueError("need a flat list of alpha_bar values")
     return NoiseSchedule(np.concatenate(([1.0], core)), np.arange(1, core.size + 1))

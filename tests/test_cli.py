@@ -346,6 +346,17 @@ class TestEditCommand:
         err = capsys.readouterr().err
         assert "usage error" in err and "--delta" in err
 
+    def test_predictor_value_error_is_not_labelled_a_mask_setting(
+        self, latent_file, monkeypatch, capsys
+    ):
+        class Refusing(NoisePredictor):
+            def predict(self, z, prompt, t):
+                raise ValueError("refused latent")
+
+        monkeypatch.setattr(cli, "_predictor", lambda opts, size: Refusing())
+        assert run_cli("edit", "--in", latent_file, "--steps", "5") == 1
+        assert capsys.readouterr().err == "usage error: refused latent\n"
+
     def test_negative_seed_is_usage_error(self, latent_file, capsys):
         assert run_cli("edit", "--in", latent_file, "--steps", "10", "--seed", "-1") == 1
         assert "seed must be >= 0" in capsys.readouterr().err

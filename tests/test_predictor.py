@@ -6,6 +6,7 @@ from diffinv import (
     CallCounter,
     ConstantPredictor,
     ContractivePredictor,
+    NumericsError,
     PromptId,
     guided_epsilon,
     load_predictor,
@@ -45,6 +46,8 @@ class TestWeightSetValidation:
             ({**EYE_WEIGHTS, PromptId.SOURCE: np.zeros(4)}, "weights must be square matrices"),
             ({**EYE_WEIGHTS, PromptId.TARGET: 0.1 * np.eye(5)},
              "all prompts must share one latent dimension"),
+            ({**EYE_WEIGHTS, PromptId.SOURCE: [[True, False], [False, True]]},
+             "^weights for prompt source must hold real numbers, got dtype bool$"),
         ],
     )
     @pytest.mark.parametrize("build", [
@@ -64,6 +67,8 @@ class TestWeightSetValidation:
              "bias length must match the weight matrix size"),
             ({**ZERO_BIASES, PromptId.TARGET: np.zeros((4, 1))},
              "bias length must match the weight matrix size"),
+            ({**ZERO_BIASES, PromptId.TARGET: ["0.5"] * 4},
+             "^bias for prompt target must hold real numbers, got dtype <U3$"),
         ],
     )
     def test_affine_rejects_malformed_biases(self, biases, message):
@@ -417,8 +422,8 @@ class TestLoadPredictor:
 class TestMeasureOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of `spectral_norm` and of the generator's power-iteration normalizer."""
-        counts = {"spectral_norm": 0, "_power_norm": 0}
+        """Counts of `spectral_norm` and of the generator's Lanczos normalizer."""
+        counts = {"spectral_norm": 0, "_lanczos_norm": 0}
         for name in counts:
             inner = getattr(predictor, name)
 
@@ -432,21 +437,69 @@ class TestMeasureOnce:
     @pytest.mark.parametrize("factory", [ContractivePredictor.default, AffinePredictor.random])
     def test_generated_weights_are_normalized_once_and_not_measured(self, calls, factory):
         pred = factory(64, 0)
-        assert calls == {"spectral_norm": 0, "_power_norm": 3}
+        assert calls == {"spectral_norm": 0, "_lanczos_norm": 3}
         for p in PromptId:
             pred.weights.norms[p]
-        assert calls == {"spectral_norm": 0, "_power_norm": 3}
+        assert calls == {"spectral_norm": 0, "_lanczos_norm": 3}
 
     def test_explicit_weights_are_measured_once(self, calls):
         rng = np.random.default_rng(6)
         weights = {p: 0.1 * rng.standard_normal((8, 8)) / np.sqrt(8) for p in PromptId}
         pred = ContractivePredictor(0.1, weights)
-        assert calls == {"spectral_norm": 3, "_power_norm": 0}
+        assert calls == {"spectral_norm": 3, "_lanczos_norm": 0}
         for p in PromptId:
             assert pred.scale * pred.weights.norms[p] == pytest.approx(
                 0.1 * np.linalg.norm(weights[p], 2)
             )
-        assert calls == {"spectral_norm": 3, "_power_norm": 0}
+        assert calls == {"spectral_norm": 3, "_lanczos_norm": 0}
+
+
+def generated_spec_predictor(tmp_path, dim, seed):
+    spec = tmp_path / "p.cfg"
+    spec.write_text(
+        f"kind = contractive\ndim = {dim}\nseed = {seed}\n"
+        "norm_null = 0.05\nnorm_source = 0.3\nnorm_target = 0.2\n"
+    )
+    return load_predictor(spec)
+
+
+class TestGeneratedNorms:
+    """Generated weights have exactly the norms they carry, to rounding."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 16, 64, 256, 1024])
+    @pytest.mark.parametrize("build", [
+        lambda tmp_path, dim, seed: ContractivePredictor.default(dim, seed),
+        lambda tmp_path, dim, seed: AffinePredictor.random(dim, seed),
+        generated_spec_predictor,
+    ], ids=["default", "random", "spec"])
+    def test_exact_nominal_norms(self, tmp_path, build, dim, seed):
+        pred = build(tmp_path, dim, seed)
+        for p in PromptId:
+            assert spectral_norm(pred.weights[p]) == pytest.approx(
+                pred.weights.norms[p], rel=1e-13, abs=0
+            )
+
+    def test_one_by_one(self):
+        assert predictor._lanczos_norm(np.array([[-3.0]])) == 3.0
+
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_all_singular_values_equal(self, dim):
+        q, _ = np.linalg.qr(np.random.default_rng(dim).standard_normal((dim, dim)))
+        assert predictor._lanczos_norm(2.5 * q) == pytest.approx(2.5, rel=1e-13, abs=0)
+
+    def test_rank_one(self):
+        u, v = np.random.default_rng(1).standard_normal((2, 50))
+        assert predictor._lanczos_norm(np.outer(u, v)) == pytest.approx(
+            np.linalg.norm(u) * np.linalg.norm(v), rel=1e-13, abs=0
+        )
+
+    def test_past_the_cap_raises_instead_of_estimating(self, monkeypatch):
+        # a top Ritz value that grows at every check never converges
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda t: np.array([float(t.shape[0])]))
+        m = np.random.default_rng(3).standard_normal((8, 8))
+        with pytest.raises(NumericsError, match="did not converge in 40 steps"):
+            predictor._lanczos_norm(m)
 
 
 class TestCallerArrays:

@@ -117,6 +117,7 @@ class TestInvariants:
             (np.array([0.9, 0.5]), r"alpha_bar\[0\] must be exactly 1"),
             (np.array([1.0, np.nan]), "non-finite entries"),
             (np.array([1.0, 0.5, np.inf]), "non-finite entries"),
+            (np.array(["1", "0.9", "0.8"]), "must hold real numbers, got dtype <U"),
         ],
     )
     def test_rejects_malformed_alpha_bar(self, ab, message):
@@ -187,6 +188,11 @@ class TestAlphaBarFile:
     def test_rejects_a_2d_array(self):
         with pytest.raises(ValueError, match="flat list of alpha_bar values"):
             schedule_from_alpha_bar([[0.9, 0.5], [0.4, 0.1]])
+
+    @pytest.mark.parametrize("values", [[True, False], ["0.9", "0.5"]])
+    def test_rejects_non_real_values(self, values):
+        with pytest.raises(ValueError, match="^alpha_bar must hold real numbers"):
+            schedule_from_alpha_bar(values)
 
 
 class TestInversionCoeff:
