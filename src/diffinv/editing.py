@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_count, check_real
+from .errors import check_count, check_finite, check_real
 from .guidance import (
     AttentionMap,
     MaskNormConfig,
@@ -94,9 +94,10 @@ def edit(
     reconstruction bit-exactly.  The candidate with the lowest relative L2
     to z_0 wins.  The mask does not depend on the inversion and is built
     first, so mask settings that cannot be applied raise MaskSettingsError
-    (a ValueError) before any predictor call.
+    (a ValueError) before any predictor call, as does a `z_0` entry that is
+    not a finite real (ValueError naming z_0).
     """
-    z_0 = np.asarray(z_0, dtype=np.float64)
+    z_0 = check_finite(z_0, "z_0")
     attention = cfg.attention
     if attention is None:
         h, w = spatial_shape(z_0.shape)

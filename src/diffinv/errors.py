@@ -1,4 +1,4 @@
-"""Exception types, and the one check per kind of input: count, real, finite array, broadcast.
+"""Exception types, and the one check per kind of input: count, real, array, mask, broadcast.
 
 Each rejection is a ValueError (or the given error type) whose message
 starts with the name of the setting.
@@ -63,11 +63,10 @@ def check_real(name: str, value, low: float | None = None, strict: bool = False)
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if math.isfinite(value) and (low is None or (value > low if strict else value >= low)):
+        return float(value)
     bound = "" if low is None else f" and {'>' if strict else '>='} {low:g}"
-    ok = math.isfinite(value) and (low is None or (value > low if strict else value >= low))
-    if not ok:
-        raise ValueError(f"{name} must be finite{bound}, got {value}")
-    return float(value)
+    raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
 def check_finite(x, name: str, error=ValueError) -> np.ndarray:
@@ -79,6 +78,18 @@ def check_finite(x, name: str, error=ValueError) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise error(f"{name} contains non-finite entries")
+    return x
+
+
+def check_unit_interval(x, name: str) -> np.ndarray:
+    """`check_finite(x, name)`, and ValueError naming `name` unless every entry is in [0, 1].
+
+    The one rule for masks: the soft editing mask, the sampler's noise mask
+    and the mask a guidance-scale field is blended by.
+    """
+    x = check_finite(x, name)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError(f"{name} entries must lie in [0, 1]")
     return x
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaskSettingsError, check_count, check_finite, check_real
+from .errors import MaskSettingsError, check_count, check_finite, check_real, check_unit_interval
 
 
 class Polarity(enum.Enum):
@@ -71,11 +71,9 @@ class SoftMask:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)  # copy: caller's array stays writable
+        values = check_unit_interval(self.values, "soft mask").copy()  # caller's stays writable
         if values.ndim != 2 or values.size == 0:
             raise ValueError("soft mask must be a nonempty 2-D grid")
-        if not np.all((values >= 0.0) & (values <= 1.0)):
-            raise ValueError("soft mask entries must lie in [0, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -169,9 +167,13 @@ def blended_scale_field(mask, omega: float, omega_e: float) -> np.ndarray:
     """Per-pixel guidance scale (omega_e - omega) * mask + omega for a mask array.
 
     Every entry lies between the two scales; a mask of 0 keeps the base
-    scale and a mask of 1 applies the editing scale.
+    scale and a mask of 1 applies the editing scale.  A mask entry outside
+    [0, 1] or a scale that is not a finite real raises ValueError naming it.
     """
-    return (float(omega_e) - float(omega)) * np.asarray(mask, dtype=np.float64) + float(omega)
+    mask = check_unit_interval(mask, "mask")
+    omega = check_real("omega", omega)
+    omega_e = check_real("omega_e", omega_e)
+    return (omega_e - omega) * mask + omega
 
 
 def synthetic_attention(shape, blob_sigma: float) -> AttentionMap:

@@ -38,9 +38,10 @@ def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value, exact: the top eigenvalue of M^T M.
 
     M is first divided by its largest |entry|, so huge entries cannot
-    overflow the product.
+    overflow the product.  An entry that is not a finite real raises
+    ValueError naming the matrix.
     """
-    m = np.asarray(matrix, dtype=np.float64)
+    m = check_finite(matrix, "matrix")
     if m.ndim != 2:
         raise ValueError("spectral_norm expects a 2-D matrix")
     peak = float(np.max(np.abs(m)))
@@ -275,12 +276,14 @@ def guided_epsilon(
     `scale` is a float or a per-pixel ndarray field that broadcasts to the
     latent shape.  Affine in the scale, so scale = 1 returns the conditional
     prediction bit-exactly, scale = 0 the null-conditioned one, and a
-    uniform field the same noise as its value used as a scalar.
+    uniform field the same noise as its value used as a scalar.  A field
+    entry that is not a finite real raises ValueError naming the field; a
+    scalar is only converted, since the trajectories check it once on entry.
     """
     if cond is PromptId.NULL:
         raise ValueError("conditioning prompt must not be the null prompt")
     if isinstance(scale, np.ndarray) and scale.ndim > 0:
-        scale = scale.astype(np.float64, copy=False)
+        scale = check_finite(scale, "scale field")
         check_broadcast(scale.shape, np.shape(z), "scale field")
     else:
         scale = float(scale)

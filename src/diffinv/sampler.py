@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError, check_broadcast, check_finite
+from .errors import NumericsError, check_broadcast, check_finite, check_real, check_unit_interval
 from .predictor import NoisePredictor, PromptId, guided_epsilon
 from .schedule import NoiseSchedule
 
@@ -22,6 +22,23 @@ def ddim_sigma(schedule: NoiseSchedule, t: int, t_prev: int) -> float:
     if ab_t >= 1.0:
         return 0.0
     return math.sqrt((1.0 - ab_p) / (1.0 - ab_t)) * math.sqrt(max(1.0 - ab_t / ab_p, 0.0))
+
+
+def _noise_settings(eta, mask, rng, latent_shape) -> tuple[float, np.ndarray | None]:
+    """eta as a float and the noise mask as a float64 array, or ValueError naming the setting.
+
+    eta must be a finite real >= 0.  eta = 0 reads neither `mask` nor `rng`
+    and returns mask None; eta > 0 needs `rng` and a mask with entries in
+    [0, 1] that broadcasts to the latent, None meaning ones.
+    """
+    eta = check_real("eta", eta, 0.0)
+    if eta == 0.0:
+        return eta, None
+    if rng is None:
+        raise ValueError("eta > 0 needs a random generator: pass rng")
+    mask = check_unit_interval(1.0 if mask is None else mask, "mask")
+    check_broadcast(mask.shape, latent_shape, "mask")
+    return eta, mask
 
 
 def ddim_step(
@@ -42,31 +59,28 @@ def ddim_step(
     with per-pixel variance v = eta * sigma_t^2 * mask.  eta = 0 is the
     deterministic update (v = 0), which ignores `mask` and `rng`; a zero
     mask reproduces it bit-exactly.  `mask` may be a scalar or any array
-    broadcastable to the latent shape; None means fully stochastic (mask of
-    ones).  eta must be >= 0, and eta > 0 draws its noise from `rng`, which
-    is then required.  For eta in [0, 1] and masks in [0, 1] the mean's
-    square-root argument is nonnegative.  t_prev may be 0 (alpha_bar = 1)
-    and may equal t, in which case the coefficients cancel and the state is
-    returned unchanged up to rounding.
+    broadcastable to the latent shape with entries in [0, 1]; None means
+    fully stochastic (mask of ones).  eta must be a finite real >= 0, and
+    eta > 0 draws its noise from `rng`, which is then required; a setting
+    that breaks these rules raises ValueError naming it.  For eta in [0, 1]
+    the mean's square-root argument is nonnegative; past that a step whose
+    variance exceeds 1 - alpha_bar[t_prev] raises NumericsError.  t_prev may
+    be 0 (alpha_bar = 1) and may equal t, in which case the coefficients
+    cancel and the state is returned unchanged up to rounding.
     """
-    if not eta >= 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    if eta > 0.0 and rng is None:
-        raise ValueError("eta > 0 needs a random generator: pass rng")
     if t_prev > t:
         raise ValueError(f"t_prev={t_prev} must not exceed t={t}")
     z_t = check_finite(z_t, "z_t")
     eps = check_finite(pred_eps, "pred_eps")
     if eps.shape != z_t.shape:
         raise ValueError(f"eps shape {eps.shape} does not match latent shape {z_t.shape}")
+    eta, mask = _noise_settings(eta, mask, rng, z_t.shape)
     ab_t = float(schedule.alpha_bar[t])
     ab_p = float(schedule.alpha_bar[t_prev])
     if eta == 0.0:
         c = math.sqrt(1.0 - ab_p)
     else:
-        mask_arr = np.asarray(1.0 if mask is None else mask, dtype=np.float64)
-        check_broadcast(mask_arr.shape, z_t.shape, "mask")
-        var = eta * ddim_sigma(schedule, t, t_prev) ** 2 * mask_arr
+        var = eta * ddim_sigma(schedule, t, t_prev) ** 2 * mask
         sqrt_arg = 1.0 - ab_p - var
         if np.any(sqrt_arg < 0.0):
             raise NumericsError(
@@ -97,14 +111,17 @@ def sample_trajectory(
     Every step guides with `omega`, a float or a per-pixel field that
     broadcasts to the latent, then takes a `ddim_step` with noise scale
     `eta`, the mask `mask` (ones when None) and the generator `rng`, which
-    eta > 0 requires; eta = 0 is deterministic DDIM sampling.  Returns
-    every state visited, starting with `z_start` and ending with the clean
-    latent.  A `z_start` or `omega` entry that is not a finite real raises
-    ValueError; a non-finite prediction or state, NumericsError naming the step.
+    eta > 0 requires; eta = 0 is deterministic DDIM sampling and reads
+    neither `mask` nor `rng`.  Returns every state visited, starting with
+    `z_start` and ending with the clean latent.  `z_start`, `omega` and the
+    noise settings follow `ddim_step`'s rules and are checked before the
+    first predictor call: a bad one raises ValueError naming it.  A
+    non-finite prediction or state raises NumericsError naming the step.
     """
     z = check_finite(z_start, "z_start")
     omega = check_finite(omega, "omega")
     omega = omega if omega.ndim else float(omega)
+    eta, mask = _noise_settings(eta, mask, rng, z.shape)
     states = [z]
     for t, t_prev in schedule.sampling_pairs():
         eps = guided_epsilon(pred, z, cond, omega, t)

@@ -202,6 +202,18 @@ class TestCandidates:
         assert result.report.nfe == invert_calls
         assert counter.calls == invert_calls + recon_calls + candidate_calls
 
+    @pytest.mark.parametrize("shape", [(2, 8), (1, 4, 4)])
+    def test_non_square_and_channelled_latents(self, schedule10, shape):
+        pred = ContractivePredictor.default(16, seed=0)
+        z_0 = np.random.default_rng(1).standard_normal(shape)
+        cfg = EditConfig(eta=0.3, n_candidates=2, fixed_point=fp_cfg(4))
+        result = edit(schedule10, pred, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
+        assert result.mask.values.shape == shape[-2:]
+        for candidate in result.candidates:
+            assert candidate.shape == shape
+            assert np.isfinite(candidate).all()
+        assert np.isfinite(result.scores).all()
+
     def test_scores_csv(self, tmp_path, schedule10):
         pred = AffinePredictor.random(8, seed=3)
         z_0 = np.random.default_rng(11).standard_normal(8)
@@ -248,6 +260,22 @@ class TestEditConfigValidation:
         z_0 = np.random.default_rng(0).standard_normal((4, 4))
         with pytest.raises(ValueError, match="delta"):
             edit(schedule10, counter, z_0, PromptId.SOURCE, PromptId.TARGET, cfg)
+        assert counter.calls == 0
+
+    @pytest.mark.parametrize(
+        ("z_0", "message"),
+        [
+            ([True, False, True, False], "^z_0 must hold real numbers, got dtype bool$"),
+            (["1", "0", "1", "0"], "^z_0 must hold real numbers, got dtype <U"),
+            ([1.0, np.nan, 1.0, 0.0], "^z_0 contains non-finite entries$"),
+            ([1.0, np.inf, 1.0, 0.0], "^z_0 contains non-finite entries$"),
+        ],
+    )
+    def test_rejects_a_non_real_latent_before_any_call(self, schedule10, z_0, message):
+        counter = CallCounter(ContractivePredictor.default(4, seed=0))
+        cfg = EditConfig(eta=0.5, fixed_point=fp_cfg(4))
+        with pytest.raises(ValueError, match=message):
+            edit(schedule10, counter, np.array(z_0), PromptId.SOURCE, PromptId.TARGET, cfg)
         assert counter.calls == 0
 
     def test_rejects_bad_scales(self):

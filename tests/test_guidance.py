@@ -150,6 +150,25 @@ class TestBlendedScaleField:
         assert np.all(out >= omega - 1e-12)
         assert np.all(out <= omega_e + 1e-12)
 
+    @pytest.mark.parametrize(
+        ("mask", "omega", "omega_e", "message"),
+        [
+            ([[True, False]], 1.0, 7.0, "^mask must hold real numbers, got dtype bool$"),
+            ([["0.5"]], 1.0, 7.0, "^mask must hold real numbers, got dtype <U"),
+            ([[math.nan]], 1.0, 7.0, "^mask contains non-finite entries$"),
+            ([[1.5]], 1.0, 7.0, r"^mask entries must lie in \[0, 1\]$"),
+            ([[0.5]], math.nan, 7.0, "^omega must be finite, got nan$"),
+            ([[0.5]], True, 7.0, "^omega must be a real number, got True$"),
+            ([[0.5]], "1", 7.0, "^omega must be a real number, got '1'$"),
+            ([[0.5]], 1.0, math.inf, "^omega_e must be finite, got inf$"),
+            ([[0.5]], 1.0, False, "^omega_e must be a real number, got False$"),
+            ([[0.5]], 1.0, "7", "^omega_e must be a real number, got '7'$"),
+        ],
+    )
+    def test_rejects_bad_inputs_by_name(self, mask, omega, omega_e, message):
+        with pytest.raises(ValueError, match=message):
+            blended_scale_field(np.array(mask), omega, omega_e)
+
     def test_affine_in_mask(self):
         m1, m2 = 0.2, 0.8
         f1 = blended_scale_field(np.array([[m1]]), 1.0, 5.0)[0, 0]
@@ -264,6 +283,20 @@ class TestValidation:
     def test_soft_mask_range_check(self):
         with pytest.raises(ValueError, match="lie in"):
             SoftMask(np.array([[1.5]]))
+
+    @pytest.mark.parametrize(
+        ("values", "message"),
+        [
+            ([[True, False]], "^soft mask must hold real numbers, got dtype bool$"),
+            ([["0.5", "1"]], "^soft mask must hold real numbers, got dtype <U"),
+            ([[0.5, math.nan]], "^soft mask contains non-finite entries$"),
+            ([[0.5, math.inf]], "^soft mask contains non-finite entries$"),
+            ([[0.5, -0.5]], r"^soft mask entries must lie in \[0, 1\]$"),
+        ],
+    )
+    def test_soft_mask_rejects_non_unit_entries_by_name(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            SoftMask(np.array(values))
 
     @pytest.mark.parametrize("values", [np.full(4, 0.5), np.zeros((0, 3)), np.zeros((2, 0))])
     def test_soft_mask_needs_a_nonempty_2d_grid(self, values):

@@ -400,6 +400,18 @@ class TestInvertTrajectory:
         err_euler = relative_l2(rec_e, z_0)
         assert err_euler >= 10.0 * err_fp
 
+    @pytest.mark.parametrize("variant", list(FixedPointVariant))
+    def test_one_step_schedule_round_trips(self, base_schedule, contractive64, variant):
+        schedule = base_schedule.subsample(1)
+        z_0 = np.random.default_rng(0).standard_normal(64)
+        cfg = FixedPointConfig(variant=variant, iters=6)
+        _, rec, report = round_trip(schedule, contractive64, z_0, PromptId.SOURCE, 1.0, cfg)
+        assert report.round_trip_l2 <= 1e-4
+        assert report.nfe == 14
+        assert relative_l2(rec, z_0) == report.round_trip_l2
+        _, _, euler = round_trip(schedule, contractive64, z_0, PromptId.SOURCE, 1.0, None)
+        assert euler.round_trip_l2 > 0.1
+
     def test_nfe_accounting(self, schedule10, contractive64):
         # euler: 2 predictor calls per step; iterative: 2 * (iters + 1) per step
         z_0 = np.random.default_rng(2).standard_normal(64)

@@ -32,6 +32,20 @@ def test_spectral_norm_rejects_a_vector():
         spectral_norm(np.ones(4))
 
 
+@pytest.mark.parametrize(
+    ("matrix", "message"),
+    [
+        ([[1.0, np.nan], [0.0, 1.0]], "^matrix contains non-finite entries$"),
+        ([[1.0, np.inf], [0.0, 1.0]], "^matrix contains non-finite entries$"),
+        ([[True, False], [False, True]], "^matrix must hold real numbers, got dtype bool$"),
+        ([["1", "0"], ["0", "1"]], "^matrix must hold real numbers, got dtype <U"),
+    ],
+)
+def test_spectral_norm_rejects_non_real_entries_by_name(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        spectral_norm(np.array(matrix))
+
+
 EYE_WEIGHTS = {p: 0.1 * np.eye(4) for p in PromptId}
 ZERO_BIASES = {p: np.zeros(4) for p in PromptId}
 
@@ -195,6 +209,22 @@ class TestGuidedEpsilon:
         if w3 - w1 > 1e-9:
             lam = (w2 - w1) / (w3 - w1)
             np.testing.assert_allclose(o2, (1 - lam) * o1 + lam * o3, atol=1e-12)
+
+
+    @pytest.mark.parametrize(
+        ("field", "message"),
+        [
+            ([True, False, True, False], "^scale field must hold real numbers, got dtype bool$"),
+            (["1", "2", "1", "2"], "^scale field must hold real numbers, got dtype <U"),
+            ([1.0, np.nan, 1.0, 1.0], "^scale field contains non-finite entries$"),
+            ([1.0, np.inf, 1.0, 1.0], "^scale field contains non-finite entries$"),
+        ],
+    )
+    def test_rejects_a_non_real_field_by_name(self, field, message):
+        counter = CallCounter(ContractivePredictor.default(4, seed=0))
+        with pytest.raises(ValueError, match=message):
+            guided_epsilon(counter, np.zeros(4), PromptId.SOURCE, np.array(field), 1)
+        assert counter.calls == 0
 
 
 class TestBlendedEpsilon:

@@ -135,9 +135,30 @@ class TestStochasticStep:
 
     @pytest.mark.parametrize("eta", [-0.1, math.nan])
     def test_rejects_negative_eta(self, toy_schedule, eta):
-        with pytest.raises(ValueError, match="eta must be >= 0"):
+        with pytest.raises(ValueError, match="eta must be finite and >= 0"):
             ddim_step(
                 toy_schedule, np.zeros(2), np.ones(2), 2, 1, None, eta, np.random.default_rng(0)
+            )
+
+    @pytest.mark.parametrize(
+        ("eta", "mask", "message"),
+        [
+            (math.inf, None, "^eta must be finite and >= 0, got inf$"),
+            (True, None, "^eta must be a real number, got True$"),
+            ("0.1", None, "^eta must be a real number, got '0.1'$"),
+            (0.5, [0.5, math.nan], "^mask contains non-finite entries$"),
+            (0.5, [0.5, math.inf], "^mask contains non-finite entries$"),
+            (0.5, [True, False], "^mask must hold real numbers, got dtype bool$"),
+            (0.5, ["0.5", "1"], "^mask must hold real numbers, got dtype <U"),
+            (0.5, [-0.5, 1.0], r"^mask entries must lie in \[0, 1\]$"),
+            (0.5, [1.5, 1.0], r"^mask entries must lie in \[0, 1\]$"),
+        ],
+    )
+    def test_rejects_bad_noise_settings_by_name(self, base_schedule, eta, mask, message):
+        schedule = base_schedule.subsample(5)
+        with pytest.raises(ValueError, match=message):
+            ddim_step(
+                schedule, np.zeros(2), np.ones(2), 200, 0, mask, eta, np.random.default_rng(0)
             )
 
     def test_final_step_has_zero_variance(self, toy_schedule):
@@ -255,6 +276,38 @@ class TestSampleTrajectory:
             sample_trajectory(
                 schedule10, ConstantPredictor(0.0), np.ones(4), PromptId.SOURCE, 1.0, eta=0.1
             )
+
+    @pytest.mark.parametrize(
+        ("settings", "message"),
+        [
+            ({"eta": -0.1}, "^eta must be finite and >= 0, got -0.1$"),
+            ({"eta": math.nan}, "^eta must be finite and >= 0, got nan$"),
+            ({"eta": True}, "^eta must be a real number, got True$"),
+            ({"eta": "0.5"}, "^eta must be a real number, got '0.5'$"),
+            ({"eta": 0.5, "rng": None}, "^eta > 0 needs a random generator"),
+            ({"eta": 0.5, "mask": np.ones(3)}, r"^mask of shape \(3,\) does not broadcast"),
+            ({"eta": 0.5, "mask": [1.0, math.nan, 1.0, 1.0]}, "^mask contains non-finite"),
+            ({"eta": 0.5, "mask": [1.0, -0.5, 1.0, 1.0]}, r"^mask entries must lie in \[0, 1\]$"),
+            ({"eta": 0.5, "mask": [1.0, 1.5, 1.0, 1.0]}, r"^mask entries must lie in \[0, 1\]$"),
+            ({"eta": 0.5, "mask": [True] * 4}, "^mask must hold real numbers, got dtype bool$"),
+            ({"eta": 0.5, "mask": ["1"] * 4}, "^mask must hold real numbers, got dtype <U"),
+        ],
+    )
+    def test_rejects_bad_noise_settings_before_any_call(self, schedule10, settings, message):
+        counter = CallCounter(ContractivePredictor.default(4, 0))
+        kwargs = {"rng": np.random.default_rng(0), **settings}
+        with pytest.raises(ValueError, match=message):
+            sample_trajectory(schedule10, counter, np.ones(4), PromptId.SOURCE, 1.0, **kwargs)
+        assert counter.calls == 0
+
+    def test_eta_zero_reads_neither_mask_nor_rng(self, schedule10):
+        pred = ContractivePredictor.default(4, 0)
+        z = np.linspace(-1.0, 1.0, 4)
+        plain = sample_trajectory(schedule10, pred, z, PromptId.SOURCE, 1.0)
+        ignored = sample_trajectory(
+            schedule10, pred, z, PromptId.SOURCE, 1.0, eta=0.0, mask=np.full(3, 7.0)
+        )
+        np.testing.assert_array_equal(plain[-1], ignored[-1])
 
     def test_non_finite_prediction_is_a_numeric_failure(self):
         schedule = build_schedule().subsample(10)
