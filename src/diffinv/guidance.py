@@ -101,8 +101,6 @@ def nearest_resample(values: np.ndarray, out_shape: tuple[int, int]) -> np.ndarr
     values = np.asarray(values, dtype=np.float64)
     h, w = values.shape
     out_h, out_w = out_shape
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output shape must be positive")
     out_h = check_count("output grid height", out_h, 1)
     out_w = check_count("output grid width", out_w, 1)
     rows = np.minimum((np.floor((np.arange(out_h) + 0.5) * h / out_h)).astype(int), h - 1)
@@ -111,8 +109,12 @@ def nearest_resample(values: np.ndarray, out_shape: tuple[int, int]) -> np.ndarr
 
 
 def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function 1 / (1 + exp(-x))."""
-    x = np.asarray(x, dtype=np.float64)
+    """Numerically stable logistic function 1 / (1 + exp(-x)).
+
+    An input that is not an array of finite reals (bool, complex, string or
+    NaN entries, say) raises ValueError naming the sigmoid input.
+    """
+    x = check_finite(x, "sigmoid input")
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

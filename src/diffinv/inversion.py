@@ -91,14 +91,15 @@ def fixed_point_map(
     coeff = sqrt(1 - ab_t) - sqrt((1 - ab_prev) * ab_t / ab_prev).  At a
     fixed point, a subsequent `ddim_step` recovers z_prev exactly.  The
     noise is evaluated at time t, matching the step being solved for.
-    The step's set-up (the timestep check, both noise levels, coeff and the
-    drift term sqrt(ab_t / ab_prev) * z_prev) is done once, here; each call
-    of the returned map costs one `guided_epsilon` and one axpy.
+    The step's set-up (both noise levels from `schedule.levels`, whose
+    timestep rule it adds t_prev != t to, coeff and the drift term
+    sqrt(ab_t / ab_prev) * z_prev) is done once, here, so a bad pair raises
+    ValueError before any predictor call; each call of the returned map
+    costs one `guided_epsilon` and one axpy.
     """
-    if not t_prev < t:
+    ab_t, ab_p = schedule.levels(t, t_prev)
+    if t_prev == t:
         raise ValueError(f"need t_prev < t, got {t_prev} >= {t}")
-    ab_t = float(schedule.alpha_bar[t])
-    ab_p = float(schedule.alpha_bar[t_prev])
     drift = math.sqrt(ab_t / ab_p) * np.asarray(z_prev, dtype=np.float64)
     coeff = inversion_eps_coeff(ab_t, ab_p)
 

@@ -249,9 +249,9 @@ class ContractivePredictor(NoisePredictor):
 
 
 def max_inversion_coeff(schedule: NoiseSchedule) -> float:
-    """Largest noise coefficient of the implicit inversion map over a schedule."""
+    """Largest noise coefficient of the implicit inversion map over a schedule's steps."""
     return max(
-        abs(inversion_eps_coeff(schedule.alpha_bar[t], schedule.alpha_bar[t_prev]))
+        abs(inversion_eps_coeff(*schedule.levels(t, t_prev)))
         for t_prev, t in schedule.inversion_pairs()
     )
 

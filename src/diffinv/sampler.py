@@ -15,13 +15,14 @@ def ddim_sigma(schedule: NoiseSchedule, t: int, t_prev: int) -> float:
     """Standard DDIM sampling noise scale for the step t -> t_prev.
 
     sigma_t = sqrt((1 - ab_prev) / (1 - ab_t)) * sqrt(1 - ab_t / ab_prev);
-    zero when t_prev = 0 (the final, fully determined step).
+    zero when t_prev = 0 (the final, fully determined step).  The levels
+    come from `schedule.levels`, whose timestep rule keeps ab_t <= ab_prev
+    and so both square-root arguments >= 0.
     """
-    ab_t = float(schedule.alpha_bar[t])
-    ab_p = float(schedule.alpha_bar[t_prev])
+    ab_t, ab_p = schedule.levels(t, t_prev)
     if ab_t >= 1.0:
         return 0.0
-    return math.sqrt((1.0 - ab_p) / (1.0 - ab_t)) * math.sqrt(max(1.0 - ab_t / ab_p, 0.0))
+    return math.sqrt((1.0 - ab_p) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_p)
 
 
 def _noise_settings(eta, mask, rng, latent_shape) -> tuple[float, np.ndarray | None]:
@@ -64,19 +65,17 @@ def ddim_step(
     eta > 0 draws its noise from `rng`, which is then required; a setting
     that breaks these rules raises ValueError naming it.  For eta in [0, 1]
     the mean's square-root argument is nonnegative; past that a step whose
-    variance exceeds 1 - alpha_bar[t_prev] raises NumericsError.  t_prev may
-    be 0 (alpha_bar = 1) and may equal t, in which case the coefficients
-    cancel and the state is returned unchanged up to rounding.
+    variance exceeds 1 - alpha_bar[t_prev] raises NumericsError.  The
+    levels come from `schedule.levels`, whose timestep rule allows t_prev = 0
+    (alpha_bar = 1) and t_prev = t, in which case the coefficients cancel
+    and the state is returned unchanged up to rounding.
     """
-    if t_prev > t:
-        raise ValueError(f"t_prev={t_prev} must not exceed t={t}")
+    ab_t, ab_p = schedule.levels(t, t_prev)
     z_t = check_finite(z_t, "z_t")
     eps = check_finite(pred_eps, "pred_eps")
     if eps.shape != z_t.shape:
         raise ValueError(f"eps shape {eps.shape} does not match latent shape {z_t.shape}")
     eta, mask = _noise_settings(eta, mask, rng, z_t.shape)
-    ab_t = float(schedule.alpha_bar[t])
-    ab_p = float(schedule.alpha_bar[t_prev])
     if eta == 0.0:
         c = math.sqrt(1.0 - ab_p)
     else:

@@ -76,6 +76,20 @@ class NoiseSchedule:
         ts = self.big_t - stride * np.arange(n_steps - 1, -1, -1, dtype=np.int64)
         return NoiseSchedule(self.alpha_bar, ts)
 
+    def levels(self, t: int, t_prev: int) -> tuple[float, float]:
+        """(alpha_bar[t], alpha_bar[t_prev]) as floats: the noise levels of one step.
+
+        The one timestep rule shared by the sampler and the inversion: t and
+        t_prev are integers (numpy integers count, bool does not) with
+        0 <= t_prev <= t <= big_t, on the scheduled grid or off it.  A pair
+        that breaks it raises ValueError naming `t` or `t_prev`.  Because
+        alpha_bar decreases strictly on 1..T from alpha_bar[0] = 1, an
+        accepted pair has ab_t <= ab_prev.
+        """
+        t = check_count("t", t, 0, self.big_t)
+        t_prev = check_count("t_prev", t_prev, 0, t)
+        return float(self.alpha_bar[t]), float(self.alpha_bar[t_prev])
+
     def inversion_pairs(self) -> list[tuple[int, int]]:
         """(t_prev, t) pairs in increasing order, starting from (0, first)."""
         ts = self.timesteps.tolist()

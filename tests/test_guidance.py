@@ -127,6 +127,21 @@ class TestSoftMask:
         with pytest.raises(ValueError, match="non-finite"):
             soft_mask(np.array([[np.nan]]), Polarity.POSITIVE)
 
+    @pytest.mark.parametrize(
+        "x, why",
+        [
+            (np.array([True, False]), "hold real numbers"),
+            ("abc", "hold real numbers"),
+            (np.array([1.0 + 2.0j]), "hold real numbers"),
+            (np.array([np.nan]), "non-finite"),
+        ],
+    )
+    def test_sigmoid_rejects_what_is_not_a_finite_real(self, x, why):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a complex input must not be cast with a warning
+            with pytest.raises(ValueError, match=f"^sigmoid input .*{why}"):
+                sigmoid(x)
+
 
 class TestBlendedScaleField:
     def test_equal_scales_uniform(self):
@@ -226,10 +241,13 @@ class TestResampling:
 
     @pytest.mark.parametrize("out_shape", [(0, 4), (4, 0), (0, 0)])
     def test_rejects_an_empty_output_grid(self, out_shape):
-        with pytest.raises(ValueError, match="output shape must be positive"):
+        with pytest.raises(ValueError, match="output grid (height|width) must be >= 1"):
             nearest_resample(np.ones((2, 2)), out_shape)
 
-    @pytest.mark.parametrize("out_shape, name", [((2.5, 4), "height"), ((4, 3.0), "width")])
+    @pytest.mark.parametrize(
+        "out_shape, name",
+        [((2.5, 4), "height"), ((4, 3.0), "width"), (("a", 4), "height"), ((4, None), "width")],
+    )
     def test_rejects_a_non_integer_output_grid(self, out_shape, name):
         with pytest.raises(ValueError, match=f"output grid {name} must be an integer"):
             nearest_resample(np.ones((2, 2)), out_shape)

@@ -88,7 +88,7 @@ class TestEulerInvertStep:
         assert float(np.linalg.norm(back - z)) == pytest.approx(error_oracle, rel=1e-12)
 
     def test_requires_increasing_time(self, toy_schedule):
-        with pytest.raises(ValueError, match="t_prev < t"):
+        with pytest.raises(ValueError, match="t_prev"):
             invert_step(toy_schedule, ConstantPredictor(0.0), np.zeros(1), 1, 2, None)
 
     def test_non_finite_step_raises_with_location(self, toy_schedule):
@@ -164,7 +164,7 @@ class TestFixedPointMap:
         np.testing.assert_allclose(back, z_prev, atol=1e-14)
 
     def test_requires_increasing_time(self, toy_schedule):
-        with pytest.raises(ValueError, match="t_prev < t"):
+        with pytest.raises(ValueError, match="t_prev"):
             fixed_point_map(
                 toy_schedule, ConstantPredictor(0.0), np.zeros(1), 1, 2, PromptId.SOURCE, 1.0,
             )
@@ -612,7 +612,7 @@ class TestStepSetUpCost:
     @pytest.mark.parametrize("t, t_prev", [(1, 2), (2, 2)])
     def test_bad_step_fails_when_the_map_is_built(self, toy_schedule, t, t_prev):
         counter = CallCounter(ConstantPredictor(0.0))
-        with pytest.raises(ValueError, match="t_prev < t"):
+        with pytest.raises(ValueError, match="t_prev"):
             fixed_point_map(toy_schedule, counter, np.zeros(1), t, t_prev, PromptId.SOURCE, 1.0)
         assert counter.calls == 0
 

@@ -157,3 +157,35 @@ def test_private_imports_are_found(tmp_path):
     (tmp_path / "a.py").write_text("from .b import _hidden, shown\nfrom . import _c\n")
     (tmp_path / "b.py").write_text("from os import _exit\n\n\ndef _hidden():\n    pass\n")
     assert private_imports(tmp_path) == ["a: from .b import _hidden", "a: from . import _c"]
+
+
+def alpha_bar_subscripts(package: Path = PACKAGE) -> list[str]:
+    """`module:line` of each `<expr>.alpha_bar[...]` outside `schedule.py`.
+
+    `NoiseSchedule.levels` owns the timestep rule, so every other module
+    reads a step's noise levels through it.
+    """
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "schedule.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "alpha_bar"
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_the_schedule_subscripts_alpha_bar():
+    assert alpha_bar_subscripts() == []
+
+
+def test_alpha_bar_subscripts_are_found(tmp_path):
+    (tmp_path / "schedule.py").write_text("a = s.alpha_bar[t]\n")
+    (tmp_path / "step.py").write_text(
+        '"""s.alpha_bar[t] in a docstring."""\nab = s.alpha_bar\nx = s.alpha_bar[t]\n'
+    )
+    assert alpha_bar_subscripts(tmp_path) == ["step:3"]

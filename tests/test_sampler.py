@@ -127,7 +127,7 @@ class TestStochasticStep:
 
     @pytest.mark.parametrize("eta", [0.0, 0.5])
     def test_rejects_increasing_time_at_any_eta(self, base_schedule, eta):
-        with pytest.raises(ValueError, match="t_prev=500 must not exceed t=100"):
+        with pytest.raises(ValueError, match=r"t_prev must be in \[0, 100\], got 500"):
             ddim_step(
                 base_schedule, np.zeros(2), np.ones(2), 100, 500, None, eta,
                 np.random.default_rng(0),

@@ -4,7 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from diffinv import NoiseSchedule, build_schedule, schedule_from_alpha_bar
+from diffinv import (
+    CallCounter,
+    ConstantPredictor,
+    NoiseSchedule,
+    PromptId,
+    build_schedule,
+    ddim_sigma,
+    ddim_step,
+    fixed_point_map,
+    schedule_from_alpha_bar,
+)
 from diffinv.schedule import (
     DEFAULT_BETA_END,
     DEFAULT_BETA_START,
@@ -205,3 +215,40 @@ class TestInversionCoeff:
 
     def test_zero_when_levels_equal(self):
         assert inversion_eps_coeff(0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
+
+
+# Each reader of a step's noise levels, called at (t, t_prev); the map is built and evaluated once.
+STEP_READERS = {
+    "ddim_step": lambda s, counter, t, t_prev: ddim_step(s, np.zeros(2), np.ones(2), t, t_prev),
+    "ddim_sigma": lambda s, counter, t, t_prev: ddim_sigma(s, t, t_prev),
+    "fixed_point_map": lambda s, counter, t, t_prev: fixed_point_map(
+        s, counter, np.ones(2), t, t_prev, PromptId.SOURCE, 1.0
+    )(np.ones(2)),
+}
+
+
+class TestLevels:
+    def test_reads_both_levels_as_floats(self):
+        s = build_schedule().subsample(5)
+        ab_t, ab_p = s.levels(200, 0)
+        assert (ab_t, ab_p) == (s.alpha_bar[200], 1.0)
+        assert type(ab_t) is float and type(ab_p) is float
+        assert s.levels(0, 0) == (1.0, 1.0)
+        assert s.levels(1000, 1000) == (s.alpha_bar[1000],) * 2
+
+    @pytest.mark.parametrize("reader", sorted(STEP_READERS))
+    @pytest.mark.parametrize("t, t_prev", [(200, -1), (200.0, 0), (True, 0), (1001, 0), (200, 400)])
+    def test_every_step_refuses_a_pair_off_the_rule(self, reader, t, t_prev):
+        s = build_schedule().subsample(5)
+        counter = CallCounter(ConstantPredictor(0.0))
+        with pytest.raises(ValueError, match="^t(_prev)? must"):
+            STEP_READERS[reader](s, counter, t, t_prev)
+        assert counter.calls == 0
+
+    @pytest.mark.parametrize("reader", sorted(STEP_READERS))
+    def test_numpy_integers_are_read_as_their_value(self, reader):
+        s = build_schedule().subsample(5)
+        counter = CallCounter(ConstantPredictor(0.5))
+        as_numpy = STEP_READERS[reader](s, counter, np.int64(200), np.int64(100))
+        np.testing.assert_array_equal(as_numpy, STEP_READERS[reader](s, counter, 200, 100))
+        assert s.levels(np.int64(100), 0) == s.levels(100, 0)
