@@ -8,7 +8,8 @@ seed 1 for every workload, untraced and traced, and prints a sha256 of each
 `perfbench/results/*.seed1.*behaviour.json` with its `provenance` removed:
 equal digests on two commits mean equal behaviour records.  The second form
 builds the same records in the checkout at DIR and prints, for each record
-already built here, `same` or `differs` against DIR's.
+already built here, `same` or `differs` against DIR's; after the last line
+it exits 1 if any record differs.
 """
 
 import argparse
@@ -51,10 +52,13 @@ def main() -> None:
             print(digest(path), path.relative_to(here))
         return
     build(args.base)
+    differs = 0
     for path in sorted(here.glob(RECORDS)):
         relative = path.relative_to(here)
         same = digest(path) == digest(args.base / relative)
+        differs += not same
         print("same" if same else "differs", relative)
+    sys.exit(1 if differs else 0)
 
 
 if __name__ == "__main__":

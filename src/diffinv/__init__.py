@@ -12,7 +12,6 @@ from .errors import DivergenceError, NumericsError
 from .guidance import (
     AttentionMap,
     MaskNormConfig,
-    Polarity,
     SoftMask,
     blended_scale_field,
     normalize_map,
@@ -22,7 +21,6 @@ from .guidance import (
 )
 from .inversion import (
     FixedPointConfig,
-    FixedPointVariant,
     InversionReport,
     anderson_weights,
     fixed_point_map,
@@ -55,13 +53,11 @@ __all__ = [
     "EditConfig",
     "EditResult",
     "FixedPointConfig",
-    "FixedPointVariant",
     "InversionReport",
     "MaskNormConfig",
     "NoisePredictor",
     "NoiseSchedule",
     "NumericsError",
-    "Polarity",
     "PromptId",
     "SoftMask",
     "anderson_weights",

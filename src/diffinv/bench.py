@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count, check_real
-from .inversion import FixedPointConfig, FixedPointVariant, round_trip
+from .errors import check_choice, check_count, check_real
+from .inversion import VARIANTS, FixedPointConfig, round_trip
 from .metrics import psnr
 from .predictor import NoisePredictor, PromptId
 from .schedule import build_schedule
 
-METHODS = ("anderson", "averaged", "euler", "plain")
+METHODS = tuple(sorted(("euler", *VARIANTS)))
 
 # Iteration budgets per step count; unlisted counts fall back to FixedPointConfig's.
 DEFAULT_ITERS = {10: 11, 20: 6, 50: 5}
@@ -32,16 +32,14 @@ CSV_HEADER = "method,steps,omega,round_trip_relative_l2,psnr,nfe,wall_ms,seed"
 def method_config(
     method: str, steps: int, iters: int | None = None, window: int = FixedPointConfig.window
 ):
-    """FixedPointConfig for a named method, or None for Euler, the zero-iteration solve.
+    """FixedPointConfig for a method in `METHODS`, or None for Euler, the zero-iteration solve.
 
     The budget is checked for every method, Euler included.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_choice("method", method, METHODS)
     if iters is None:
         iters = DEFAULT_ITERS.get(steps, FixedPointConfig.iters)
-    variant = FixedPointVariant.PLAIN if method == "euler" else FixedPointVariant(method)
-    cfg = FixedPointConfig(variant=variant, iters=iters, window=window)
+    cfg = FixedPointConfig("plain" if method == "euler" else method, iters, window)
     return None if method == "euler" else cfg
 
 

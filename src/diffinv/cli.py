@@ -16,11 +16,11 @@ import sys
 
 import numpy as np
 
-from .bench import ExperimentGrid, method_config, run_grid, write_grid_csv
+from .bench import METHODS, ExperimentGrid, method_config, run_grid, write_grid_csv
 from .editing import EditConfig, edit, write_scores_csv
 from .errors import MaskSettingsError, NumericsError, check_finite
 from .fileio import load_tensor, parse_kv_file, save_tensor
-from .guidance import AttentionMap, MaskNormConfig, Polarity
+from .guidance import POLARITIES, AttentionMap, MaskNormConfig
 from .inversion import FixedPointConfig, round_trip
 from .predictor import ContractivePredictor, PromptId, load_predictor
 from .schedule import build_schedule
@@ -84,7 +84,7 @@ def build_parser() -> _Parser:
             option("--omega", type=_comma_list(float), default=ExperimentGrid.omegas,
                    help="comma list of guidance scales")
             option("--method", type=_comma_list(str), default=ExperimentGrid.methods,
-                   help="comma list of euler, plain, averaged, anderson")
+                   help=f"comma list of {', '.join(METHODS)}")
             option("--dim", type=int, default=ExperimentGrid.dim, help="latent dimension")
             option("--timing", type=_boolean, nargs="?", const=True,
                    help="record measured wall_ms in the CSV (breaks byte determinism)")
@@ -92,8 +92,7 @@ def build_parser() -> _Parser:
             option("--in", help="input tensor file (required)")
             option("--steps", type=int, default=20, help="scheduled step count")
             option("--omega", type=float, default=EditConfig.omega, help="guidance scale")
-            option("--method", default=FixedPointConfig.variant.value,
-                   help="euler | plain | averaged | anderson")
+            option("--method", default=FixedPointConfig.variant, help=" | ".join(METHODS))
         if name in ("edit", "grid"):
             settings = ExperimentGrid if name == "grid" else EditConfig
             option("--seed", type=int, default=settings.seed, help="random seed")
@@ -107,8 +106,8 @@ def build_parser() -> _Parser:
             option("--eta", type=float, default=EditConfig.eta, help="stochastic noise scale")
             option("--candidates", type=int, default=EditConfig.n_candidates,
                    help="number of stochastic candidates")
-            option("--polarity", type=Polarity, default=MaskNormConfig.polarity,
-                   help="positive | negative anchor")
+            option("--polarity", default=MaskNormConfig.polarity,
+                   help=f"{' | '.join(POLARITIES)} anchor")
             option("--mask-m", type=float, default=MaskNormConfig.big_m,
                    help="mask normalization amplitude")
             option("--delta", type=float, help="mask threshold (default: map mean)")

@@ -1,4 +1,4 @@
-"""Exception types, and the one check per kind of input: count, real, array, mask, broadcast.
+"""Exception types, and one check per kind of input: count, real, choice, array, mask, broadcast.
 
 Each rejection is a ValueError (or the given error type) whose message
 starts with the name of the setting.
@@ -67,6 +67,13 @@ def check_real(name: str, value, low: float | None = None, strict: bool = False)
         return float(value)
     bound = "" if low is None else f" and {'>' if strict else '>='} {low:g}"
     raise ValueError(f"{name} must be finite{bound}, got {value}")
+
+
+def check_choice(name: str, value, choices) -> str:
+    """`value`, or ValueError naming `name` unless it is one of the strings `choices`."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ValueError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
 
 
 def check_finite(x, name: str, error=ValueError) -> np.ndarray:

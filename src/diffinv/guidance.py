@@ -9,19 +9,16 @@ finally blends two guidance scales into a per-pixel field.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaskSettingsError, check_count, check_finite, check_real, check_unit_interval
+from .errors import (MaskSettingsError, check_choice, check_count, check_finite, check_real,
+                     check_unit_interval)
 
 
-class Polarity(enum.Enum):
-    """Whether high attention marks pixels to edit (positive) or keep (negative)."""
-
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
+# Whether high attention marks pixels to edit (positive) or keep (negative).
+POLARITIES = ("positive", "negative")
 
 
 @dataclass(frozen=True)
@@ -42,18 +39,20 @@ class AttentionMap:
 
 @dataclass(frozen=True)
 class MaskNormConfig:
-    """Threshold and amplitude of the two-sided normalization.
+    """Threshold and amplitude of the two-sided normalization, and the mask's polarity.
 
     delta=None resolves to the per-map arithmetic mean.  big_m sets the
     sigmoid input amplitude; 10 gives near-binary edges while keeping
     mid-range softness, and very large values approach a binary mask.
+    polarity is one of `POLARITIES`.
     """
 
     delta: float | None = None
     big_m: float = 10.0
-    polarity: Polarity = Polarity.POSITIVE
+    polarity: str = "positive"
 
     def __post_init__(self):
+        check_choice("polarity", self.polarity, POLARITIES)
         check_real("big_m", self.big_m, 0.0, strict=True)
         if self.delta is not None:
             check_real("delta", self.delta)
@@ -153,14 +152,16 @@ def normalize_map(amap: AttentionMap, cfg: MaskNormConfig) -> np.ndarray:
     return out
 
 
-def soft_mask(norm: np.ndarray, polarity: Polarity) -> SoftMask:
-    """Sigmoid of the normalized map; negative polarity flips it.
+def soft_mask(norm: np.ndarray, polarity: str) -> SoftMask:
+    """Sigmoid of the normalized map; "negative" polarity flips it.
 
     The negative mask is computed as 1 - sigmoid(norm), identical to
-    sigmoid(-norm) and bit-exactly complementary to the positive mask.
+    sigmoid(-norm) and bit-exactly complementary to the positive mask.  A
+    polarity outside `POLARITIES` raises ValueError naming it.
     """
+    check_choice("polarity", polarity, POLARITIES)
     s = sigmoid(check_finite(norm, "normalized map"))
-    if polarity is Polarity.NEGATIVE:
+    if polarity == "negative":
         return SoftMask(1.0 - s)
     return SoftMask(s)
 

@@ -17,7 +17,6 @@ is exact only when the prediction does not depend on z.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -25,17 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, check_count, check_finite, check_real
+from .errors import DivergenceError, check_choice, check_count, check_finite, check_real
 from .metrics import l2, relative_l2
 from .predictor import CallCounter, NoisePredictor, PromptId, guided_epsilon
 from .sampler import sample_trajectory
 from .schedule import NoiseSchedule, inversion_eps_coeff
 
 
-class FixedPointVariant(enum.Enum):
-    PLAIN = "plain"
-    AVERAGED = "averaged"
-    ANDERSON = "anderson"
+VARIANTS = ("plain", "averaged", "anderson")
 
 
 @dataclass(frozen=True)
@@ -44,20 +40,22 @@ class FixedPointConfig:
 
     `iters` fixes the number of iterations unless `residual_tol` > 0 stops
     earlier.  `window` is the Anderson history length m; the other variants
-    coerce it to 1, the averaged variant's pair of map values.  Both counts
-    must be integers >= 1, and `residual_tol` finite and >= 0.
+    coerce it to 1, the averaged variant's pair of map values.  `variant`
+    must be one of `VARIANTS`, both counts integers >= 1, and `residual_tol`
+    finite and >= 0.
     """
 
-    variant: FixedPointVariant = FixedPointVariant.AVERAGED
+    variant: str = "averaged"
     iters: int = 6
     window: int = 2
     residual_tol: float = 0.0
 
     def __post_init__(self):
+        check_choice("variant", self.variant, VARIANTS)
         check_count("iters", self.iters, 1)
         check_count("window", self.window, 1)
         check_real("residual_tol", self.residual_tol, 0.0)
-        if self.variant is not FixedPointVariant.ANDERSON and self.window != 1:
+        if self.variant != "anderson" and self.window != 1:
             object.__setattr__(self, "window", 1)
 
 
@@ -171,9 +169,9 @@ def iterative_invert_step(
             trace.append(res_norm)
             if i == iters or (cfg.residual_tol > 0.0 and res_norm <= cfg.residual_tol):
                 return z, trace
-        if i == 0 or cfg.variant is FixedPointVariant.PLAIN:
+        if i == 0 or cfg.variant == "plain":
             z = f_win[-1]
-        elif cfg.variant is FixedPointVariant.AVERAGED:
+        elif cfg.variant == "averaged":
             z = 0.5 * f_win[0] + 0.5 * f_win[1]
         else:
             gamma = anderson_weights(g_win)

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError, check_broadcast, check_count, check_finite, check_real
+from .errors import (NumericsError, check_broadcast, check_choice, check_count, check_finite,
+                     check_real)
 from .schedule import NoiseSchedule, build_schedule, inversion_eps_coeff
 
 
@@ -279,9 +280,13 @@ def guided_epsilon(
     uniform field the same noise as its value used as a scalar.  A field
     entry that is not a finite real raises ValueError naming the field; a
     scalar is only converted, since the trajectories check it once on entry.
+    A `cond` that is not a PromptId raises ValueError naming it, before
+    either predictor call.
     """
     if cond is PromptId.NULL:
         raise ValueError("conditioning prompt must not be the null prompt")
+    if not isinstance(cond, PromptId):
+        raise ValueError(f"cond must be a PromptId, got {cond!r}")
     if isinstance(scale, np.ndarray) and scale.ndim > 0:
         scale = check_finite(scale, "scale field")
         check_broadcast(scale.shape, np.shape(z), "scale field")
@@ -309,6 +314,7 @@ _SPEC_KEYS = {
     ("affine", False): ("bias_scale", *_GENERATED_KEYS),
     ("affine", True): (*_prompt_keys("a"), *_prompt_keys("b")),
 }
+_KINDS = tuple(dict.fromkeys(kind for kind, _ in _SPEC_KEYS))
 
 
 def load_predictor(path) -> NoisePredictor:
@@ -331,13 +337,9 @@ def load_predictor(path) -> NoisePredictor:
     path = Path(path)
     spec = parse_kv_file(path)
     try:
-        kind = spec.get("kind")
-        if kind is None:
-            raise ValueError("missing 'kind'")
+        kind = check_choice("kind", spec.get("kind"), _KINDS)
         prefix = {"contractive": "w", "affine": "a"}.get(kind)
         named = prefix is not None and any(key in spec for key in _prompt_keys(prefix))
-        if (kind, named) not in _SPEC_KEYS:
-            raise ValueError(f"unknown predictor kind {kind!r}")
         unread = sorted(set(spec) - {"kind", *_SPEC_KEYS[kind, named]})
         if unread:
             source = " with weight files" if named else ""

@@ -29,14 +29,17 @@ def _noise_settings(eta, mask, rng, latent_shape) -> tuple[float, np.ndarray | N
     """eta as a float and the noise mask as a float64 array, or ValueError naming the setting.
 
     eta must be a finite real >= 0.  eta = 0 reads neither `mask` nor `rng`
-    and returns mask None; eta > 0 needs `rng` and a mask with entries in
-    [0, 1] that broadcasts to the latent, None meaning ones.
+    and returns mask None; eta > 0 needs `rng`, a numpy.random.Generator,
+    and a mask with entries in [0, 1] that broadcasts to the latent, None
+    meaning ones.
     """
     eta = check_real("eta", eta, 0.0)
     if eta == 0.0:
         return eta, None
     if rng is None:
         raise ValueError("eta > 0 needs a random generator: pass rng")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     mask = check_unit_interval(1.0 if mask is None else mask, "mask")
     check_broadcast(mask.shape, latent_shape, "mask")
     return eta, mask

@@ -15,9 +15,7 @@ from diffinv import (
     ContractivePredictor,
     EditConfig,
     FixedPointConfig,
-    FixedPointVariant,
     MaskNormConfig,
-    Polarity,
     PromptId,
     blended_scale_field,
     build_schedule,
@@ -64,7 +62,7 @@ def test_criterion_1_fixed_point_oracle_exactness():
     with criterion(1, "scalar Anderson solve hits the closed form within 1e-8 in < 1 ms"):
         schedule = toy_two_step()
         pred = AffinePredictor({p: [[0.5]] for p in PromptId}, {p: [0.0] for p in PromptId})
-        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=6, window=2)
+        cfg = FixedPointConfig(variant="anderson", iters=6, window=2)
         z_star = closed_form_scalar_fixed_point()
 
         best = math.inf
@@ -82,7 +80,7 @@ def test_criterion_2_round_trip_reconstruction():
         schedule = build_schedule().subsample(20)
         pred = ContractivePredictor.default(64, seed=0)
         z_0 = np.random.default_rng(1).standard_normal(64)
-        cfg = FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=6)
+        cfg = FixedPointConfig(variant="averaged", iters=6)
 
         start = time.perf_counter()
         z_t, _ = invert_trajectory(schedule, pred, z_0, PromptId.SOURCE, 1.0, cfg)
@@ -107,7 +105,7 @@ def test_criterion_3_guidance_scale_trend():
         schedule = build_schedule().subsample(20)
         pred = ContractivePredictor.default(64, seed=0)
         z_0 = np.random.default_rng(1).standard_normal(64)
-        cfg = FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=6)
+        cfg = FixedPointConfig(variant="averaged", iters=6)
 
         errors = {}
         for omega in (0.0, 7.0):
@@ -124,13 +122,13 @@ def test_criterion_4_anderson_beats_plain_iteration():
         pred = AffinePredictor({p: [[0.5]] for p in PromptId}, {p: [0.0] for p in PromptId})
 
         for window in (1, 2):
-            cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=6, window=window)
+            cfg = FixedPointConfig(variant="anderson", iters=6, window=window)
             f = fixed_point_map(schedule, pred, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0)
             _, trace = iterative_invert_step(f, np.array([1.0]), 2, cfg)
             hit = next(i + 1 for i, r in enumerate(trace) if r <= 1e-10)
             assert hit <= 3
 
-        cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=25)
+        cfg = FixedPointConfig(variant="plain", iters=25)
         f = fixed_point_map(schedule, pred, np.array([1.0]), 2, 1, PromptId.SOURCE, 1.0)
         _, trace = iterative_invert_step(f, np.array([1.0]), 2, cfg)
         hit = next(i + 1 for i, r in enumerate(trace) if r <= 1e-10)
@@ -163,12 +161,12 @@ def test_criterion_5_degenerate_identities_bit_exact():
         result = edit(s10, pred12, z_0, PromptId.SOURCE, PromptId.SOURCE, cfg)
         assert np.array_equal(result.best, result.reconstruction)
 
-        pos = soft_mask(np.zeros((2, 2)), Polarity.POSITIVE)
+        pos = soft_mask(np.zeros((2, 2)), "positive")
         assert np.all(pos.values == 0.5)
         norm = rng.uniform(-25, 25, size=(4, 4))
         total = (
-            soft_mask(norm, Polarity.POSITIVE).values
-            + soft_mask(norm, Polarity.NEGATIVE).values
+            soft_mask(norm, "positive").values
+            + soft_mask(norm, "negative").values
         )
         assert np.array_equal(total, np.ones((4, 4)))
 
@@ -209,7 +207,7 @@ def test_criterion_7_mask_pipeline():
         np.testing.assert_allclose(out4, [[-4.0, -3.0, 4.0 / 3.0, 4.0]], atol=1e-12)
 
         hard = normalize_map(four, MaskNormConfig(big_m=1e3))
-        mask = soft_mask(hard, Polarity.POSITIVE).values
+        mask = soft_mask(hard, "positive").values
         distance_to_binary = np.minimum(np.abs(mask - 0.0), np.abs(mask - 1.0))
         assert np.all(distance_to_binary <= 1e-6)
 

@@ -167,7 +167,7 @@ class TestDefaultParity:
             owners.update(steps=grid["step_counts"], omega=grid["omegas"],
                           method=grid["methods"], dim=grid["dim"], seed=grid["seed"])
         else:
-            owners.update(omega=edit["omega"], method=fixed_point["variant"].value)
+            owners.update(omega=edit["omega"], method=fixed_point["variant"])
         if command == "edit":
             owners.update(seed=edit["seed"], omega_e=edit["omega_e"], eta=edit["eta"],
                           candidates=edit["n_candidates"], polarity=mask["polarity"],
@@ -328,6 +328,18 @@ class TestEditCommand:
 
     def test_polarity_validation(self, latent_file, capsys):
         assert run_cli("edit", "--in", latent_file, "--polarity", "sideways") == 1
+        assert "usage error: polarity must be one of positive, negative; got 'sideways'" in (
+            capsys.readouterr().err
+        )
+
+    def test_each_polarity_runs_its_own_mask(self, latent_file, tmp_path):
+        outputs = []
+        for polarity in ("positive", "negative"):
+            out = tmp_path / f"{polarity}.txt"
+            assert run_cli("edit", "--in", latent_file, "--steps", "5", "--polarity", polarity,
+                           "--out", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] != outputs[1]
 
     @pytest.mark.parametrize(
         "flag, value",

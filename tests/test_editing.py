@@ -11,9 +11,7 @@ from diffinv import (
     ContractivePredictor,
     EditConfig,
     FixedPointConfig,
-    FixedPointVariant,
     MaskNormConfig,
-    Polarity,
     PromptId,
     edit,
     invert_trajectory,
@@ -43,7 +41,7 @@ def affine_step_oracle(a, b, ab_t, ab_p):
     return m, v
 
 
-def fp_cfg(iters=6, variant=FixedPointVariant.AVERAGED):
+def fp_cfg(iters=6, variant="averaged"):
     return FixedPointConfig(variant=variant, iters=iters)
 
 
@@ -76,6 +74,20 @@ class TestReconstruct:
         mask = edit(schedule10, zero, z_0, PromptId.SOURCE, PromptId.SOURCE, cfg).mask
         expected = soft_mask(normalize_map(amap, cfg.mask), cfg.mask.polarity)
         np.testing.assert_array_equal(mask.values, expected.values)
+
+
+    def test_negative_polarity_flips_the_edit_mask(self, schedule10):
+        amap = corner_blob(1.0)
+        z_0 = np.zeros((4, 4))
+        zero = ConstantPredictor(0.0)
+        masks = {}
+        for polarity in ("positive", "negative"):
+            cfg = EditConfig(attention=amap, fixed_point=fp_cfg(2),
+                             mask=MaskNormConfig(polarity=polarity))
+            masks[polarity] = edit(schedule10, zero, z_0, PromptId.SOURCE, PromptId.SOURCE,
+                                   cfg).mask.values
+        np.testing.assert_array_equal(masks["negative"], 1.0 - masks["positive"])
+        assert not np.array_equal(masks["negative"], masks["positive"])
 
 
 class TestEditDegenerateIdentity:
@@ -126,7 +138,7 @@ class TestMaskLocality:
         attn_values[0, hot] = 1.0
         amap = AttentionMap(attn_values)
 
-        mask_cfg = MaskNormConfig(big_m=1e3, polarity=Polarity.POSITIVE)
+        mask_cfg = MaskNormConfig(big_m=1e3, polarity="positive")
         bump = np.zeros(dim)
         bump[hot] = 0.5
         b_tgt = b_src + bump

@@ -123,6 +123,11 @@ class TestOneReaderOneWriter:
         assert loaded.dtype == np.float64 and loaded.shape == arr.shape
         assert loaded.tobytes() == expected.tobytes()  # -0.0 and nan bits included
 
+    def test_last_line_without_a_newline(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"shape: 2 2\n1 2\n3 4")
+        np.testing.assert_array_equal(load_tensor(path), [[1, 2], [3, 4]])
+
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     def test_universal_newlines(self, tmp_path, newline):
         path = tmp_path / "t.txt"

@@ -7,7 +7,6 @@ import pytest
 from diffinv import (
     AttentionMap,
     MaskNormConfig,
-    Polarity,
     SoftMask,
     blended_scale_field,
     normalize_map,
@@ -91,13 +90,13 @@ class TestNormalizeMap:
 class TestSoftMask:
     def test_zero_maps_to_half_both_polarities(self):
         norm = np.zeros((2, 2))
-        pos = soft_mask(norm, Polarity.POSITIVE)
-        neg = soft_mask(norm, Polarity.NEGATIVE)
+        pos = soft_mask(norm, "positive")
+        neg = soft_mask(norm, "negative")
         assert np.all(pos.values == 0.5)
         assert np.all(neg.values == 0.5)
 
     def test_saturation_at_ten(self):
-        out = soft_mask(np.array([[10.0, -10.0]]), Polarity.POSITIVE)
+        out = soft_mask(np.array([[10.0, -10.0]]), "positive")
         assert abs(out.values[0, 0] - 1.0) < 5e-5
         assert abs(out.values[0, 1] - 0.0) < 5e-5
 
@@ -105,14 +104,20 @@ class TestSoftMask:
     def test_polarities_sum_to_one_bitwise(self, seed):
         rng = np.random.default_rng(seed)
         norm = rng.uniform(-30.0, 30.0, size=(4, 4))
-        pos = soft_mask(norm, Polarity.POSITIVE)
-        neg = soft_mask(norm, Polarity.NEGATIVE)
+        pos = soft_mask(norm, "positive")
+        neg = soft_mask(norm, "negative")
         np.testing.assert_array_equal(pos.values + neg.values, np.ones((4, 4)))
+
+    def test_each_polarity_is_its_sigmoid_form_bitwise(self):
+        norm = np.random.default_rng(3).uniform(-30.0, 30.0, size=(4, 4))
+        s = sigmoid(norm)
+        np.testing.assert_array_equal(soft_mask(norm, "positive").values, s)
+        np.testing.assert_array_equal(soft_mask(norm, "negative").values, 1.0 - s)
 
     def test_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(9)
         norm = rng.uniform(-30.0, 30.0, size=(8, 8))
-        out = soft_mask(norm, Polarity.POSITIVE).values
+        out = soft_mask(norm, "positive").values
         assert np.all(out > 0.0)
         assert np.all(out < 1.0)
 
@@ -125,7 +130,7 @@ class TestSoftMask:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            soft_mask(np.array([[np.nan]]), Polarity.POSITIVE)
+            soft_mask(np.array([[np.nan]]), "positive")
 
     @pytest.mark.parametrize(
         "x, why",

@@ -11,7 +11,6 @@ from diffinv import (
     ConstantPredictor,
     ContractivePredictor,
     FixedPointConfig,
-    FixedPointVariant,
     PromptId,
     anderson_weights,
     ddim_step,
@@ -24,6 +23,7 @@ from diffinv import (
 )
 from diffinv import inversion
 from diffinv.errors import DivergenceError
+from diffinv.inversion import VARIANTS
 from diffinv.predictor import guided_epsilon, max_inversion_coeff
 from diffinv.schedule import inversion_eps_coeff
 
@@ -117,7 +117,7 @@ class TestEulerIsZeroIterations:
         z = np.array([0.7])
         euler, trace = invert_step(toy_schedule, scalar_affine_half, z, 2, 1, None)
         assert trace == []
-        for variant in FixedPointVariant:
+        for variant in VARIANTS:
             cfg = FixedPointConfig(variant=variant, iters=1)
             first, _ = invert_step(toy_schedule, scalar_affine_half, z, 2, 1, cfg)
             np.testing.assert_array_equal(first, euler)
@@ -230,14 +230,14 @@ class TestAndersonWeights:
 
 class TestIterativeInvertStep:
     def test_zero_predictor_converges_immediately(self, toy_schedule):
-        cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=4)
+        cfg = FixedPointConfig(variant="plain", iters=4)
         z, trace = invert_step(toy_schedule, ConstantPredictor(0.0), np.array([1.0]), 2, 1, cfg)
         assert trace[0] == 0.0
         assert z[0] == pytest.approx(math.sqrt(AB_T / AB_PREV), rel=1e-15)
 
     def test_anderson_hits_closed_form(self, toy_schedule, scalar_affine_half):
         z_star, _ = scalar_fixed_point_oracle(0.5, 1.0, AB_T, AB_PREV)
-        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=6, window=2)
+        cfg = FixedPointConfig(variant="anderson", iters=6, window=2)
         z, trace = invert_step(toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, cfg)
         assert abs(z[0] - z_star) <= 1e-8
         assert len(trace) == 6
@@ -252,14 +252,14 @@ class TestIterativeInvertStep:
 
         monkeypatch.setattr(inversion, "anderson_weights", counted)
         pred = ContractivePredictor.default(4, seed=3)
-        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=5, window=2)
+        cfg = FixedPointConfig(variant="anderson", iters=5, window=2)
         _, trace = invert_step(toy_schedule, pred, np.array([0.4, -0.1, 0.9, 0.2]), 2, 1, cfg)
         assert len(trace) == 5
         assert calls == [2, 3, 3, 3]
 
     def test_anderson_window_one_is_secant(self, toy_schedule, scalar_affine_half):
         # exact on scalar linear problems by the second combination
-        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=6, window=1)
+        cfg = FixedPointConfig(variant="anderson", iters=6, window=1)
         _, trace = invert_step(toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, cfg)
         hit = next(i + 1 for i, r in enumerate(trace) if r <= 1e-10)
         assert hit <= 3
@@ -271,7 +271,7 @@ class TestIterativeInvertStep:
         z_hand = 1.0
         for _ in range(6):
             z_hand = r * 1.0 + c * 0.5 * z_hand
-        cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=6)
+        cfg = FixedPointConfig(variant="plain", iters=6)
         z, trace = invert_step(toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, cfg)
         assert z[0] == pytest.approx(z_hand, abs=1e-14)
         z_star, q = scalar_fixed_point_oracle(0.5, 1.0, AB_T, AB_PREV)
@@ -280,7 +280,7 @@ class TestIterativeInvertStep:
     def test_plain_contraction_rate(self, toy_schedule, scalar_affine_half):
         # residual shrinks by exactly the contraction factor on a linear map
         _, q = scalar_fixed_point_oracle(0.5, 1.0, AB_T, AB_PREV)
-        cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=12)
+        cfg = FixedPointConfig(variant="plain", iters=12)
         _, trace = invert_step(toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, cfg)
         for a, b in zip(trace, trace[1:]):
             if a < 1e-12:
@@ -304,12 +304,12 @@ class TestIterativeInvertStep:
             z_hist.append(0.5 * f_hist[i - 1] + 0.5 * f_hist[i])
         expected = z_hist[iters]
 
-        cfg = FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=iters)
+        cfg = FixedPointConfig(variant="averaged", iters=iters)
         z, _ = invert_step(toy_schedule, pred, z_prev, 2, 1, cfg)
         np.testing.assert_array_equal(z, expected)
 
     def test_residual_tol_early_stop(self, toy_schedule, scalar_affine_half):
-        cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=50, residual_tol=1e-6)
+        cfg = FixedPointConfig(variant="plain", iters=50, residual_tol=1e-6)
         _, trace = invert_step(toy_schedule, scalar_affine_half, np.array([1.0]), 2, 1, cfg)
         assert len(trace) < 50
         assert trace[-1] <= 1e-6
@@ -317,16 +317,16 @@ class TestIterativeInvertStep:
 
     def test_divergence_raises_with_location(self, toy_schedule):
         huge = AffinePredictor({p: [[1e80]] for p in PromptId}, {p: [0.0] for p in PromptId})
-        cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=10)
+        cfg = FixedPointConfig(variant="plain", iters=10)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DivergenceError, match="t=2"
         ):
             invert_step(toy_schedule, huge, np.array([1.0]), 2, 1, cfg)
 
     def test_window_coerced_for_non_anderson(self):
-        cfg = FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=3, window=5)
+        cfg = FixedPointConfig(variant="averaged", iters=3, window=5)
         assert cfg.window == 1
-        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=3, window=5)
+        cfg = FixedPointConfig(variant="anderson", iters=3, window=5)
         assert cfg.window == 5
 
     def test_config_validation(self):
@@ -343,10 +343,10 @@ class TestIterativeInvertStep:
             FixedPointConfig(iters=2.5)
         with pytest.raises(ValueError, match="iters must be an integer, got True"):
             FixedPointConfig(iters=True)
-        for variant in FixedPointVariant:  # checked before the window is coerced
+        for variant in VARIANTS:  # checked before the window is coerced
             with pytest.raises(ValueError, match=r"window must be an integer, got 1\.5"):
                 FixedPointConfig(variant=variant, window=1.5)
-        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=np.int64(3),
+        cfg = FixedPointConfig(variant="anderson", iters=np.int64(3),
                                window=np.int64(2))
         assert (cfg.iters, cfg.window) == (3, 2)
 
@@ -378,18 +378,24 @@ class TestInvertTrajectory:
             invert_trajectory(schedule10, counter, np.ones(8), PromptId.SOURCE, [1.0, 2.0], None)
         assert counter.calls == 0
 
+    def test_a_string_prompt_is_refused_before_any_call(self, schedule10):
+        counter = CallCounter(ContractivePredictor.default(8, 0))
+        with pytest.raises(ValueError, match="^cond must be a PromptId, got 'source'$"):
+            invert_trajectory(schedule10, counter, np.ones(8), "source", 1.0, FixedPointConfig())
+        assert counter.calls == 0
+
     def test_zero_predictor_telescopes(self, schedule20):
         z_0 = np.random.default_rng(0).standard_normal(8)
         z_t, report = invert_trajectory(
             schedule20, ConstantPredictor(0.0), z_0, PromptId.SOURCE, 1.0,
-            FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=2),
+            FixedPointConfig(variant="plain", iters=2),
         )
         np.testing.assert_allclose(z_t, math.sqrt(schedule20.alpha_bar[1000]) * z_0, rtol=1e-12)
         assert len(report.step_traces) == 20
 
     def test_round_trip_beats_euler_tenfold(self, schedule20, contractive64):
         z_0 = np.random.default_rng(1).standard_normal(64)
-        cfg = FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=6)
+        cfg = FixedPointConfig(variant="averaged", iters=6)
         z_t, _ = invert_trajectory(schedule20, contractive64, z_0, PromptId.SOURCE, 1.0, cfg)
         rec = sample_trajectory(schedule20, contractive64, z_t, PromptId.SOURCE, 1.0)[-1]
         err_fp = relative_l2(rec, z_0)
@@ -400,7 +406,7 @@ class TestInvertTrajectory:
         err_euler = relative_l2(rec_e, z_0)
         assert err_euler >= 10.0 * err_fp
 
-    @pytest.mark.parametrize("variant", list(FixedPointVariant))
+    @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_one_step_schedule_round_trips(self, base_schedule, contractive64, variant):
         schedule = base_schedule.subsample(1)
         z_0 = np.random.default_rng(0).standard_normal(64)
@@ -421,7 +427,7 @@ class TestInvertTrajectory:
         assert outer.calls == report.nfe
 
         outer2 = CallCounter(contractive64)
-        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=4)
+        cfg = FixedPointConfig(variant="anderson", iters=4)
         _, report2 = invert_trajectory(schedule10, outer2, z_0, PromptId.SOURCE, 1.0, cfg)
         assert report2.nfe == 2 * 10 * (4 + 1)
         assert outer2.calls == report2.nfe
@@ -432,7 +438,7 @@ class TestInvertTrajectory:
         # residuals near 1e300 square to inf; their norms are still finite
         z_0 = np.random.default_rng(0).standard_normal((4, 4))
         pred = ContractivePredictor.default(16, seed=0)
-        cfg = FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=6)
+        cfg = FixedPointConfig(variant="averaged", iters=6)
         schedule = base_schedule.subsample(5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -447,7 +453,7 @@ class TestInvertTrajectory:
         errors = []
         for tol in (1e-1, 1e-3, 1e-5, 1e-7):
             cfg = FixedPointConfig(
-                variant=FixedPointVariant.PLAIN, iters=60, residual_tol=tol
+                variant="plain", iters=60, residual_tol=tol
             )
             z_t, _ = invert_trajectory(schedule10, contractive64, z_0, PromptId.SOURCE, 1.0, cfg)
             rec = sample_trajectory(schedule10, contractive64, z_t, PromptId.SOURCE, 1.0)[-1]
@@ -474,7 +480,7 @@ class TestAndersonHardRegime:
         weights = {PromptId.NULL: a * s, PromptId.SOURCE: -a * s, PromptId.TARGET: -a * s}
         pred = AffinePredictor(weights, {p: np.zeros(64) for p in PromptId})
         z_0 = np.random.default_rng(1).standard_normal(64)
-        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=iters, window=window)
+        cfg = FixedPointConfig(variant="anderson", iters=iters, window=window)
         return round_trip(schedule, pred, z_0, PromptId.SOURCE, 7.0, cfg)[2].round_trip_l2
 
     def test_more_iterations_keep_converging(self, schedule20):
@@ -523,9 +529,9 @@ def reference_step(schedule, pred, z_prev, t, t_prev, cond, omega, cfg):
             trace.append(res_norm)
             if i == iters or (cfg.residual_tol > 0.0 and res_norm <= cfg.residual_tol):
                 return z, trace
-        if i == 0 or cfg.variant is FixedPointVariant.PLAIN:
+        if i == 0 or cfg.variant == "plain":
             z = f_hist[i]
-        elif cfg.variant is FixedPointVariant.AVERAGED:
+        elif cfg.variant == "averaged":
             z = 0.5 * f_hist[i - 1] + 0.5 * f_hist[i]
         else:
             m_i = min(cfg.window, i)
@@ -546,13 +552,13 @@ class TestSolverMatchesReferenceLoop:
         "cfg",
         [
             None,
-            FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=7),
-            FixedPointConfig(variant=FixedPointVariant.AVERAGED, iters=7),
-            FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=9, window=1),
-            FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=9, window=2),
-            FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=9, window=5),
-            FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=40, residual_tol=1e-9),
-            FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=20, window=2,
+            FixedPointConfig(variant="plain", iters=7),
+            FixedPointConfig(variant="averaged", iters=7),
+            FixedPointConfig(variant="anderson", iters=9, window=1),
+            FixedPointConfig(variant="anderson", iters=9, window=2),
+            FixedPointConfig(variant="anderson", iters=9, window=5),
+            FixedPointConfig(variant="plain", iters=40, residual_tol=1e-9),
+            FixedPointConfig(variant="anderson", iters=20, window=2,
                              residual_tol=1e-11),
         ],
         ids=["euler", "plain", "averaged", "anderson-w1", "anderson-w2", "anderson-w5",
@@ -574,6 +580,30 @@ class TestSolverMatchesReferenceLoop:
             assert any(len(trace) < cfg.iters for _, trace in traces)
 
 
+class TestVariantStrings:
+    """Each variant string runs the update its name says.
+
+    The round trips are recorded values for the seed-1 dim-64 latent at 10
+    steps, omega = 7 and 3 iterations; a string that fell through to another
+    branch (plain run as Anderson with window 1 gives 4.365e-4) misses its
+    value by far more than rounding.
+    """
+
+    ROUND_TRIPS = {
+        "plain": 0.00043282253276374845,
+        "averaged": 0.005707621900759599,
+        "anderson": 0.00043340961611996104,
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_round_trip_matches_its_recorded_value(self, schedule10, contractive64, variant):
+        z_0 = np.random.default_rng(1).standard_normal(64)
+        cfg = FixedPointConfig(variant=variant, iters=3)
+        _, _, report = round_trip(schedule10, contractive64, z_0, PromptId.SOURCE, 7.0, cfg)
+        assert report.round_trip_l2 == pytest.approx(self.ROUND_TRIPS[variant], rel=1e-9)
+        assert report.nfe == 2 * 10 * 4
+
+
 class TestStepSetUpCost:
     """Deterministic cost guard: the step set-up runs once per step, not per evaluation."""
 
@@ -581,8 +611,8 @@ class TestStepSetUpCost:
         "cfg",
         [
             None,
-            FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=6, window=2),
-            FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=40, residual_tol=1e-9),
+            FixedPointConfig(variant="anderson", iters=6, window=2),
+            FixedPointConfig(variant="plain", iters=40, residual_tol=1e-9),
         ],
         ids=["euler", "anderson", "plain-tol"],
     )
@@ -628,21 +658,21 @@ class TestSolverOnPlainMaps:
 
     def test_anderson_window_one_is_exact_after_its_first_secant_step(self):
         z_star = self.B / (1.0 - self.LAM)
-        cfg = FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=2, window=1)
+        cfg = FixedPointConfig(variant="anderson", iters=2, window=1)
         z, trace = iterative_invert_step(self.affine, np.zeros(3), 5, cfg)
         np.testing.assert_allclose(z, z_star, rtol=1e-14, atol=1e-15)
         assert trace[1] <= 1e-14 * trace[0]
 
     def test_plain_iteration_residuals_grow(self):
-        cfg = FixedPointConfig(variant=FixedPointVariant.PLAIN, iters=6)
+        cfg = FixedPointConfig(variant="plain", iters=6)
         _, trace = iterative_invert_step(self.affine, np.zeros(3), 5, cfg)
         for a, b in zip(trace, trace[1:]):
             assert b == pytest.approx(abs(self.LAM) * a, rel=1e-12)
 
     @pytest.mark.parametrize(
         "cfg",
-        [None, *(FixedPointConfig(variant=v, iters=4) for v in FixedPointVariant),
-         FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=7, window=3)],
+        [None, *(FixedPointConfig(variant=v, iters=4) for v in VARIANTS),
+         FixedPointConfig(variant="anderson", iters=7, window=3)],
     )
     def test_map_is_called_iters_plus_one_times(self, cfg):
         calls = []
@@ -659,8 +689,8 @@ class TestSolverOnPlainMaps:
     @pytest.mark.parametrize(
         "cfg",
         [*(FixedPointConfig(variant=v, iters=12)
-           for v in (FixedPointVariant.PLAIN, FixedPointVariant.AVERAGED)),
-         *(FixedPointConfig(variant=FixedPointVariant.ANDERSON, iters=12, window=m)
+           for v in ("plain", "averaged")),
+         *(FixedPointConfig(variant="anderson", iters=12, window=m)
            for m in (1, 2, 4))],
     )
     def test_holds_at_most_window_plus_one_map_values(self, cfg):
@@ -679,7 +709,7 @@ class TestSolverOnPlainMaps:
         assert max(alive) <= cfg.window + 1
 
     @pytest.mark.parametrize(
-        "cfg", [None, *(FixedPointConfig(variant=v, iters=3) for v in FixedPointVariant)]
+        "cfg", [None, *(FixedPointConfig(variant=v, iters=3) for v in VARIANTS)]
     )
     def test_non_finite_map_raises_divergence_at_the_first_iteration(self, cfg):
         with pytest.raises(DivergenceError) as info:

@@ -188,6 +188,13 @@ class TestGuidedEpsilon:
         with pytest.raises(ValueError, match="null"):
             guided_epsilon(ConstantPredictor(0.0), np.zeros(2), PromptId.NULL, 1.0, 1)
 
+    @pytest.mark.parametrize("cond", ["source", "target", 1, None])
+    def test_rejects_a_prompt_that_is_not_a_prompt_id_before_any_call(self, cond):
+        counter = CallCounter(ConstantPredictor(0.0))
+        with pytest.raises(ValueError, match="^cond must be a PromptId, got "):
+            guided_epsilon(counter, np.zeros(2), cond, 1.0, 1)
+        assert counter.calls == 0
+
     def test_rejects_predictions_of_different_shapes(self):
         class Ragged(predictor.NoisePredictor):
             def predict(self, z, prompt, t):
@@ -313,7 +320,7 @@ class TestLoadPredictor:
     def test_rejects_unknown_kind_and_partial_weights(self, tmp_path):
         spec = tmp_path / "p.cfg"
         spec.write_text("kind = mystery\n")
-        with pytest.raises(ValueError, match="unknown predictor kind"):
+        with pytest.raises(ValueError, match=": kind must be one of .*; got 'mystery'$"):
             load_predictor(spec)
         save_tensor(tmp_path / "w.txt", np.eye(3))
         spec.write_text("kind = contractive\nw_null = w.txt\n")
@@ -432,7 +439,7 @@ class TestLoadPredictor:
     @pytest.mark.parametrize(
         "lines, message",
         [
-            (["dim = 8"], "missing 'kind'"),
+            (["dim = 8"], ": kind must be one of .*; got None$"),
             (["kind = constant"], "constant predictor needs 'value'"),
         ],
     )

@@ -8,6 +8,7 @@ from diffinv import (
     CallCounter,
     ConstantPredictor,
     ContractivePredictor,
+    NoisePredictor,
     PromptId,
     build_schedule,
     ddim_sigma,
@@ -314,6 +315,34 @@ class TestSampleTrajectory:
         pred = AffinePredictor.random(8, 0, {p: 1e200 for p in PromptId})
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="sampling step t="):
             sample_trajectory(schedule, pred, np.ones(8), PromptId.SOURCE, 1.0)
+
+    def test_overflowing_state_is_a_numeric_failure_naming_the_step(self):
+        schedule = build_schedule().subsample(5)
+        with np.errstate(all="ignore"), pytest.raises(NumericsError) as err:
+            sample_trajectory(schedule, ConstantPredictor(1e308), np.ones(4), PromptId.SOURCE, 1.0)
+        assert str(err.value) == "state entering sampling step t=800 contains non-finite entries"
+
+    def test_wrong_shaped_prediction_is_re_raised(self, schedule10):
+        class WrongShape(NoisePredictor):
+            def predict(self, z, prompt, t):
+                return np.zeros(5)
+
+        with pytest.raises(ValueError, match=r"^eps shape \(5,\) does not match latent shape \(4,\)$"):
+            sample_trajectory(schedule10, WrongShape(), np.ones(4), PromptId.SOURCE, 1.0)
+
+    @pytest.mark.parametrize("rng", [42, np.random.RandomState(0), "seed"])
+    def test_rejects_an_rng_that_is_not_a_generator_before_any_call(self, schedule10, rng):
+        counter = CallCounter(ConstantPredictor(0.0))
+        with pytest.raises(ValueError, match="^rng must be a numpy.random.Generator, got "):
+            sample_trajectory(
+                schedule10, counter, np.ones(4), PromptId.SOURCE, 1.0, eta=0.3, rng=rng
+            )
+        assert counter.calls == 0
+
+    def test_rng_type_is_not_read_at_eta_zero(self, schedule10):
+        out = sample_trajectory(schedule10, ConstantPredictor(0.0), np.ones(4), PromptId.SOURCE,
+                                1.0, rng=42)
+        assert len(out) == 11
 
     @pytest.mark.parametrize("omega", [np.nan, np.inf, np.array([1.0, 2.0, np.nan, 1.0])])
     def test_rejects_a_non_finite_scale_before_any_call(self, schedule10, omega):
