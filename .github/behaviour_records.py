@@ -8,8 +8,10 @@ seed 1 for every workload, untraced and traced, and prints a sha256 of each
 `perfbench/results/*.seed1.*behaviour.json` with its `provenance` removed:
 equal digests on two commits mean equal behaviour records.  The second form
 builds the same records in the checkout at DIR and prints, for each record
-already built here, `same` or `differs` against DIR's; after the last line
-it exits 1 if any record differs.
+already built here, `same` or `differs` against DIR's; under a record that
+differs it lists up to 10 of the JSON paths that differ, each with DIR's
+value and then this checkout's (`  ops[3].rel_l2: 2.14e-08 -> 2.01e-08`).
+After the last line it exits 1 if any record differs.
 """
 
 import argparse
@@ -21,6 +23,9 @@ from pathlib import Path
 
 WORKLOADS = ("invert-d64", "edit-d1024", "cli-d256")
 RECORDS = "perfbench/results/*.seed1.*behaviour.json"
+# The most differing paths listed under one record that differs.
+MAX_PATHS = 10
+ABSENT = object()
 
 
 def build(checkout: Path) -> None:
@@ -33,12 +38,49 @@ def build(checkout: Path) -> None:
             )
 
 
-def digest(path: Path) -> str:
+def load(path: Path) -> dict:
+    """A behaviour record without its provenance."""
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
     record.pop("provenance")
-    text = json.dumps(record, sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return record
+
+
+def digest(record: dict) -> str:
+    return hashlib.sha256(show(record).encode("utf-8")).hexdigest()
+
+
+def differences(old, new, path=""):
+    """(path, old value, new value) for each JSON leaf that differs, in document order.
+
+    Objects are compared key by key and arrays item by item; a key or item
+    that only one side has is compared with `ABSENT`.  Leaves are compared
+    as the digest sees them, by their JSON text, so 1 and 1.0 differ and
+    NaN equals NaN.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from differences(old.get(key, ABSENT), new.get(key, ABSENT),
+                                   f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            yield from differences(old[i] if i < len(old) else ABSENT,
+                                   new[i] if i < len(new) else ABSENT, f"{path}[{i}]")
+    elif show(old) != show(new):
+        yield path, old, new
+
+
+def show(value) -> str:
+    return "(absent)" if value is ABSENT else json.dumps(value, sort_keys=True)
+
+
+def difference_lines(old: dict, new: dict) -> list[str]:
+    """One indented `path: old -> new` line per differing leaf, at most `MAX_PATHS` of them."""
+    found = list(differences(old, new))
+    lines = [f"  {path}: {show(a)} -> {show(b)}" for path, a, b in found[:MAX_PATHS]]
+    if len(found) > MAX_PATHS:
+        lines.append(f"  ... and {len(found) - MAX_PATHS} more")
+    return lines
 
 
 def main() -> None:
@@ -49,15 +91,18 @@ def main() -> None:
     if args.base is None:
         build(here)
         for path in sorted(here.glob(RECORDS)):
-            print(digest(path), path.relative_to(here))
+            print(digest(load(path)), path.relative_to(here))
         return
     build(args.base)
     differs = 0
     for path in sorted(here.glob(RECORDS)):
         relative = path.relative_to(here)
-        same = digest(path) == digest(args.base / relative)
+        old, new = load(args.base / relative), load(path)
+        same = show(old) == show(new)
         differs += not same
         print("same" if same else "differs", relative)
+        if not same:
+            print(*difference_lines(old, new), sep="\n")
     sys.exit(1 if differs else 0)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_count, check_finite, check_real
+from .errors import check_count, check_finite, check_instance, check_real
 from .guidance import (
     AttentionMap,
     MaskNormConfig,
@@ -40,7 +40,10 @@ class EditConfig:
     omega is used for inversion and reconstruction, omega_e only inside the
     masked editing region; both are finite, with 0 <= omega <= omega_e.
     attention is the map the edit's one soft mask is built from; None
-    builds a centered synthetic blob on the latent's spatial grid.
+    builds a centered synthetic blob on the latent's spatial grid.  Each
+    settings field has its type checked here: `attention` an AttentionMap
+    or None, `mask` a MaskNormConfig, `fixed_point` a FixedPointConfig or
+    None.
     """
 
     omega: float = 1.0
@@ -58,6 +61,9 @@ class EditConfig:
         check_real("omega", self.omega, 0.0)
         check_real("omega_e", self.omega_e, self.omega)
         check_real("eta", self.eta, 0.0)
+        check_instance("attention", self.attention, AttentionMap, optional=True)
+        check_instance("mask", self.mask, MaskNormConfig)
+        check_instance("fixed_point", self.fixed_point, FixedPointConfig, optional=True)
 
 
 @dataclass
@@ -94,9 +100,15 @@ def edit(
     reconstruction bit-exactly.  The candidate with the lowest relative L2
     to z_0 wins.  The mask does not depend on the inversion and is built
     first, so mask settings that cannot be applied raise MaskSettingsError
-    (a ValueError) before any predictor call, as does a `z_0` entry that is
-    not a finite real (ValueError naming z_0).
+    (a ValueError) before any predictor call, as do a `z_0` entry that is
+    not a finite real (ValueError naming z_0), a prompt that is not a
+    PromptId other than NULL (ValueError naming source_prompt or
+    target_prompt, by `PromptId.conditioning`) and a `cfg` that is not an
+    EditConfig.
     """
+    check_instance("cfg", cfg, EditConfig)
+    PromptId.conditioning("source_prompt", source_prompt)
+    PromptId.conditioning("target_prompt", target_prompt)
     z_0 = check_finite(z_0, "z_0")
     attention = cfg.attention
     if attention is None:

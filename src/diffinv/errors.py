@@ -1,4 +1,4 @@
-"""Exception types, and one check per kind of input: count, real, choice, array, mask, broadcast.
+"""Exception types, and one check per input kind: count, real, choice, type, array, mask, broadcast.
 
 Each rejection is a ValueError (or the given error type) whose message
 starts with the name of the setting.
@@ -74,6 +74,20 @@ def check_choice(name: str, value, choices) -> str:
     if isinstance(value, str) and value in choices:
         return value
     raise ValueError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
+
+
+def check_instance(name: str, value, cls: type, optional: bool = False):
+    """`value`, or ValueError naming `name` unless it is a `cls` (or None, when `optional`).
+
+    The one rule for settings objects and prompts, so a wrong-typed one,
+    such as a variant string passed where a `FixedPointConfig` belongs,
+    fails by name where it is given instead of deep inside a run.
+    """
+    if isinstance(value, cls) or (optional and value is None):
+        return value
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    allowed = f"{article} {cls.__name__}{' or None' if optional else ''}"
+    raise ValueError(f"{name} must be {allowed}, got {value!r}")
 
 
 def check_finite(x, name: str, error=ValueError) -> np.ndarray:

@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, check_choice, check_count, check_finite, check_real
+from .errors import (DivergenceError, check_choice, check_count, check_finite, check_instance,
+                     check_real)
 from .metrics import l2, relative_l2
 from .predictor import CallCounter, NoisePredictor, PromptId, guided_epsilon
 from .sampler import sample_trajectory
@@ -93,7 +94,8 @@ def fixed_point_map(
     timestep rule it adds t_prev != t to, coeff and the drift term
     sqrt(ab_t / ab_prev) * z_prev) is done once, here, so a bad pair raises
     ValueError before any predictor call; each call of the returned map
-    costs one `guided_epsilon` and one axpy.
+    costs one `guided_epsilon` and one axpy, which checks `cond` and
+    `omega` at the map's first call, before any predictor call.
     """
     ab_t, ab_p = schedule.levels(t, t_prev)
     if t_prev == t:
@@ -194,13 +196,14 @@ def invert_trajectory(
     Each step solves its `fixed_point_map` with `iterative_invert_step`
     under `cfg`; cfg=None is the zero-iteration (forward-Euler) baseline.
     Returns the final noise vector and a report with per-step residual
-    traces and the noise-predictor call count.  A z_0 or omega entry that
-    is not a finite real raises ValueError.
+    traces and the noise-predictor call count.  A z_0 entry that is not a
+    finite real, or a `cfg` that is neither a FixedPointConfig nor None,
+    raises ValueError naming it on entry; `cond` and `omega` follow
+    `guided_epsilon`'s rule, checked before the first predictor call.
     """
     counter = CallCounter(pred)
     z = check_finite(z_0, "z_0")
-    omega = check_finite(omega, "omega")
-    omega = omega if omega.ndim else float(omega)
+    check_instance("cfg", cfg, FixedPointConfig, optional=True)
     traces: list[tuple[int, list[float]]] = []
     for t_prev, t in schedule.inversion_pairs():
         f = fixed_point_map(schedule, counter, z, t, t_prev, cond, omega)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import (NumericsError, check_broadcast, check_choice, check_count, check_finite,
-                     check_real)
+                     check_instance, check_real)
 from .schedule import NoiseSchedule, build_schedule, inversion_eps_coeff
 
 
@@ -27,6 +27,17 @@ class PromptId(enum.Enum):
     NULL = "null"
     SOURCE = "source"
     TARGET = "target"
+
+    @classmethod
+    def conditioning(cls, name: str, prompt) -> "PromptId":
+        """`prompt`, or ValueError naming `name` unless it is a PromptId other than NULL.
+
+        The one rule for a prompt that guidance conditions on: a string such
+        as "source" is not one, and the null prompt is the reference.
+        """
+        if check_instance(name, prompt, cls) is cls.NULL:
+            raise ValueError(f"{name} must not be the null prompt")
+        return prompt
 
 
 class NoisePredictor(abc.ABC):
@@ -142,6 +153,8 @@ def _random_weights(rng: np.random.Generator, dim: int, norms: dict[PromptId, fl
     check_count("dim", dim, 1)
     weights = {}
     for p in PromptId:
+        if p not in norms:
+            raise ValueError(f"missing norm for prompt {p.value}")
         check_real(f"norm_{p.value}", norms[p], 0.0)
         raw = rng.standard_normal((dim, dim))
         raw *= norms[p] / _lanczos_norm(raw)  # in place: no second dim x dim matrix
@@ -270,35 +283,36 @@ class CallCounter(NoisePredictor):
 
 
 def guided_epsilon(
-    pred: NoisePredictor, z: np.ndarray, cond: PromptId, scale, t: int
+    pred: NoisePredictor, z: np.ndarray, cond: PromptId, omega, t: int
 ) -> np.ndarray:
-    """Classifier-free guided noise: scale * eps_cond + (1 - scale) * eps_null.
+    """Classifier-free guided noise: omega * eps_cond + (1 - omega) * eps_null.
 
-    `scale` is a float or a per-pixel ndarray field that broadcasts to the
-    latent shape.  Affine in the scale, so scale = 1 returns the conditional
-    prediction bit-exactly, scale = 0 the null-conditioned one, and a
-    uniform field the same noise as its value used as a scalar.  A field
-    entry that is not a finite real raises ValueError naming the field; a
-    scalar is only converted, since the trajectories check it once on entry.
-    A `cond` that is not a PromptId raises ValueError naming it, before
-    either predictor call.
+    The one reader of the guidance scale.  `omega` is a finite real or a
+    per-pixel field of finite reals, such as an ndarray or list, that
+    broadcasts to the latent; a float (numpy.float64 included) is checked
+    in constant time, and anything else goes through `check_finite`, so an
+    int NumPy cannot hold as int64 or uint64 is refused like a string.  A
+    bad omega raises ValueError starting with `omega`, and a `cond` that is
+    not a PromptId other than NULL one naming `cond`, both before either
+    predictor call.  Affine in omega, so omega = 1 returns the conditional
+    prediction bit-exactly, omega = 0 the null-conditioned one, and a
+    uniform field the same noise as its value used as a scalar.
     """
-    if cond is PromptId.NULL:
-        raise ValueError("conditioning prompt must not be the null prompt")
-    if not isinstance(cond, PromptId):
-        raise ValueError(f"cond must be a PromptId, got {cond!r}")
-    if isinstance(scale, np.ndarray) and scale.ndim > 0:
-        scale = check_finite(scale, "scale field")
-        check_broadcast(scale.shape, np.shape(z), "scale field")
-    else:
-        scale = float(scale)
+    if cond is PromptId.NULL or not isinstance(cond, PromptId):
+        PromptId.conditioning("cond", cond)  # raises; the guard saves a call per evaluation
+    if not (isinstance(omega, float) and math.isfinite(omega)):
+        omega = check_finite(omega, "omega")
+        if omega.ndim:
+            check_broadcast(omega.shape, np.shape(z), "omega")
+        else:
+            omega = float(omega)
     eps_cond = pred.predict(z, cond, t)
     eps_null = pred.predict(z, PromptId.NULL, t)
     if eps_cond.shape != eps_null.shape:
         raise ValueError(
             f"conditional/unconditional shape mismatch: {eps_cond.shape} vs {eps_null.shape}"
         )
-    return scale * eps_cond + (1.0 - scale) * eps_null
+    return omega * eps_cond + (1.0 - omega) * eps_null
 
 
 def _prompt_keys(prefix: str) -> tuple[str, ...]:

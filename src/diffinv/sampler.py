@@ -66,19 +66,21 @@ def ddim_step(
     broadcastable to the latent shape with entries in [0, 1]; None means
     fully stochastic (mask of ones).  eta must be a finite real >= 0, and
     eta > 0 draws its noise from `rng`, which is then required; a setting
-    that breaks these rules raises ValueError naming it.  For eta in [0, 1]
-    the mean's square-root argument is nonnegative; past that a step whose
-    variance exceeds 1 - alpha_bar[t_prev] raises NumericsError.  The
-    levels come from `schedule.levels`, whose timestep rule allows t_prev = 0
-    (alpha_bar = 1) and t_prev = t, in which case the coefficients cancel
-    and the state is returned unchanged up to rounding.
+    that breaks these rules raises ValueError naming it, as do a non-finite
+    `z_t` and a `pred_eps` of the wrong shape or dtype.  These rules are
+    checked first; then a non-finite prediction or result, or past eta = 1
+    a variance that exceeds 1 - alpha_bar[t_prev], raises NumericsError
+    naming the step (`pred_eps at sampling step t=...`, `state after ...`).
+    The levels come from `schedule.levels`, whose timestep rule allows
+    t_prev = 0 (alpha_bar = 1) and t_prev = t, in which case the
+    coefficients cancel and the state is returned unchanged up to rounding.
     """
     ab_t, ab_p = schedule.levels(t, t_prev)
     z_t = check_finite(z_t, "z_t")
-    eps = check_finite(pred_eps, "pred_eps")
-    if eps.shape != z_t.shape:
-        raise ValueError(f"eps shape {eps.shape} does not match latent shape {z_t.shape}")
+    if np.shape(pred_eps) != z_t.shape:
+        raise ValueError(f"eps shape {np.shape(pred_eps)} does not match latent shape {z_t.shape}")
     eta, mask = _noise_settings(eta, mask, rng, z_t.shape)
+    eps = check_finite(pred_eps, f"pred_eps at sampling step t={t}", NumericsError)
     if eta == 0.0:
         c = math.sqrt(1.0 - ab_p)
     else:
@@ -92,9 +94,9 @@ def ddim_step(
         c = np.sqrt(sqrt_arg)
     z0_hat = (z_t - math.sqrt(1.0 - ab_t) * eps) / math.sqrt(ab_t)
     z_prev = math.sqrt(ab_p) * z0_hat + c * eps
-    if eta == 0.0:
-        return z_prev
-    return z_prev + np.sqrt(var) * rng.standard_normal(z_t.shape)
+    if eta > 0.0:
+        z_prev = z_prev + np.sqrt(var) * rng.standard_normal(z_t.shape)
+    return check_finite(z_prev, f"state after sampling step t={t}", NumericsError)
 
 
 def sample_trajectory(
@@ -110,31 +112,21 @@ def sample_trajectory(
 ) -> list[np.ndarray]:
     """Run the sampler across the scheduled timesteps in decreasing order.
 
-    Every step guides with `omega`, a float or a per-pixel field that
-    broadcasts to the latent, then takes a `ddim_step` with noise scale
-    `eta`, the mask `mask` (ones when None) and the generator `rng`, which
-    eta > 0 requires; eta = 0 is deterministic DDIM sampling and reads
-    neither `mask` nor `rng`.  Returns every state visited, starting with
-    `z_start` and ending with the clean latent.  `z_start`, `omega` and the
-    noise settings follow `ddim_step`'s rules and are checked before the
-    first predictor call: a bad one raises ValueError naming it.  A
-    non-finite prediction or state raises NumericsError naming the step.
+    Each step is one `ddim_step` on the `guided_epsilon` of the current
+    state, with noise scale `eta`, the mask `mask` (ones when None) and the
+    generator `rng`, which eta > 0 requires; eta = 0 is deterministic DDIM
+    sampling and reads neither `mask` nor `rng`.  Returns every state
+    visited, starting with `z_start` and ending with the clean latent.
+    `z_start` and the noise settings are checked on entry, and `omega` and
+    `cond` by `guided_epsilon`, so each bad one raises ValueError naming it
+    before the first predictor call; a non-finite prediction or state is
+    `ddim_step`'s NumericsError naming the step.
     """
     z = check_finite(z_start, "z_start")
-    omega = check_finite(omega, "omega")
-    omega = omega if omega.ndim else float(omega)
     eta, mask = _noise_settings(eta, mask, rng, z.shape)
     states = [z]
     for t, t_prev in schedule.sampling_pairs():
         eps = guided_epsilon(pred, z, cond, omega, t)
-        try:
-            z = ddim_step(schedule, eps, z, t, t_prev, mask, eta, rng)
-        except ValueError:
-            # The step rejects non-finite input; here it came from the predictor
-            # or an earlier step, which is a numeric failure.
-            check_finite(eps, f"noise prediction at sampling step t={t}", NumericsError)
-            check_finite(z, f"state entering sampling step t={t}", NumericsError)
-            raise
+        z = ddim_step(schedule, eps, z, t, t_prev, mask, eta, rng)
         states.append(z)
-    check_finite(z, "state after the last sampling step", NumericsError)
     return states

@@ -266,6 +266,21 @@ class TestCandidateScore:
 
 
 class TestEditConfigValidation:
+    @pytest.mark.parametrize("prompt, message", [
+        ("target", "must be a PromptId, got 'target'$"),
+        (None, "must be a PromptId, got None$"),
+        (PromptId.NULL, "must not be the null prompt$"),
+    ])
+    @pytest.mark.parametrize("which", ["source_prompt", "target_prompt"])
+    def test_refuses_either_prompt_before_any_call(self, schedule10, which, prompt, message):
+        counter = CallCounter(ContractivePredictor.default(16, seed=0))
+        prompts = {"source_prompt": PromptId.SOURCE, "target_prompt": PromptId.TARGET,
+                   which: prompt}
+        z_0 = np.random.default_rng(0).standard_normal((4, 4))
+        with pytest.raises(ValueError, match=f"^{which} {message}"):
+            edit(schedule10, counter, z_0, cfg=EditConfig(), **prompts)
+        assert counter.calls == 0
+
     def test_overflowing_threshold_costs_no_predictor_call(self, schedule10):
         counter = CallCounter(ContractivePredictor.default(16, seed=0))
         cfg = EditConfig(mask=MaskNormConfig(delta=1e308), fixed_point=fp_cfg(4))

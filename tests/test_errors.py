@@ -3,9 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from diffinv import FixedPointConfig, MaskNormConfig, load_predictor, soft_mask
+from diffinv import (
+    AttentionMap,
+    CallCounter,
+    ContractivePredictor,
+    EditConfig,
+    FixedPointConfig,
+    MaskNormConfig,
+    PromptId,
+    build_schedule,
+    edit,
+    fixed_point_map,
+    guided_epsilon,
+    invert_trajectory,
+    load_predictor,
+    round_trip,
+    sample_trajectory,
+    soft_mask,
+)
 from diffinv.bench import METHODS, method_config
-from diffinv.errors import check_choice, check_real, check_unit_interval
+from diffinv.errors import check_choice, check_instance, check_real, check_unit_interval
 from diffinv.inversion import VARIANTS
 
 
@@ -86,3 +103,92 @@ class TestChoices:
         assert str(err.value) == (
             f"{spec}: kind must be one of constant, contractive, affine; got {value!r}"
         )
+
+
+def test_check_instance_names_the_type_it_missed():
+    assert check_instance("cfg", None, FixedPointConfig, optional=True) is None
+    with pytest.raises(ValueError, match="^cfg must be a FixedPointConfig, got None$"):
+        check_instance("cfg", None, FixedPointConfig)
+    with pytest.raises(ValueError, match="^x must be an AttentionMap or None, got 'map'$"):
+        check_instance("x", "map", AttentionMap, optional=True)
+
+
+S5 = build_schedule().subsample(5)
+
+
+def _first_map_call(pred, z, omega):
+    f = fixed_point_map(S5, pred, z, 400, 200, PromptId.SOURCE, omega)
+    return f(z)
+
+
+# Every public way in to a guided evaluation, called with a guidance scale `omega`.
+OMEGA_ENTRIES = {
+    "guided_epsilon": lambda pred, z, omega: guided_epsilon(pred, z, PromptId.SOURCE, omega, 200),
+    "fixed_point_map": _first_map_call,
+    "invert_trajectory": lambda pred, z, omega: invert_trajectory(
+        S5, pred, z, PromptId.SOURCE, omega, FixedPointConfig()),
+    "round_trip": lambda pred, z, omega: round_trip(S5, pred, z, PromptId.SOURCE, omega, None),
+    "sample_trajectory": lambda pred, z, omega: sample_trajectory(
+        S5, pred, z, PromptId.SOURCE, omega),
+}
+
+
+class TestOmegaRule:
+    """`guided_epsilon` alone reads omega, so every entry point refuses a bad one the same way."""
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, True, "7", None, np.ones(3)],
+                             ids=["nan", "inf", "True", "str", "None", "field"])
+    @pytest.mark.parametrize("entry", OMEGA_ENTRIES)
+    def test_refused_by_name_before_any_call(self, entry, omega):
+        counter = CallCounter(ContractivePredictor.default(4, 0))
+        with pytest.raises(ValueError, match="^omega "):
+            OMEGA_ENTRIES[entry](counter, np.ones(4), omega)
+        assert counter.calls == 0
+
+    @pytest.mark.parametrize("omega", [7, 7.0, np.float64(7.0), np.array(7.0), np.float32(7.0)])
+    def test_every_spelling_of_a_scalar_guides_alike(self, omega):
+        pred = ContractivePredictor.default(4, 0)
+        z = np.linspace(-1.0, 1.0, 4)
+        reference = guided_epsilon(pred, z, PromptId.SOURCE, 7.0, 200)
+        np.testing.assert_array_equal(guided_epsilon(pred, z, PromptId.SOURCE, omega, 200),
+                                      reference)
+
+    @pytest.mark.parametrize("omega", [2**64, 10**400], ids=["2**64", "10**400"])
+    def test_an_int_numpy_cannot_hold_is_refused_before_any_call(self, omega):
+        counter = CallCounter(ContractivePredictor.default(4, 0))
+        with pytest.raises(ValueError, match="^omega must hold real numbers, got dtype object$"):
+            guided_epsilon(counter, np.ones(4), PromptId.SOURCE, omega, 200)
+        assert counter.calls == 0
+
+
+class TestSettingsTypes:
+    """A settings object of the wrong type is refused by name where it is given."""
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("fixed_point", "anderson",
+             "^fixed_point must be a FixedPointConfig or None, got 'anderson'$"),
+            ("mask", "negative", "^mask must be a MaskNormConfig, got 'negative'$"),
+            ("mask", None, "^mask must be a MaskNormConfig, got None$"),
+            ("attention", np.ones((4, 4)), "^attention must be an AttentionMap or None, got array"),
+        ],
+    )
+    def test_edit_config(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            EditConfig(**{field: value})
+
+    @pytest.mark.parametrize("cfg", ["anderson", EditConfig(), {"iters": 6}])
+    @pytest.mark.parametrize("run", [invert_trajectory, round_trip])
+    def test_trajectory_cfg_before_any_call(self, run, cfg):
+        counter = CallCounter(ContractivePredictor.default(4, 0))
+        with pytest.raises(ValueError, match="^cfg must be a FixedPointConfig or None, got "):
+            run(S5, counter, np.ones(4), PromptId.SOURCE, 1.0, cfg)
+        assert counter.calls == 0
+
+    @pytest.mark.parametrize("cfg", [None, FixedPointConfig(), "anderson"])
+    def test_edit_cfg_before_any_call(self, cfg):
+        counter = CallCounter(ContractivePredictor.default(16, 0))
+        with pytest.raises(ValueError, match="^cfg must be an EditConfig, got "):
+            edit(S5, counter, np.ones((4, 4)), PromptId.SOURCE, PromptId.TARGET, cfg)
+        assert counter.calls == 0

@@ -374,7 +374,7 @@ class TestInvertTrajectory:
 
     def test_a_list_scale_is_a_field(self, schedule10):
         counter = CallCounter(ContractivePredictor.default(8, 0))
-        with pytest.raises(ValueError, match=r"^scale field of shape \(2,\) does not broadcast"):
+        with pytest.raises(ValueError, match=r"^omega of shape \(2,\) does not broadcast"):
             invert_trajectory(schedule10, counter, np.ones(8), PromptId.SOURCE, [1.0, 2.0], None)
         assert counter.calls == 0
 

@@ -72,6 +72,14 @@ class TestWeightSetValidation:
         with pytest.raises(ValueError, match=message):
             build(weights)
 
+    @pytest.mark.parametrize("norms, missing", [
+        ({PromptId.NULL: 0.1}, "source"),
+        ({PromptId.NULL: 0.1, PromptId.SOURCE: 0.1}, "target"),
+    ])
+    def test_generated_weights_refuse_a_missing_norm_by_prompt(self, norms, missing):
+        with pytest.raises(ValueError, match=f"^missing norm for prompt {missing}$"):
+            AffinePredictor.random(8, 0, norms=norms)
+
     @pytest.mark.parametrize(
         "biases, message",
         [
@@ -221,10 +229,10 @@ class TestGuidedEpsilon:
     @pytest.mark.parametrize(
         ("field", "message"),
         [
-            ([True, False, True, False], "^scale field must hold real numbers, got dtype bool$"),
-            (["1", "2", "1", "2"], "^scale field must hold real numbers, got dtype <U"),
-            ([1.0, np.nan, 1.0, 1.0], "^scale field contains non-finite entries$"),
-            ([1.0, np.inf, 1.0, 1.0], "^scale field contains non-finite entries$"),
+            ([True, False, True, False], "^omega must hold real numbers, got dtype bool$"),
+            (["1", "2", "1", "2"], "^omega must hold real numbers, got dtype <U"),
+            ([1.0, np.nan, 1.0, 1.0], "^omega contains non-finite entries$"),
+            ([1.0, np.inf, 1.0, 1.0], "^omega contains non-finite entries$"),
         ],
     )
     def test_rejects_a_non_real_field_by_name(self, field, message):
@@ -254,6 +262,15 @@ class TestBlendedEpsilon:
         field = np.array([[0.0, 0.5, 1.0], [7.0, -1.0, 2.0]])
         out = guided_epsilon(ConstantPredictor(0.3), z, PromptId.TARGET, field, 1)
         np.testing.assert_allclose(out, 0.3, atol=1e-15)
+
+    def test_a_list_field_guides_as_its_array(self):
+        pred = ContractivePredictor.default(4, seed=2)
+        z = np.random.default_rng(1).standard_normal((2, 2))
+        field = [1.0, 7.0]  # broadcasts along the rows of the 2 x 2 latent
+        np.testing.assert_array_equal(
+            guided_epsilon(pred, z, PromptId.SOURCE, field, 7),
+            guided_epsilon(pred, z, PromptId.SOURCE, np.array(field), 7),
+        )
 
     def test_rejects_non_broadcastable_field(self):
         pred = ConstantPredictor(1.0)

@@ -51,10 +51,27 @@ class TestDdimStep:
         assert out[0] == pytest.approx(1.3643078061834694, abs=1e-12)
 
     def test_rejects_non_finite(self, toy_schedule):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NumericsError,
+                           match=r"^pred_eps at sampling step t=2 contains non-finite entries$"):
             ddim_step(toy_schedule, np.array([np.nan]), np.array([1.0]), 2, 1)
+        with pytest.raises(ValueError, match=r"^pred_eps at sampling step t=2 must hold real "):
+            ddim_step(toy_schedule, np.array([True]), np.array([1.0]), 2, 1)
         with pytest.raises(ValueError, match="non-finite"):
             ddim_step(toy_schedule, np.zeros(1), np.array([np.inf]), 2, 1)
+
+    def test_settings_are_checked_before_the_prediction_is(self, toy_schedule):
+        # NumericsError is not a ValueError, so a NaN prediction must not hide these.
+        nan = np.array([np.nan])
+        with pytest.raises(ValueError, match="^eta must be finite"):
+            ddim_step(toy_schedule, nan, np.array([1.0]), 2, 1, None, -1.0)
+        with pytest.raises(ValueError, match="^eta > 0 needs a random generator"):
+            ddim_step(toy_schedule, nan, np.array([1.0]), 2, 1, None, 0.5)
+
+    def test_overflowing_result_is_a_numeric_failure_naming_the_step(self):
+        schedule = build_schedule()
+        with np.errstate(all="ignore"), pytest.raises(NumericsError) as err:
+            ddim_step(schedule, np.full(4, 1e308), np.zeros(4), 1000, 800)
+        assert str(err.value) == "state after sampling step t=1000 contains non-finite entries"
 
     def test_rejects_shape_mismatch(self, toy_schedule):
         with pytest.raises(ValueError, match="shape"):
@@ -320,7 +337,7 @@ class TestSampleTrajectory:
         schedule = build_schedule().subsample(5)
         with np.errstate(all="ignore"), pytest.raises(NumericsError) as err:
             sample_trajectory(schedule, ConstantPredictor(1e308), np.ones(4), PromptId.SOURCE, 1.0)
-        assert str(err.value) == "state entering sampling step t=800 contains non-finite entries"
+        assert str(err.value) == "state after sampling step t=1000 contains non-finite entries"
 
     def test_wrong_shaped_prediction_is_re_raised(self, schedule10):
         class WrongShape(NoisePredictor):
@@ -360,12 +377,12 @@ class TestSampleTrajectory:
 
     def test_a_list_scale_is_a_field(self, schedule10):
         counter = CallCounter(ContractivePredictor.default(4, 0))
-        with pytest.raises(ValueError, match=r"^scale field of shape \(2,\) does not broadcast"):
+        with pytest.raises(ValueError, match=r"^omega of shape \(2,\) does not broadcast"):
             sample_trajectory(schedule10, counter, np.ones(4), PromptId.SOURCE, [1.0, 2.0])
         assert counter.calls == 0
 
     def test_scale_field_shape_checked(self, schedule10):
-        with pytest.raises(ValueError, match="scale field"):
+        with pytest.raises(ValueError, match="omega"):
             sample_trajectory(
                 schedule10, ConstantPredictor(0.0), np.zeros(4), PromptId.SOURCE, np.ones(3)
             )
