@@ -11,11 +11,12 @@ column is written as 0 unless timing output is explicitly requested.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_choice, check_count, check_real
+from .errors import check_choice, check_count, check_instance, check_real
 from .inversion import VARIANTS, FixedPointConfig, round_trip
 from .metrics import psnr
 from .predictor import NoisePredictor, PromptId
@@ -45,7 +46,11 @@ def method_config(
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Axes and inputs of one run; each axis nonempty and duplicate-free, each omega finite."""
+    """Axes and inputs of one run.
+
+    Each axis is a nonempty, duplicate-free sequence of values (a string or
+    a scalar is not one), and each omega is finite.
+    """
 
     step_counts: tuple[int, ...] = (10, 20, 50)
     omegas: tuple[float, ...] = (0.0, 1.0, 3.0, 5.0, 7.0)
@@ -56,12 +61,15 @@ class ExperimentGrid:
     window: int = FixedPointConfig.window
 
     def __post_init__(self):
-        if not self.step_counts or not self.omegas or not self.methods:
-            raise ValueError("grid axes must be nonempty")
+        axes = (("steps", self.step_counts), ("omega", self.omegas), ("method", self.methods))
+        for name, axis in axes:
+            if isinstance(axis, str) or not isinstance(axis, Sequence):
+                raise ValueError(f"grid {name} must be a sequence of values, got {axis!r}")
+            if not axis:
+                raise ValueError("grid axes must be nonempty")
         for omega in self.omegas:
             check_real("omega", omega)
-        for name, axis in (("steps", self.step_counts), ("omega", self.omegas),
-                           ("method", self.methods)):
+        for name, axis in axes:
             if len(set(axis)) != len(axis):
                 raise ValueError(f"grid {name} values must be distinct, got {list(axis)}")
         check_count("dim", self.dim, 1)
@@ -95,8 +103,11 @@ def run_grid(grid: ExperimentGrid, pred: NoisePredictor) -> list[GridRow]:
     The same reference latent (standard normal, drawn from the grid seed,
     of `grid.dim` elements) is inverted in every cell so errors are
     comparable across methods.  Rows come back in canonical (method, steps,
-    omega) order.
+    omega) order.  A `grid` or `pred` of the wrong type raises ValueError
+    naming it before any cell runs.
     """
+    check_instance("grid", grid, ExperimentGrid)
+    check_instance("pred", pred, NoisePredictor)
     z_0 = np.random.default_rng(grid.seed).standard_normal(grid.dim)
     rows: list[GridRow] = []
     for method in sorted(grid.methods):

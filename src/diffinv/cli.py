@@ -148,14 +148,13 @@ def _load_input(opts) -> np.ndarray:
 
 
 def _predictor(opts, size: int):
-    """The `--predictor` spec's predictor, else the default one, for latents of `size` elements."""
+    """The `--predictor` spec's predictor, else the default one, for latents of `size` elements.
+
+    A spec predictor checks the latent size itself, at its first call.
+    """
     if not opts["predictor"]:
         return ContractivePredictor.default(size, seed=0)
-    pred = _read(load_predictor, opts["predictor"], "predictor spec")
-    dim = getattr(pred, "dim", size)  # the matrix predictors fix their latent size
-    if dim != size:
-        raise ValueError(f"predictor spec has dim {dim}, but the latent has {size} elements")
-    return pred
+    return _read(load_predictor, opts["predictor"], "predictor spec")
 
 
 def _write(what: str, write, *args, **kwargs) -> None:

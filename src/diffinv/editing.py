@@ -103,9 +103,11 @@ def edit(
     (a ValueError) before any predictor call, as do a `z_0` entry that is
     not a finite real (ValueError naming z_0), a prompt that is not a
     PromptId other than NULL (ValueError naming source_prompt or
-    target_prompt, by `PromptId.conditioning`) and a `cfg` that is not an
-    EditConfig.
+    target_prompt, by `PromptId.conditioning`), and a `schedule`, `pred` or
+    `cfg` that is not a NoiseSchedule, NoisePredictor or EditConfig.
     """
+    check_instance("schedule", schedule, NoiseSchedule)
+    check_instance("pred", pred, NoisePredictor)
     check_instance("cfg", cfg, EditConfig)
     PromptId.conditioning("source_prompt", source_prompt)
     PromptId.conditioning("target_prompt", target_prompt)

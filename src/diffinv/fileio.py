@@ -33,6 +33,8 @@ def save_tensor(path, array) -> None:
 
     A finite entry beyond the float32 range is refused for `.bin` rather
     than stored as inf, which `load_tensor` accepts but no run can use.
+    The text layout writes one `%.17g` line per last-axis row, with
+    `np.savetxt`, after the `shape:` line.
     """
     path = Path(path)
     _check_shape(path, np.shape(array))
@@ -54,13 +56,9 @@ def save_tensor(path, array) -> None:
             fh.write(arr.data)
         return
     arr = np.asarray(array, dtype=np.float64)
-    flat = arr.reshape(-1)
-    row = arr.shape[-1] if arr.ndim > 0 else 1
-    row_format = " ".join(["%.17g"] * row) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("shape: " + " ".join(str(d) for d in arr.shape) + "\n")
-        for start in range(0, flat.size, row):
-            fh.write(row_format % tuple(flat[start : start + row].tolist()))
+        np.savetxt(fh, arr.reshape(-1, arr.shape[-1] if arr.ndim else 1), fmt="%.17g")
 
 
 def load_tensor(path) -> np.ndarray:

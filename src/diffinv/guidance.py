@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MaskSettingsError, check_choice, check_count, check_finite, check_real,
-                     check_unit_interval)
+from .errors import (MaskSettingsError, check_choice, check_count, check_finite, check_instance,
+                     check_real, check_unit_interval)
 
 
 # Whether high attention marks pixels to edit (positive) or keep (negative).
@@ -130,9 +130,11 @@ def normalize_map(amap: AttentionMap, cfg: MaskNormConfig) -> np.ndarray:
     constant map returns all zeros.  Monotone within each partition and
     across the threshold.  A threshold so far from the map's values that the
     arithmetic overflows float64 raises MaskSettingsError (a ValueError)
-    naming it.
+    naming it; an `amap` or `cfg` that is not an AttentionMap or
+    MaskNormConfig raises ValueError naming it.
     """
-    v = amap.values
+    v = check_instance("amap", amap, AttentionMap).values
+    check_instance("cfg", cfg, MaskNormConfig)
     delta = float(v.mean()) if cfg.delta is None else float(cfg.delta)
     out = np.zeros_like(v)
     lo = float(v.min())

@@ -40,10 +40,10 @@ class FixedPointConfig:
     """Iteration budget and acceleration settings for one inversion step.
 
     `iters` fixes the number of iterations unless `residual_tol` > 0 stops
-    earlier.  `window` is the Anderson history length m; the other variants
-    coerce it to 1, the averaged variant's pair of map values.  `variant`
-    must be one of `VARIANTS`, both counts integers >= 1, and `residual_tol`
-    finite and >= 0.
+    earlier.  `window` is the Anderson history length m, kept as given;
+    the other variants do not read it.  `variant` must be one of
+    `VARIANTS`, both counts integers >= 1, and `residual_tol` finite and
+    >= 0.
     """
 
     variant: str = "averaged"
@@ -56,8 +56,6 @@ class FixedPointConfig:
         check_count("iters", self.iters, 1)
         check_count("window", self.window, 1)
         check_real("residual_tol", self.residual_tol, 0.0)
-        if self.variant != "anderson" and self.window != 1:
-            object.__setattr__(self, "window", 1)
 
 
 @dataclass
@@ -92,12 +90,14 @@ def fixed_point_map(
     noise is evaluated at time t, matching the step being solved for.
     The step's set-up (both noise levels from `schedule.levels`, whose
     timestep rule it adds t_prev != t to, coeff and the drift term
-    sqrt(ab_t / ab_prev) * z_prev) is done once, here, so a bad pair raises
-    ValueError before any predictor call; each call of the returned map
+    sqrt(ab_t / ab_prev) * z_prev) is done once, here, so a bad pair, or a
+    `schedule` or `pred` of the wrong type, raises ValueError naming it
+    before any predictor call; each call of the returned map
     costs one `guided_epsilon` and one axpy, which checks `cond` and
     `omega` at the map's first call, before any predictor call.
     """
-    ab_t, ab_p = schedule.levels(t, t_prev)
+    ab_t, ab_p = check_instance("schedule", schedule, NoiseSchedule).levels(t, t_prev)
+    check_instance("pred", pred, NoisePredictor)
     if t_prev == t:
         raise ValueError(f"need t_prev < t, got {t_prev} >= {t}")
     drift = math.sqrt(ab_t / ab_p) * np.asarray(z_prev, dtype=np.float64)
@@ -150,16 +150,20 @@ def iterative_invert_step(
     variant, or (0, 1) for plain iteration.  Returns (z^iters, residual
     trace), or an earlier iterate when `residual_tol` > 0 is reached.  Each
     map evaluation and residual is formed once, so a step with I iterations
-    costs exactly I + 1 evaluations and I - 1 combinations, and holds at
-    most m + 1 map values and m + 1 residuals whatever I is.  cfg=None runs
-    zero iterations: the linearized (Euler) step returns (z^1, []) at one
-    evaluation.  A non-finite iterate raises DivergenceError naming the
-    step by its timestep `t`, which labels nothing else.
+    costs exactly I + 1 evaluations and I - 1 combinations, and holds only
+    the map values and residuals its variant combines, whatever I is: one
+    of each for plain iteration, two for averaged, m + 1 for Anderson.
+    cfg=None runs zero iterations: the linearized (Euler) step returns
+    (z^1, []) at one evaluation.  A `cfg` that is neither a FixedPointConfig
+    nor None raises ValueError naming it before the first map evaluation,
+    and a non-finite iterate raises DivergenceError naming the step by its
+    timestep `t`, which labels nothing else.
     """
+    check_instance("cfg", cfg, FixedPointConfig, optional=True)
     iters = 0 if cfg is None else cfg.iters
     z = np.asarray(z_prev, dtype=np.float64)
-    # Only the last m + 1 map values and residuals are ever read.
-    width = 1 if cfg is None else cfg.window + 1
+    # Only the map values and residuals the variant combines are ever read.
+    width = 1 if cfg is None else {"plain": 1, "averaged": 2}.get(cfg.variant, cfg.window + 1)
     f_win: deque[np.ndarray] = deque(maxlen=width)
     g_win: deque[np.ndarray] = deque(maxlen=width)
     trace: list[float] = []
@@ -196,14 +200,15 @@ def invert_trajectory(
     Each step solves its `fixed_point_map` with `iterative_invert_step`
     under `cfg`; cfg=None is the zero-iteration (forward-Euler) baseline.
     Returns the final noise vector and a report with per-step residual
-    traces and the noise-predictor call count.  A z_0 entry that is not a
-    finite real, or a `cfg` that is neither a FixedPointConfig nor None,
-    raises ValueError naming it on entry; `cond` and `omega` follow
-    `guided_epsilon`'s rule, checked before the first predictor call.
+    traces and the noise-predictor call count.  A `schedule` or `pred` of
+    the wrong type, or a z_0 entry that is not a finite real, raises
+    ValueError naming it on entry; `cfg` follows `iterative_invert_step`'s
+    rule and `cond` and `omega` `guided_epsilon`'s, each checked before
+    the first predictor call.
     """
-    counter = CallCounter(pred)
+    check_instance("schedule", schedule, NoiseSchedule)
+    counter = CallCounter(check_instance("pred", pred, NoisePredictor))
     z = check_finite(z_0, "z_0")
-    check_instance("cfg", cfg, FixedPointConfig, optional=True)
     traces: list[tuple[int, list[float]]] = []
     for t_prev, t in schedule.inversion_pairs():
         f = fixed_point_map(schedule, counter, z, t, t_prev, cond, omega)

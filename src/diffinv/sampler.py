@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError, check_broadcast, check_finite, check_real, check_unit_interval
+from .errors import (NumericsError, check_broadcast, check_finite, check_instance, check_real,
+                     check_unit_interval)
 from .predictor import NoisePredictor, PromptId, guided_epsilon
 from .schedule import NoiseSchedule
 
@@ -17,9 +18,10 @@ def ddim_sigma(schedule: NoiseSchedule, t: int, t_prev: int) -> float:
     sigma_t = sqrt((1 - ab_prev) / (1 - ab_t)) * sqrt(1 - ab_t / ab_prev);
     zero when t_prev = 0 (the final, fully determined step).  The levels
     come from `schedule.levels`, whose timestep rule keeps ab_t <= ab_prev
-    and so both square-root arguments >= 0.
+    and so both square-root arguments >= 0.  A `schedule` that is not a
+    NoiseSchedule raises ValueError naming it.
     """
-    ab_t, ab_p = schedule.levels(t, t_prev)
+    ab_t, ab_p = check_instance("schedule", schedule, NoiseSchedule).levels(t, t_prev)
     if ab_t >= 1.0:
         return 0.0
     return math.sqrt((1.0 - ab_p) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_p)
@@ -66,16 +68,17 @@ def ddim_step(
     broadcastable to the latent shape with entries in [0, 1]; None means
     fully stochastic (mask of ones).  eta must be a finite real >= 0, and
     eta > 0 draws its noise from `rng`, which is then required; a setting
-    that breaks these rules raises ValueError naming it, as do a non-finite
-    `z_t` and a `pred_eps` of the wrong shape or dtype.  These rules are
-    checked first; then a non-finite prediction or result, or past eta = 1
-    a variance that exceeds 1 - alpha_bar[t_prev], raises NumericsError
-    naming the step (`pred_eps at sampling step t=...`, `state after ...`).
+    that breaks these rules raises ValueError naming it, as do a `schedule`
+    that is not a NoiseSchedule, a non-finite `z_t` and a `pred_eps` of the
+    wrong shape or dtype.  These rules are checked first; then a non-finite
+    prediction or result, or past eta = 1 a variance that exceeds
+    1 - alpha_bar[t_prev], raises NumericsError naming the step
+    (`pred_eps at sampling step t=...`, `state after ...`).
     The levels come from `schedule.levels`, whose timestep rule allows
     t_prev = 0 (alpha_bar = 1) and t_prev = t, in which case the
     coefficients cancel and the state is returned unchanged up to rounding.
     """
-    ab_t, ab_p = schedule.levels(t, t_prev)
+    ab_t, ab_p = check_instance("schedule", schedule, NoiseSchedule).levels(t, t_prev)
     z_t = check_finite(z_t, "z_t")
     if np.shape(pred_eps) != z_t.shape:
         raise ValueError(f"eps shape {np.shape(pred_eps)} does not match latent shape {z_t.shape}")
@@ -117,11 +120,15 @@ def sample_trajectory(
     generator `rng`, which eta > 0 requires; eta = 0 is deterministic DDIM
     sampling and reads neither `mask` nor `rng`.  Returns every state
     visited, starting with `z_start` and ending with the clean latent.
-    `z_start` and the noise settings are checked on entry, and `omega` and
-    `cond` by `guided_epsilon`, so each bad one raises ValueError naming it
-    before the first predictor call; a non-finite prediction or state is
-    `ddim_step`'s NumericsError naming the step.
+    The types of `schedule` and `pred`, `z_start` and the noise settings
+    are checked on entry, and `omega` and `cond` by `guided_epsilon`, so
+    each bad one raises ValueError naming it before the first predictor
+    call; each step's `ddim_step` checks its own inputs again.  A
+    non-finite prediction or state is `ddim_step`'s NumericsError naming
+    the step.
     """
+    check_instance("schedule", schedule, NoiseSchedule)
+    check_instance("pred", pred, NoisePredictor)
     z = check_finite(z_start, "z_start")
     eta, mask = _noise_settings(eta, mask, rng, z.shape)
     states = [z]

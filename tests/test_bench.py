@@ -134,6 +134,19 @@ class TestRunGrid:
         with pytest.raises(ValueError, match=message):
             ExperimentGrid(**fields)
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"methods": "anderson"}, "^grid method must be a sequence of values, got 'anderson'$"),
+            ({"step_counts": 10}, "^grid steps must be a sequence of values, got 10$"),
+            ({"step_counts": "10"}, "^grid steps must be a sequence of values, got '10'$"),
+            ({"omegas": 1.0}, "^grid omega must be a sequence of values, got 1.0$"),
+        ],
+    )
+    def test_axis_that_is_not_a_sequence_is_refused_by_name(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentGrid(**fields)
+
 
 class TestCsv:
     def test_header_and_formatting(self, tmp_path):

@@ -264,7 +264,7 @@ class TestPredictorSize:
         latent = ["--out", tmp_path / "g.csv"] if command == "grid" else ["--in", latent_file]
         assert run_cli(command, *latent, "--predictor", spec, "--steps", "10") == 1
         err = capsys.readouterr().err
-        assert "dim 8" in err
+        assert "expects 8" in err
         assert ("64" if command == "grid" else "32") in err
 
     def test_grid_spec_matching_dim_runs(self, tmp_path, capsys):

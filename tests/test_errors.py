@@ -12,18 +12,23 @@ from diffinv import (
     MaskNormConfig,
     PromptId,
     build_schedule,
+    ddim_sigma,
+    ddim_step,
     edit,
     fixed_point_map,
     guided_epsilon,
     invert_trajectory,
+    iterative_invert_step,
     load_predictor,
+    normalize_map,
     round_trip,
     sample_trajectory,
     soft_mask,
 )
-from diffinv.bench import METHODS, method_config
+from diffinv.bench import METHODS, ExperimentGrid, method_config, run_grid
 from diffinv.errors import check_choice, check_instance, check_real, check_unit_interval
 from diffinv.inversion import VARIANTS
+from diffinv.predictor import max_inversion_coeff
 
 
 @pytest.mark.parametrize(
@@ -184,6 +189,58 @@ class TestSettingsTypes:
         counter = CallCounter(ContractivePredictor.default(4, 0))
         with pytest.raises(ValueError, match="^cfg must be a FixedPointConfig or None, got "):
             run(S5, counter, np.ones(4), PromptId.SOURCE, 1.0, cfg)
+        assert counter.calls == 0
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda p: invert_trajectory("s", p, np.ones(4), PromptId.SOURCE, 1.0, None),
+             "^schedule must be a NoiseSchedule, got 's'$"),
+            (lambda p: invert_trajectory(S5, "pred", np.ones(4), PromptId.SOURCE, 1.0, None),
+             "^pred must be a NoisePredictor, got 'pred'$"),
+            (lambda p: round_trip("s", p, np.ones(4), PromptId.SOURCE, 1.0, None),
+             "^schedule must be a NoiseSchedule, got 's'$"),
+            (lambda p: sample_trajectory("s", p, np.ones(4), PromptId.SOURCE, 1.0),
+             "^schedule must be a NoiseSchedule, got 's'$"),
+            (lambda p: sample_trajectory(S5, "pred", np.ones(4), PromptId.SOURCE, 1.0),
+             "^pred must be a NoisePredictor, got 'pred'$"),
+            (lambda p: ddim_step("s", np.zeros(4), np.ones(4), 400, 200),
+             "^schedule must be a NoiseSchedule, got 's'$"),
+            (lambda p: ddim_sigma("s", 400, 200), "^schedule must be a NoiseSchedule, got 's'$"),
+            (lambda p: max_inversion_coeff("s"), "^schedule must be a NoiseSchedule, got 's'$"),
+            (lambda p: fixed_point_map("s", p, np.ones(4), 400, 200, PromptId.SOURCE, 1.0),
+             "^schedule must be a NoiseSchedule, got 's'$"),
+            (lambda p: fixed_point_map(S5, "pred", np.ones(4), 400, 200, PromptId.SOURCE, 1.0),
+             "^pred must be a NoisePredictor, got 'pred'$"),
+            (lambda p: edit("s", p, np.ones((4, 4)), PromptId.SOURCE, PromptId.TARGET,
+                            EditConfig()),
+             "^schedule must be a NoiseSchedule, got 's'$"),
+            (lambda p: edit(S5, "pred", np.ones((4, 4)), PromptId.SOURCE, PromptId.TARGET,
+                            EditConfig()),
+             "^pred must be a NoisePredictor, got 'pred'$"),
+            (lambda p: iterative_invert_step(
+                fixed_point_map(S5, p, np.ones(4), 400, 200, PromptId.SOURCE, 1.0),
+                np.ones(4), 400, "anderson"),
+             "^cfg must be a FixedPointConfig or None, got 'anderson'$"),
+            (lambda p: normalize_map(AttentionMap(np.ones((2, 2))), "x"),
+             "^cfg must be a MaskNormConfig, got 'x'$"),
+            (lambda p: normalize_map(np.ones((2, 2)), MaskNormConfig()),
+             "^amap must be an AttentionMap, got array"),
+            (lambda p: run_grid(None, p), "^grid must be an ExperimentGrid, got None$"),
+            (lambda p: run_grid(ExperimentGrid(step_counts=(10,), omegas=(1.0,),
+                                               methods=("plain",), dim=4), "pred"),
+             "^pred must be a NoisePredictor, got 'pred'$"),
+        ],
+        ids=["invert_trajectory-schedule", "invert_trajectory-pred", "round_trip-schedule",
+             "sample_trajectory-schedule", "sample_trajectory-pred", "ddim_step-schedule",
+             "ddim_sigma-schedule", "max_inversion_coeff-schedule", "fixed_point_map-schedule",
+             "fixed_point_map-pred", "edit-schedule", "edit-pred", "iterative_invert_step-cfg",
+             "normalize_map-cfg", "normalize_map-amap", "run_grid-grid", "run_grid-pred"],
+    )
+    def test_schedule_predictor_and_settings_refused_on_entry(self, call, message):
+        counter = CallCounter(ContractivePredictor.default(16, 0))
+        with pytest.raises(ValueError, match=message):
+            call(counter)
         assert counter.calls == 0
 
     @pytest.mark.parametrize("cfg", [None, FixedPointConfig(), "anderson"])

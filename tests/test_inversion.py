@@ -323,11 +323,16 @@ class TestIterativeInvertStep:
         ):
             invert_step(toy_schedule, huge, np.array([1.0]), 2, 1, cfg)
 
-    def test_window_coerced_for_non_anderson(self):
-        cfg = FixedPointConfig(variant="averaged", iters=3, window=5)
-        assert cfg.window == 1
-        cfg = FixedPointConfig(variant="anderson", iters=3, window=5)
-        assert cfg.window == 5
+    @pytest.mark.parametrize("variant", ["plain", "averaged"])
+    def test_window_kept_and_unread_outside_anderson(self, variant):
+        assert FixedPointConfig(variant=variant, iters=3, window=5).window == 5
+        runs = [
+            iterative_invert_step(lambda z: 0.5 * np.sin(z) + 1.0, np.linspace(-1.0, 1.0, 5), 5,
+                                  FixedPointConfig(variant=variant, iters=3, window=m))
+            for m in (1, 5)
+        ]
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -343,7 +348,7 @@ class TestIterativeInvertStep:
             FixedPointConfig(iters=2.5)
         with pytest.raises(ValueError, match="iters must be an integer, got True"):
             FixedPointConfig(iters=True)
-        for variant in VARIANTS:  # checked before the window is coerced
+        for variant in VARIANTS:  # checked whether or not the variant reads it
             with pytest.raises(ValueError, match=r"window must be an integer, got 1\.5"):
                 FixedPointConfig(variant=variant, window=1.5)
         cfg = FixedPointConfig(variant="anderson", iters=np.int64(3),
@@ -693,7 +698,7 @@ class TestSolverOnPlainMaps:
          *(FixedPointConfig(variant="anderson", iters=12, window=m)
            for m in (1, 2, 4))],
     )
-    def test_holds_at_most_window_plus_one_map_values(self, cfg):
+    def test_holds_only_the_map_values_its_variant_combines(self, cfg):
         # Each map value is tracked by a weak reference, so one the solver
         # has dropped no longer counts as alive.
         outputs, alive = [], []
@@ -706,7 +711,7 @@ class TestSolverOnPlainMaps:
 
         iterative_invert_step(tracked, np.zeros(3), 5, cfg)
         assert len(alive) == cfg.iters + 1
-        assert max(alive) <= cfg.window + 1
+        assert max(alive) == {"plain": 1, "averaged": 2}.get(cfg.variant, cfg.window + 1)
 
     @pytest.mark.parametrize(
         "cfg", [None, *(FixedPointConfig(variant=v, iters=3) for v in VARIANTS)]
