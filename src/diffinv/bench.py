@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .errors import check_choice, check_count, check_instance, check_real
+from .fileio import save_csv
 from .inversion import VARIANTS, FixedPointConfig, round_trip
 from .metrics import psnr
 from .predictor import NoisePredictor, PromptId
@@ -26,8 +27,6 @@ METHODS = tuple(sorted(("euler", *VARIANTS)))
 
 # Iteration budgets per step count; unlisted counts fall back to FixedPointConfig's.
 DEFAULT_ITERS = {10: 11, 20: 6, 50: 5}
-
-CSV_HEADER = "method,steps,omega,round_trip_relative_l2,psnr,nfe,wall_ms,seed"
 
 
 def method_config(
@@ -97,6 +96,9 @@ class GridRow:
     seed: int
 
 
+CSV_HEADER = ",".join(f.name for f in fields(GridRow))
+
+
 def run_grid(grid: ExperimentGrid, pred: NoisePredictor) -> list[GridRow]:
     """Evaluate every cell with `pred`; deterministic under a fixed seed.
 
@@ -133,18 +135,10 @@ def run_grid(grid: ExperimentGrid, pred: NoisePredictor) -> list[GridRow]:
 
 
 def write_grid_csv(rows: list[GridRow], path, timing: bool = False) -> None:
-    """Write rows as CSV.
+    """Write rows with `save_csv`, one column per GridRow field.
 
     wall_ms is informational; by default it is written as 0 so repeated
     runs produce byte-identical files.  Pass timing=True to record the
     measured values (which breaks byte-determinism).
     """
-    lines = [CSV_HEADER]
-    for r in rows:
-        wall = r.wall_ms if timing else 0.0
-        lines.append(
-            f"{r.method},{r.steps},{r.omega:.9g},{r.round_trip_relative_l2:.9g},"
-            f"{r.psnr:.9g},{r.nfe},{wall:.9g},{r.seed}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    save_csv(path, CSV_HEADER, [astuple(r if timing else replace(r, wall_ms=0.0)) for r in rows])

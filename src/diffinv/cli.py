@@ -3,9 +3,10 @@
 Each subcommand accepts only the options it reads.  `--config` names a
 `key = value` file (one pair per line, `#` starts a comment) whose keys are
 the subcommand's flag names without `--`; flags override it.  Exit codes,
-decided in `main` alone: 0 success, 1 usage error (any ValueError: bad
-flags, settings or config keys, unreadable files), 2 numeric failure (any
-NumericsError: divergence, negative variance, non-finite states).
+decided in `main` alone: 0 success, 1 usage error (any ValueError or
+OSError: bad flags, settings or config keys, files that cannot be read or
+written, each named in the message), 2 numeric failure (any NumericsError:
+divergence, negative variance, non-finite states).
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _parse(argv) -> dict:
     if args.command is None:
         raise ValueError("a command is required (invert, reconstruct, edit, grid)")
     if args.config:
-        config = _read(parse_kv_file, args.config, "config file")
+        config = parse_kv_file(args.config)
         unread = sorted(set(config) - (set(vars(args)) - {"command", "config"}))
         if unread:
             raise ValueError(f"unknown config key for {args.command}: {', '.join(unread)}")
@@ -131,20 +132,10 @@ def _parse(argv) -> dict:
     return vars(args)
 
 
-def _read(load, path, what: str):
-    """load(path), with an unreadable file reported as a ValueError naming `what`."""
-    try:
-        return load(path)
-    except OSError as exc:
-        raise ValueError(f"cannot read {what}: {exc}") from exc
-
-
 def _load_input(opts) -> np.ndarray:
     if not opts["in"]:
         raise ValueError("--in <tensor file> is required")
-    return _read(
-        lambda p: check_finite(load_tensor(p), f"{p}: input tensor"), opts["in"], "input tensor"
-    )
+    return check_finite(load_tensor(opts["in"]), f"{opts['in']}: input tensor")
 
 
 def _predictor(opts, size: int):
@@ -154,15 +145,7 @@ def _predictor(opts, size: int):
     """
     if not opts["predictor"]:
         return ContractivePredictor.default(size, seed=0)
-    return _read(load_predictor, opts["predictor"], "predictor spec")
-
-
-def _write(what: str, write, *args, **kwargs) -> None:
-    """write(*args, **kwargs), with a file or values it cannot write reported as a ValueError."""
-    try:
-        write(*args, **kwargs)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot write {what}: {exc}") from exc
+    return load_predictor(opts["predictor"])
 
 
 def cmd_invert(opts: dict, reconstruct_out: bool = False) -> int:
@@ -173,7 +156,7 @@ def cmd_invert(opts: dict, reconstruct_out: bool = False) -> int:
     cfg = method_config(opts["method"], steps, opts["iters"], opts["window"])
     z_t, z_rec, report = round_trip(schedule, pred, z_0, PromptId.SOURCE, omega, cfg)
     if opts["out"]:
-        _write("output", save_tensor, opts["out"], z_rec if reconstruct_out else z_t)
+        save_tensor(opts["out"], z_rec if reconstruct_out else z_t)
     name = "reconstruct" if reconstruct_out else "invert"
     print(
         f"{name}: method={opts['method']} steps={steps} omega={omega:g} "
@@ -186,11 +169,7 @@ def cmd_edit(opts: dict) -> int:
     steps = opts["steps"]
     z_0 = _load_input(opts)
     pred = _predictor(opts, z_0.size)
-    attention = None
-    if opts["attention"]:
-        attention = _read(
-            lambda path: AttentionMap(load_tensor(path)), opts["attention"], "attention map"
-        )
+    attention = AttentionMap(load_tensor(opts["attention"])) if opts["attention"] else None
     schedule = build_schedule().subsample(steps)
     cfg = EditConfig(
         omega=opts["omega"],
@@ -207,8 +186,8 @@ def cmd_edit(opts: dict) -> int:
     except MaskSettingsError as exc:  # the rest of edit's ValueErrors reach main unlabelled
         raise ValueError(f"mask settings (--delta, --mask-m): {exc}") from exc
     if opts["out"]:
-        _write("output", save_tensor, opts["out"], result.best)
-        _write("scores CSV", write_scores_csv, result, str(opts["out"]) + ".scores.csv")
+        save_tensor(opts["out"], result.best)
+        write_scores_csv(result, str(opts["out"]) + ".scores.csv")
     print(
         f"edit: steps={steps} omega={cfg.omega:g} omega_e={cfg.omega_e:g} eta={cfg.eta:g} "
         f"candidates={cfg.n_candidates} best={result.best_index} "
@@ -230,7 +209,7 @@ def cmd_grid(opts: dict) -> int:
         window=opts["window"],
     )
     rows = run_grid(grid, _predictor(opts, grid.dim))
-    _write("CSV", write_grid_csv, rows, opts["out"], timing=bool(opts["timing"]))
+    write_grid_csv(rows, opts["out"], timing=bool(opts["timing"]))
     print(f"grid: {len(rows)} rows -> {opts['out']}")
     return 0
 
@@ -245,7 +224,7 @@ def main(argv=None) -> int:
         if opts["command"] == "edit":
             return cmd_edit(opts)
         return cmd_grid(opts)
-    except ValueError as exc:  # a rejected input; numeric failures are not ValueErrors
+    except (ValueError, OSError) as exc:  # a rejected input; numeric failures are neither
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

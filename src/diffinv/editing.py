@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import check_count, check_finite, check_instance, check_real
+from .fileio import save_csv
 from .guidance import (
     AttentionMap,
     MaskNormConfig,
@@ -152,9 +153,6 @@ def edit(
 
 
 def write_scores_csv(result: EditResult, path) -> None:
-    """CSV of per-candidate scores, best candidate first column-flagged."""
-    lines = ["candidate,score,is_best"]
-    for k, score in enumerate(result.scores):
-        lines.append(f"{k},{score:.9g},{1 if k == result.best_index else 0}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """CSV `candidate,score,is_best`: one row per candidate, is_best 1 on the best one's row."""
+    rows = [(k, score, int(k == result.best_index)) for k, score in enumerate(result.scores)]
+    save_csv(path, "candidate,score,is_best", rows)

@@ -90,13 +90,18 @@ def check_instance(name: str, value, cls: type, optional: bool = False):
     raise ValueError(f"{name} must be {allowed}, got {value!r}")
 
 
-def check_finite(x, name: str, error=ValueError) -> np.ndarray:
-    """x as a float64 array; ValueError naming `name` unless its dtype is integer or float
-    (so not bool, string, object or complex), and `error` if an entry is not finite."""
+def check_real_array(x, name: str) -> np.ndarray:
+    """x as an array; ValueError naming `name` unless its dtype is integer or float
+    (so not bool, string, object or complex)."""
     x = np.asarray(x)
     if x.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {x.dtype}")
-    x = np.asarray(x, dtype=np.float64)
+    return x
+
+
+def check_finite(x, name: str, error=ValueError) -> np.ndarray:
+    """`check_real_array(x, name)` as float64, and `error` if an entry is not finite."""
+    x = np.asarray(check_real_array(x, name), dtype=np.float64)
     if not np.isfinite(x).all():
         raise error(f"{name} contains non-finite entries")
     return x

@@ -1,10 +1,11 @@
-"""Portable tensor files and key=value config parsing.
+"""Portable tensor files, CSV tables and key=value config parsing.
 
-Text tensors: first line `shape: d1 d2 ...`, then whitespace-separated
-decimal reals in row-major order.  Binary tensors: an 8-byte magic,
-little-endian uint32 rank and dims, then float32 data; lossy but fast.
-The reader opens a file once and picks the layout by its magic; the
-writer picks the binary layout for `.bin` paths.
+The one module that opens files.  Text tensors: first line `shape: d1 d2
+...`, then whitespace-separated decimal reals in row-major order.  Binary
+tensors: an 8-byte magic, little-endian uint32 rank and dims, then float32
+data; lossy but fast.  The reader opens a file once and picks the layout
+by its magic; the writer picks the binary layout for `.bin` paths.  A CSV
+table is a header line, then one comma-separated line per row.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+from .errors import check_real_array
 
 MAGIC = b"TENSRAW1"
 # Characters per text read: a one-line file is parsed in pieces no longer than this.
@@ -31,13 +34,17 @@ def _check_shape(path, shape) -> None:
 def save_tensor(path, array) -> None:
     """Write `array` in the layout its suffix picks; ValueError names the file it would not write.
 
-    A finite entry beyond the float32 range is refused for `.bin` rather
-    than stored as inf, which `load_tensor` accepts but no run can use.
-    The text layout writes one `%.17g` line per last-axis row, with
-    `np.savetxt`, after the `shape:` line.
+    Each refusal comes before the file is opened.  An array whose dtype is
+    not integer or float (bool, string, object, complex) is refused rather
+    than converted; NaN and ±inf are written as they are.  A finite entry
+    beyond the float32 range is refused for `.bin` rather than stored as
+    inf, which `load_tensor` accepts but no run can use.  The text layout
+    writes one `%.17g` line per last-axis row, with `np.savetxt`, after the
+    `shape:` line.
     """
     path = Path(path)
-    _check_shape(path, np.shape(array))
+    array = check_real_array(array, f"{path}: tensor")
+    _check_shape(path, array.shape)
     if path.suffix == ".bin":
         with np.errstate(over="ignore"):  # reported below, by name
             arr = np.asarray(array, dtype="<f4", order="C")
@@ -59,6 +66,21 @@ def save_tensor(path, array) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("shape: " + " ".join(str(d) for d in arr.shape) + "\n")
         np.savetxt(fh, arr.reshape(-1, arr.shape[-1] if arr.ndim else 1), fmt="%.17g")
+
+
+def save_csv(path, header: str, rows) -> None:
+    """Write `header`, then each row's values joined by commas.
+
+    Floats, NumPy's included, are written as `%.9g` and other values by
+    `str`, in UTF-8 with `\\n` line endings, so the same rows always give
+    the same bytes.
+    """
+    lines = [header]
+    for row in rows:
+        cells = (f"{v:.9g}" if isinstance(v, (float, np.floating)) else str(v) for v in row)
+        lines.append(",".join(cells))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_tensor(path) -> np.ndarray:

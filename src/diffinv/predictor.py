@@ -298,10 +298,12 @@ def guided_epsilon(
     not a PromptId other than NULL one naming `cond`, both before either
     predictor call.  Affine in omega, so omega = 1 returns the conditional
     prediction bit-exactly, omega = 0 the null-conditioned one, and a
-    uniform field the same noise as its value used as a scalar.  `pred` is
-    not checked here: each library entry point that reaches this function
-    checks it once, and an isinstance check per guided evaluation would
-    cost about 3% of a dim-64 inversion.
+    uniform field the same noise as its value used as a scalar.  A
+    prediction whose shape is not the latent's raises ValueError after the
+    evaluation's two predictor calls, so no solver can broadcast it.  `pred`
+    is not checked here: each library entry point that reaches this
+    function checks it once, and an isinstance check per guided evaluation
+    would cost about 3% of a dim-64 inversion.
     """
     if cond is PromptId.NULL or not isinstance(cond, PromptId):
         PromptId.conditioning("cond", cond)  # raises; the guard saves a call per evaluation
@@ -313,10 +315,10 @@ def guided_epsilon(
             omega = float(omega)
     eps_cond = pred.predict(z, cond, t)
     eps_null = pred.predict(z, PromptId.NULL, t)
-    if eps_cond.shape != eps_null.shape:
-        raise ValueError(
-            f"conditional/unconditional shape mismatch: {eps_cond.shape} vs {eps_null.shape}"
-        )
+    shape = np.shape(z)
+    if eps_cond.shape != shape or eps_null.shape != shape:
+        bad = eps_cond.shape if eps_cond.shape != shape else eps_null.shape
+        raise ValueError(f"eps shape {bad} does not match latent shape {shape}")
     return omega * eps_cond + (1.0 - omega) * eps_null
 
 

@@ -124,8 +124,9 @@ def sample_trajectory(
     are checked on entry, and `omega` and `cond` by `guided_epsilon`, so
     each bad one raises ValueError naming it before the first predictor
     call; each step's `ddim_step` checks its own inputs again.  A
-    non-finite prediction or state is `ddim_step`'s NumericsError naming
-    the step.
+    prediction of the wrong shape is `guided_epsilon`'s ValueError, and a
+    non-finite prediction or state `ddim_step`'s NumericsError naming the
+    step.
     """
     check_instance("schedule", schedule, NoiseSchedule)
     check_instance("pred", pred, NoisePredictor)

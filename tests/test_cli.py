@@ -41,6 +41,27 @@ class TestExitCodes:
     def test_unreadable_input_is_usage_error(self, tmp_path, capsys):
         assert run_cli("invert", "--in", tmp_path / "nope.txt") == 1
 
+    @pytest.mark.parametrize(
+        "case", ["in", "in-directory", "predictor", "spec-weights", "config", "attention"]
+    )
+    def test_unreadable_file_is_usage_error_naming_it(self, tmp_path, latent_file, case, capsys):
+        missing = tmp_path / "missing.txt"
+        spec = tmp_path / "pred.cfg"
+        spec.write_text("kind = contractive\nw_null = missing.txt\n"
+                        "w_source = w.txt\nw_target = w.txt\n")
+        save_tensor(tmp_path / "w.txt", 0.01 * np.eye(32))
+        argv, named = {
+            "in": (["invert", "--in", missing], missing),
+            "in-directory": (["invert", "--in", tmp_path], tmp_path),
+            "predictor": (["invert", "--in", latent_file, "--predictor", missing], missing),
+            "spec-weights": (["invert", "--in", latent_file, "--predictor", spec], missing),
+            "config": (["invert", "--config", missing], missing),
+            "attention": (["edit", "--in", latent_file, "--attention", missing], missing),
+        }[case]
+        assert run_cli(*argv, "--steps", "10") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and str(named) in err, err
+
     def test_numeric_failure_is_exit_two(self, latent_file, capsys):
         code = run_cli(
             "edit", "--in", latent_file, "--eta", "30", "--steps", "10", "--candidates", "1"
@@ -136,7 +157,7 @@ class TestGuidanceScales:
         save_tensor(latent, np.random.default_rng(0).standard_normal((4, 4)))
         argv = ("invert", "--in", latent, "--steps", "5", "--omega", "1e300", "--out", out)
         assert run_cli(*argv) == 1
-        assert f"cannot write output: {out}: finite entries overflow" in capsys.readouterr().err
+        assert f"usage error: {out}: finite entries overflow" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["invert", "edit", "grid"])
@@ -322,9 +343,11 @@ class TestEditCommand:
 
     def test_unwritable_scores_csv_is_usage_error(self, tmp_path, latent_file, capsys):
         out = tmp_path / "o.txt"
-        (tmp_path / "o.txt.scores.csv").mkdir()
+        scores = tmp_path / "o.txt.scores.csv"
+        scores.mkdir()
         assert run_cli("edit", "--in", latent_file, "--out", out, "--steps", "10") == 1
-        assert "cannot write" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and str(scores) in err
 
     def test_polarity_validation(self, latent_file, capsys):
         assert run_cli("edit", "--in", latent_file, "--polarity", "sideways") == 1
@@ -428,7 +451,8 @@ class TestGridCommand:
             "--method", "euler", "--dim", "8",
         )
         assert code == 1
-        assert "cannot write" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and str(out) in err
 
     def test_predictor_value_error_is_usage_error(self, tmp_path, monkeypatch, capsys):
         class Refusing(NoisePredictor):

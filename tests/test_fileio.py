@@ -1,11 +1,13 @@
 import builtins
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from diffinv import fileio
-from diffinv.fileio import MAGIC, load_tensor, parse_kv_file, save_tensor
+from diffinv.fileio import MAGIC, load_tensor, parse_kv_file, save_csv, save_tensor
 
 EDGES = [0.0, -0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
 ORDINARY = [0.1, -1.5, 1e-300, 2.2250738585072014e-308, 1e16, 123456789.125, -7.0]
@@ -181,6 +183,36 @@ class TestOneReaderOneWriter:
         with pytest.raises(ValueError, match="shape entries must be positive"):
             save_tensor(path, np.zeros(shape))
         assert not path.exists()
+
+    @pytest.mark.parametrize("suffix", [".txt", ".bin"])
+    @pytest.mark.parametrize(
+        "arr",
+        [np.array([1 + 2j, 3.0]), np.array([True, False]), np.array([1.0, None]),
+         np.array(["x", "1"])],
+        ids=["complex", "bool", "object", "string"],
+    )
+    def test_save_refuses_values_that_are_not_real_before_writing(self, tmp_path, suffix, arr):
+        path = tmp_path / f"t{suffix}"
+        message = f"^{re.escape(str(path))}: tensor must hold real numbers, got dtype {arr.dtype}$"
+        with pytest.raises(ValueError, match=message):
+            save_tensor(path, arr)
+        assert not path.exists()
+
+
+class TestCsvWriter:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [("a", 3, 0.1), ("b", np.int64(-1), -1e300), ("c", 0, math.nan),
+                ("d", 7, np.float32(0.1))]
+        save_csv(path, "name,count,value", rows)
+        assert path.read_bytes() == (
+            b"name,count,value\na,3,0.1\nb,-1,-1e+300\nc,0,nan\nd,7,0.100000001\n"
+        )
+
+    def test_header_alone_for_no_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_csv(path, "a,b", [])
+        assert path.read_bytes() == b"a,b\n"
 
 
 class TestKvFiles:

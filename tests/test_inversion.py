@@ -466,6 +466,20 @@ class TestInvertTrajectory:
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse * 1.001 + 1e-14
 
+    def test_wrong_shaped_prediction_fails_at_the_first_evaluation(self, base_schedule):
+        class OneEntry(ConstantPredictor):
+            def predict(self, z, prompt, t):
+                return np.zeros(1)
+
+        counter = CallCounter(OneEntry(0.0))
+        cfg = FixedPointConfig("anderson", iters=3)
+        with pytest.raises(
+            ValueError, match=r"^eps shape \(1,\) does not match latent shape \(16,\)$"
+        ):
+            invert_trajectory(base_schedule.subsample(5), counter, np.ones(16),
+                              PromptId.SOURCE, 1.0, cfg)
+        assert counter.calls <= 2
+
 
 class TestAndersonHardRegime:
     """Anderson on an oscillatory affine predictor where plain iteration diverges.

@@ -208,7 +208,9 @@ class TestGuidedEpsilon:
             def predict(self, z, prompt, t):
                 return np.zeros(3 if prompt is PromptId.NULL else 2)
 
-        with pytest.raises(ValueError, match=r"shape mismatch: \(2,\) vs \(3,\)"):
+        with pytest.raises(
+            ValueError, match=r"^eps shape \(3,\) does not match latent shape \(2,\)$"
+        ):
             guided_epsilon(Ragged(), np.zeros(2), PromptId.SOURCE, 1.0, 1)
 
     @pytest.mark.parametrize("seed", range(5))

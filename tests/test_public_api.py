@@ -189,3 +189,35 @@ def test_alpha_bar_subscripts_are_found(tmp_path):
         '"""s.alpha_bar[t] in a docstring."""\nab = s.alpha_bar\nx = s.alpha_bar[t]\n'
     )
     assert alpha_bar_subscripts(tmp_path) == ["step:3"]
+
+
+def open_calls(package: Path = PACKAGE) -> list[str]:
+    """`module:line` of each call to the builtin `open` outside `fileio.py`.
+
+    `fileio` owns every file the library reads or writes, so no other module
+    opens one.
+    """
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "fileio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "open"
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_fileio_opens_files():
+    assert open_calls() == []
+
+
+def test_open_calls_are_found(tmp_path):
+    (tmp_path / "fileio.py").write_text("fh = open(p)\n")
+    (tmp_path / "csv.py").write_text(
+        '"""open(p) in a docstring."""\nfh = path.open()\n\nwith open(p, "w") as fh:\n    pass\n'
+    )
+    assert open_calls(tmp_path) == ["csv:4"]
