@@ -109,12 +109,24 @@ def fixed_point_map(
     return f
 
 
+# Relative determinant floor of `anderson_weights`' closed-form 2x2 solve.
+GRAM_FLOOR = 1e-12
+
+
 def anderson_weights(residual_history) -> np.ndarray:
     """Combination weights minimizing || sum_j gamma_j g_j ||_2 with sum(gamma) = 1.
 
     The constraint is eliminated by expressing the last weight as one minus
-    the others, leaving an unconstrained least-squares problem on residual
-    differences (Walker & Ni 2011), so the weights meet it up to rounding.
+    the others, leaving an unconstrained least-squares problem on the
+    differences d_j = g_j - g_last (Walker & Ni 2011), so the weights meet
+    it up to rounding.  A history of 1, 2 or 3 equally shaped residuals is
+    solved in closed form: the 1x1 or 2x2 normal equations (Fang & Saad
+    2009) in the dots a = d_0.d_0, b = d_0.d_1, c = d_1.d_1 and
+    r_j = -d_j.g_last, by Cramer's rule.  Normal equations square the
+    condition number, so that form is used only when every dot, the
+    determinant det = a c - b^2 and each weight are finite, a > 0 and
+    det > GRAM_FLOOR * a * c (1e-12: the differences are more than about
+    1e-6 rad from parallel).  Otherwise, and for every longer history,
     `np.linalg.lstsq` solves it with a singular-value cutoff relative to the
     largest singular value of the differences, so a degenerate history gets
     the minimum-norm weights (0, ..., 0, 1), i.e. a plain iteration, as does
@@ -123,6 +135,25 @@ def anderson_weights(residual_history) -> np.ndarray:
     k = len(residual_history)
     if k == 0:
         raise ValueError("residual history must be nonempty")
+    if k <= 3:
+        g = [np.asarray(r, dtype=np.float64) for r in residual_history]
+        last = g[-1]
+        if all(r.shape == last.shape for r in g):
+            d = [r - last for r in g[:-1]]
+            rhs = [-float(np.vdot(dj, last)) for dj in d]
+            beta = None
+            if k == 1:
+                beta = []
+            elif 0.0 < (a := float(np.vdot(d[0], d[0]))) < math.inf:
+                if k == 2:
+                    beta = [rhs[0] / a]
+                else:
+                    b, c = float(np.vdot(d[0], d[1])), float(np.vdot(d[1], d[1]))
+                    det = a * c - b * b
+                    if det > GRAM_FLOOR * a * c:  # false, too, if b, c or det is not finite
+                        beta = [(rhs[0] * c - b * rhs[1]) / det, (a * rhs[1] - b * rhs[0]) / det]
+            if beta is not None and all(map(math.isfinite, beta)):
+                return np.array(beta + [1.0 - sum(beta)])
     g = np.array(residual_history, dtype=np.float64).reshape(k, -1)
     diffs = (g[:-1] - g[-1]).T
     if not (np.isfinite(diffs).all() and np.isfinite(g[-1]).all()):
@@ -146,8 +177,11 @@ def iterative_invert_step(
     is, goes into the trace) and, while i < iters, forms z^{i+1} as the
     combination sum_j gamma_j * f(z^j) over the last min(m, i) + 1 map
     values, with gamma from Anderson least squares over the matching
-    residuals (window m), the fixed pair (0.5, 0.5) for the averaged
-    variant, or (0, 1) for plain iteration.  Returns (z^iters, residual
+    residuals (window m; `anderson_weights` solves histories of up to
+    three residuals in closed form, so every combination at m <= 2 and
+    the first two at any m, and uses `lstsq` for the rest and as the
+    fallback), the fixed pair (0.5, 0.5) for the averaged variant, or
+    (0, 1) for plain iteration.  Returns (z^iters, residual
     trace), or an earlier iterate when `residual_tol` > 0 is reached.  Each
     map evaluation and residual is formed once, so a step with I iterations
     costs exactly I + 1 evaluations and I - 1 combinations, and holds only

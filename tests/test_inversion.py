@@ -22,6 +22,7 @@ from diffinv import (
     sample_trajectory,
 )
 from diffinv import inversion
+from diffinv.bench import method_config
 from diffinv.errors import DivergenceError
 from diffinv.inversion import VARIANTS
 from diffinv.predictor import guided_epsilon, max_inversion_coeff
@@ -170,6 +171,20 @@ class TestFixedPointMap:
             )
 
 
+class LstsqCalled(Exception):
+    """Raised by the stand-in for `np.linalg.lstsq` that `lstsq_forbidden` installs."""
+
+
+@pytest.fixture
+def lstsq_forbidden(monkeypatch):
+    """Make any `np.linalg.lstsq` call raise LstsqCalled."""
+
+    def forbidden(*args, **kwargs):
+        raise LstsqCalled
+
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+
+
 class TestAndersonWeights:
     def test_single_entry(self):
         gamma = anderson_weights([np.array([3.0])])
@@ -226,6 +241,70 @@ class TestAndersonWeights:
         for w0 in np.linspace(-5, 5, 2001):
             trial = float(np.linalg.norm(w0 * g0 + (1.0 - w0) * g1))
             assert best <= trial + 1e-9
+
+    @pytest.mark.parametrize("shape", [(64,), (8, 8)])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_matches_lstsq(self, seed, k, shape):
+        rng = np.random.default_rng(200 + seed)
+        history = [rng.standard_normal(shape) for _ in range(k)]
+        gamma, oracle = anderson_weights(history), reference_anderson_weights(history)
+        assert np.linalg.norm(gamma - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_parallel_differences_lose_nothing_to_lstsq(self, seed, eps):
+        # d_1 = d_0 + eps * noise: near eps = 1e-6 the normal equations' weights
+        # drift from lstsq's, but the objective they minimize must not
+        rng = np.random.default_rng(300 + seed)
+        last, d0 = rng.standard_normal(64), rng.standard_normal(64)
+        history = [last + d0, last + d0 + eps * rng.standard_normal(64), last]
+
+        def objective(gamma):
+            return np.linalg.norm(sum(w * g for w, g in zip(gamma, history)))
+
+        oracle = objective(reference_anderson_weights(history))
+        assert objective(anderson_weights(history)) <= oracle * (1.0 + 1e-8)
+
+    @pytest.mark.parametrize(
+        "history",
+        [list(1e200 * np.random.default_rng(7).standard_normal((k, 64))) for k in (2, 3)]
+        # a = 1e306 is finite, but r_0 = -d_0.g_last is not
+        + [[np.array([1e168 + 1e153, 1.0]), np.array([1e168, 0.0])]],
+        ids=["a-k2", "a-k3", "r0-k2"],
+    )
+    def test_finite_entries_whose_dots_overflow_get_lstsq_weights(self, history):
+        np.testing.assert_array_equal(anderson_weights(history),
+                                      reference_anderson_weights(history))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", range(3))
+    def test_non_finite_entry_of_three_residuals_is_plain_step(self, where, bad):
+        history = [np.array([0.3, -1.0]), np.array([2.0, 0.5]), np.array([-0.7, 1.1])]
+        history[where][1] = bad
+        np.testing.assert_array_equal(anderson_weights(history), [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("shapes", [[(1,), (16,)], [(2,), (1, 2)], [(4,), (4,), (1,)]])
+    def test_residuals_of_different_shapes_are_refused(self, shapes):
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            anderson_weights([np.random.default_rng(0).standard_normal(s) for s in shapes])
+
+    def test_well_conditioned_windows_up_to_two_never_call_lstsq(
+        self, lstsq_forbidden, schedule20, contractive64
+    ):
+        rng = np.random.default_rng(5)
+        for k in (1, 2, 3):
+            anderson_weights([rng.standard_normal(64) for _ in range(k)])
+        cfg = FixedPointConfig("anderson", 6, 2)
+        invert_trajectory(schedule20, contractive64, rng.standard_normal(64), PromptId.SOURCE,
+                          7.0, cfg)
+
+    @pytest.mark.parametrize("history", [[[0.5, -0.5]] * 2, [[0.5, -0.5]] * 3,
+                                         [[0.5, -0.5], [0.5, -0.5], [1.0, 2.0]]],
+                             ids=["two-equal", "three-equal", "d0=d1"])
+    def test_degenerate_histories_fall_back_to_lstsq(self, lstsq_forbidden, history):
+        with pytest.raises(LstsqCalled):
+            anderson_weights([np.array(g) for g in history])
 
 
 class TestIterativeInvertStep:
@@ -510,6 +589,16 @@ class TestAndersonHardRegime:
     def test_wide_window_converges_past_plain_divergence(self, schedule20):
         assert self.round_trip_error(schedule20, 1.8, window=5, iters=20) <= 1e-6
 
+    @pytest.mark.parametrize("lam, window, iters", [(1.3, 2, 6), (1.3, 2, 20), (1.3, 2, 30),
+                                                    (1.8, 5, 20)])
+    def test_closed_form_weights_keep_the_lstsq_round_trip(
+        self, schedule20, monkeypatch, lam, window, iters
+    ):
+        err = self.round_trip_error(schedule20, lam, window, iters)
+        monkeypatch.setattr(inversion, "anderson_weights", reference_anderson_weights)
+        oracle = self.round_trip_error(schedule20, lam, window, iters)
+        assert abs(err - oracle) <= max(0.01 * oracle, 1e-12)
+
 
 def reference_map(schedule, pred, z_candidate, z_prev, t, t_prev, cond, omega):
     """One map evaluation with the whole step set-up redone, as the solver once did."""
@@ -554,7 +643,7 @@ def reference_step(schedule, pred, z_prev, t, t_prev, cond, omega, cfg):
             z = 0.5 * f_hist[i - 1] + 0.5 * f_hist[i]
         else:
             m_i = min(cfg.window, i)
-            gamma = reference_anderson_weights(g_hist[i - m_i :])
+            gamma = anderson_weights(g_hist[i - m_i :])
             z = sum(gamma[j] * f_hist[i - m_i + j] for j in range(m_i + 1))
         if not np.all(np.isfinite(z)):
             raise DivergenceError(step_t=t, iteration=i + 1)
@@ -563,7 +652,12 @@ def reference_step(schedule, pred, z_prev, t, t_prev, cond, omega, cfg):
 
 class TestSolverMatchesReferenceLoop:
     """The solver equals, bit for bit, a loop that rebuilds the map on every evaluation
-    and uses the wrapper forms of the norm, the stacking and the finiteness checks."""
+    and uses the wrapper forms of the norm, the stacking and the finiteness checks.
+
+    The loop shares the library's `anderson_weights`, so it pins the loop's
+    structure; `TestAndersonWeights` pins the weights against the `lstsq`
+    oracle, and `test_closed_form_weights_keep_the_lstsq_result` the solve.
+    """
 
     @pytest.mark.parametrize("omega", [1.0, 7.0])
     @pytest.mark.parametrize("shape", [(64,), (8, 8)])
@@ -597,6 +691,20 @@ class TestSolverMatchesReferenceLoop:
         assert report.step_traces == traces
         if cfg is not None and cfg.residual_tol > 0.0:
             assert any(len(trace) < cfg.iters for _, trace in traces)
+
+    @pytest.mark.parametrize("window", [2, 5])
+    @pytest.mark.parametrize("omega", [1.0, 7.0])
+    @pytest.mark.parametrize("steps", [10, 20, 50])
+    def test_closed_form_weights_keep_the_lstsq_result(
+        self, base_schedule, contractive64, monkeypatch, steps, omega, window
+    ):
+        schedule = base_schedule.subsample(steps)
+        z_0 = np.random.default_rng(11).standard_normal(64)
+        cfg = method_config("anderson", steps, window=window)
+        z_t = invert_trajectory(schedule, contractive64, z_0, PromptId.SOURCE, omega, cfg)[0]
+        monkeypatch.setattr(inversion, "anderson_weights", reference_anderson_weights)
+        oracle = invert_trajectory(schedule, contractive64, z_0, PromptId.SOURCE, omega, cfg)[0]
+        assert relative_l2(z_t, oracle) <= 1e-13
 
 
 class TestVariantStrings:
