@@ -99,10 +99,27 @@ def check_real_array(x, name: str) -> np.ndarray:
     return x
 
 
+def all_finite(x) -> bool:
+    """Whether every entry of the real array `x` is finite, in one dot product when it is.
+
+    A NaN or infinite entry makes the sum of squares NaN or inf, so a finite
+    `np.vdot(x, x)` proves every entry finite in one BLAS call.  Only a
+    non-finite sum, from such an entry or from finite entries past about
+    1e154, pays the exact per-entry `np.isfinite` test.  `np.vdot` raises no
+    floating-point warning where the sum overflows.
+    """
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
 def check_finite(x, name: str, error=ValueError) -> np.ndarray:
-    """`check_real_array(x, name)` as float64, and `error` if an entry is not finite."""
+    """`check_real_array(x, name)` as float64, and `error` if an entry is not finite.
+
+    The test is `all_finite`: one `np.vdot(x, x)` whose finite result proves
+    every entry finite, with the exact per-entry test only when that sum of
+    squares is NaN or inf (a non-finite entry, or entries past about 1e154).
+    """
     x = np.asarray(check_real_array(x, name), dtype=np.float64)
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         raise error(f"{name} contains non-finite entries")
     return x
 

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DivergenceError, check_choice, check_count, check_finite, check_instance,
-                     check_real)
+from .errors import (DivergenceError, all_finite, check_choice, check_count, check_finite,
+                     check_instance, check_real)
 from .metrics import l2, relative_l2
 from .predictor import CallCounter, NoisePredictor, PromptId, guided_epsilon
 from .sampler import sample_trajectory
@@ -216,7 +216,7 @@ def iterative_invert_step(
         else:
             gamma = anderson_weights(g_win)
             z = sum(w * fz for w, fz in zip(gamma, f_win))
-        if not np.isfinite(z).all():
+        if not all_finite(z):
             raise DivergenceError(step_t=t, iteration=i + 1)
     return z, trace
 

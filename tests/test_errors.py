@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from diffinv import (
     soft_mask,
 )
 from diffinv.bench import METHODS, ExperimentGrid, method_config, run_grid
-from diffinv.errors import check_choice, check_instance, check_real, check_unit_interval
+from diffinv.errors import (all_finite, check_choice, check_finite, check_instance, check_real,
+                            check_unit_interval)
 from diffinv.inversion import VARIANTS
 from diffinv.predictor import max_inversion_coeff
 
@@ -57,6 +59,78 @@ def test_check_unit_interval_keeps_both_endpoints():
 def test_check_unit_interval_rejects_just_outside(value):
     with pytest.raises(ValueError, match=r"^mask entries must lie in \[0, 1\]$"):
         check_unit_interval(np.array([0.5, value]), "mask")
+
+
+class TestFinite:
+    """One `vdot` decides a finite array; a NaN or inf sum of squares falls back to `isfinite`."""
+
+    @pytest.fixture
+    def isfinite_calls(self, monkeypatch):
+        calls = []
+        isfinite = np.isfinite
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return isfinite(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.full(64, 1e200), np.array([1e200, -1e200, 3.0]), np.array(-1e200), np.empty(0),
+         np.empty((0, 3)), np.array(2.5), np.arange(5), np.array([2**62, 2**62]),
+         np.array([[1e300], [-1e-300]])],
+        ids=["1e200", "mixed-1e200", "0d-1e200", "empty", "empty-2d", "0d", "int", "int-big",
+             "2d-extremes"],
+    )
+    def test_accepts_finite_entries_whose_squares_overflow(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_finite(x) is True
+            out = check_finite(x, "x")
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", [(), (1,), (64,), (4, 4)], ids=str)
+    def test_refuses_nan_and_infinities(self, bad, shape):
+        x = np.full(shape, 1.0)
+        x.flat[-1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_finite(x) is False
+            with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+                check_finite(x, "x")
+
+    def test_inf_and_minus_inf_together_are_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_finite(np.array([math.inf, -math.inf])) is False
+
+    def test_the_exact_test_runs_only_on_a_non_finite_sum(self, isfinite_calls):
+        check_finite(np.ones(64), "x")
+        assert isfinite_calls == []
+        check_finite(np.full(64, 1e200), "x")
+        assert isfinite_calls == [(64,)]
+
+    def test_a_finite_anderson_inversion_never_tests_entry_by_entry(self, isfinite_calls):
+        pred = ContractivePredictor.default(64, seed=0)
+        z_0 = np.random.default_rng(0).standard_normal(64)
+        cfg = FixedPointConfig("anderson", iters=6, window=2)
+        z, report = invert_trajectory(build_schedule().subsample(10), pred, z_0,
+                                      PromptId.SOURCE, 1.0, cfg)
+        assert isfinite_calls == []
+        assert np.isfinite(z).all() and report.nfe == 10 * 7 * 2
+
+    def test_a_huge_latent_reaches_the_exact_test(self, isfinite_calls):
+        pred = ContractivePredictor.default(64, seed=0)
+        z_0 = np.full(64, 1e200)
+        cfg = FixedPointConfig("averaged", iters=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            invert_trajectory(build_schedule().subsample(5), pred, z_0, PromptId.SOURCE, 1.0, cfg)
+        assert isfinite_calls
 
 
 def test_check_choice_returns_a_listed_string():

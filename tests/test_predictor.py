@@ -290,6 +290,107 @@ class TestCallCounter:
         guided_epsilon(counter, z, PromptId.SOURCE, 1.0, 1)
         assert counter.calls == 6  # conditional + null
 
+    def test_a_pair_counts_two_and_is_forwarded(self):
+        inner = ContractivePredictor.default(8, seed=1)
+        counter = CallCounter(inner)
+        z = np.random.default_rng(0).standard_normal(8)
+        for n in (1, 2, 3):
+            pair = counter.predict_pair(z, PromptId.TARGET, 4)
+            assert counter.calls == 2 * n
+        for got, want in zip(pair, inner.predict_pair(z, PromptId.TARGET, 4)):
+            np.testing.assert_array_equal(got, want)
+
+
+def _explicit_contractive(dim, seed):
+    """A contractive predictor from explicit weights, each scaled to norm 0.4."""
+    rng = np.random.default_rng(seed)
+    weights = {}
+    for p in PromptId:
+        w = rng.standard_normal((dim, dim))
+        weights[p] = w * (0.4 / spectral_norm(w))
+    return ContractivePredictor(0.1, weights)
+
+
+PAIR_PREDICTORS = {
+    "contractive": lambda dim: ContractivePredictor.default(dim, seed=dim),
+    "contractive-explicit": lambda dim: _explicit_contractive(dim, seed=dim),
+    "affine": lambda dim: AffinePredictor.random(dim, seed=dim),
+    "constant": lambda dim: ConstantPredictor(0.25),
+}
+PAIR_SHAPES = [(1,), (3,), (7,), (8,), (63,), (64,), (65,), (256,), (16, 16)]
+
+
+def _reference(pred, z, prompt):
+    """The prediction as `W @ flat` writes it, computed apart from the predictor's own code."""
+    flat = z.reshape(-1)
+    if isinstance(pred, ContractivePredictor):
+        return (pred.scale * np.tanh(pred.weights[prompt] @ flat)).reshape(z.shape)
+    if isinstance(pred, AffinePredictor):
+        return (pred.weights[prompt] @ flat + pred.biases[prompt]).reshape(z.shape)
+    return np.full(z.shape, pred.value)
+
+
+class TestPredictPair:
+    """`predict_pair` is bit for bit the two `predict` calls it replaces."""
+
+    @pytest.mark.parametrize("shape", PAIR_SHAPES, ids=str)
+    @pytest.mark.parametrize("kind", PAIR_PREDICTORS)
+    def test_pair_is_the_two_predictions_exactly(self, kind, shape):
+        pred = PAIR_PREDICTORS[kind](int(np.prod(shape)))
+        z = np.random.default_rng(len(shape)).standard_normal(shape)
+        for cond in (PromptId.SOURCE, PromptId.TARGET):
+            eps_cond, eps_null = pred.predict_pair(z, cond, 5)
+            np.testing.assert_array_equal(eps_cond, pred.predict(z, cond, 5), strict=True)
+            np.testing.assert_array_equal(eps_null, pred.predict(z, PromptId.NULL, 5), strict=True)
+
+    @pytest.mark.parametrize("shape", PAIR_SHAPES, ids=str)
+    @pytest.mark.parametrize("kind", PAIR_PREDICTORS)
+    def test_predict_is_the_matmul_formula_exactly(self, kind, shape):
+        pred = PAIR_PREDICTORS[kind](int(np.prod(shape)))
+        z = np.random.default_rng(len(shape)).standard_normal(shape)
+        for prompt in PromptId:
+            np.testing.assert_array_equal(
+                pred.predict(z, prompt, 5), _reference(pred, z, prompt), strict=True
+            )
+
+    def test_pair_of_a_strided_latent(self):
+        pred = ContractivePredictor.default(64, seed=3)
+        z = np.random.default_rng(0).standard_normal((8, 16))[:, ::2]
+        eps_cond, eps_null = pred.predict_pair(z, PromptId.SOURCE, 5)
+        np.testing.assert_array_equal(eps_cond, _reference(pred, z, PromptId.SOURCE), strict=True)
+        np.testing.assert_array_equal(eps_null, _reference(pred, z, PromptId.NULL), strict=True)
+
+    def test_pair_checks_the_latent_size(self):
+        with pytest.raises(ValueError, match="^latent has 9 elements, predictor expects 8$"):
+            ContractivePredictor.default(8, seed=0).predict_pair(np.zeros(9), PromptId.SOURCE, 1)
+
+    def test_a_predictor_with_only_predict_guides_through_the_default_pair(self):
+        inner = ContractivePredictor.default(16, seed=4)
+        seen = []
+
+        class OnlyPredict(predictor.NoisePredictor):
+            def predict(self, z, prompt, t):
+                seen.append(prompt)
+                return inner.predict(z, prompt, t)
+
+        z = np.random.default_rng(2).standard_normal(16)
+        out = guided_epsilon(OnlyPredict(), z, PromptId.TARGET, 2.5, 9)
+        assert seen == [PromptId.TARGET, PromptId.NULL]
+        np.testing.assert_array_equal(out, guided_epsilon(inner, z, PromptId.TARGET, 2.5, 9))
+
+    def test_a_ragged_pair_is_refused(self):
+        class RaggedPair(predictor.NoisePredictor):
+            def predict(self, z, prompt, t):
+                return np.zeros_like(z)
+
+            def predict_pair(self, z, cond, t):
+                return np.zeros_like(z), np.zeros(5)
+
+        with pytest.raises(
+            ValueError, match=r"^eps shape \(5,\) does not match latent shape \(2, 2\)$"
+        ):
+            guided_epsilon(RaggedPair(), np.zeros((2, 2)), PromptId.SOURCE, 1.0, 1)
+
 
 WEIGHT_LINES = {
     prefix: [f"{prefix}_{p.value} = {prefix}_{p.value}.txt" for p in PromptId]
