@@ -7,14 +7,11 @@ Run from the root of a checkout.  The first form runs `perfbench/run.py` at
 seed 1 for every workload, untraced and traced, and prints a sha256 of each
 `perfbench/results/*.seed1.*behaviour.json` with its `provenance` removed:
 equal digests on two commits mean equal behaviour records.  The second form
-builds the same records in the checkout at DIR and prints, for each record
-built here, `same` or `differs` against DIR's.  It first rebuilds this
-checkout's records unless all six exist and each one's
-`provenance.source_sha256` is this checkout's digest of `src/diffinv/*.py`,
-computed as `perfbench/run.py` computes it, so records left by other
-sources are never compared.  Under a record that
-differs it lists up to 10 of the JSON paths that differ, each with DIR's
-value and then this checkout's (`  ops[3].rel_l2: 2.14e-08 -> 2.01e-08`).
+builds the records again here and then in the checkout at DIR, so records
+left by other sources are never compared, and prints, for each record built
+here, `same` or `differs` against DIR's.  Under a record that differs it
+lists up to 10 of the JSON paths that differ, each with DIR's value and then
+this checkout's (`  ops[3].rel_l2: 2.14e-08 -> 2.01e-08`).
 After the last line it exits 1 if any record differs.
 """
 
@@ -40,28 +37,6 @@ def build(checkout: Path) -> None:
                  "--seconds", "0.1", "--trace", trace],
                 cwd=checkout, check=True, stdout=subprocess.DEVNULL,
             )
-
-
-def source_sha256(checkout: Path) -> str:
-    """The digest of `src/diffinv/*.py` that `perfbench/run.py` writes into each record."""
-    digest = hashlib.sha256()
-    for path in sorted((checkout / "src" / "diffinv").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
-
-
-def stale(checkout: Path) -> bool:
-    """Whether a seed-1 record of the checkout is missing or was built from other sources."""
-    sources = source_sha256(checkout)
-    for workload in WORKLOADS:
-        for kind in ("behaviour", "trace-behaviour"):
-            path = checkout / "perfbench" / "results" / f"{workload}.seed1.{kind}.json"
-            if not path.is_file():
-                return True
-            with open(path, encoding="utf-8") as fh:
-                if json.load(fh)["provenance"].get("source_sha256") != sources:
-                    return True
-    return False
 
 
 def load(path: Path) -> dict:
@@ -119,8 +94,7 @@ def main() -> None:
         for path in sorted(here.glob(RECORDS)):
             print(digest(load(path)), path.relative_to(here))
         return
-    if stale(here):
-        build(here)
+    build(here)
     build(args.base)
     differs = 0
     for path in sorted(here.glob(RECORDS)):

@@ -50,10 +50,16 @@ class NoisePredictor(abc.ABC):
 
         `guided_epsilon` makes this one call per guided evaluation.  An
         override may share work between the two predictions but must return
-        exactly what the two calls would; a subclass that overrides
-        `predict` of a predictor that overrides this must override it too.
+        exactly what the two calls would.
         """
         return self.predict(z, cond, t), self.predict(z, PromptId.NULL, t)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A class that redefines `predict` alone gets the default pair back,
+        # so a pair inherited from its base can never bypass its `predict`.
+        if "predict" in vars(cls) and "predict_pair" not in vars(cls):
+            cls.predict_pair = NoisePredictor.predict_pair
 
 
 def spectral_norm(matrix: np.ndarray) -> float:

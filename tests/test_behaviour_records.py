@@ -1,4 +1,4 @@
-"""The behaviour-record comparison rebuilds stale records and lists the JSON paths that differ."""
+"""The behaviour-record comparison rebuilds both checkouts' records and lists the JSON paths that differ."""
 
 import importlib.util
 import json
@@ -50,55 +50,25 @@ def test_at_most_max_paths_are_listed():
     assert lines[-1] == f"  ... and {25 - records.MAX_PATHS} more"
 
 
-RUN = SCRIPT.parents[1] / "perfbench" / "run.py"
-
-
-def _write_records(checkout, sources, value):
+def _write_records(checkout, value):
     results = checkout / "perfbench" / "results"
     results.mkdir(parents=True, exist_ok=True)
     for workload in records.WORKLOADS:
         for kind in ("behaviour", "trace-behaviour"):
-            record = {"summary": {"v": value}, "provenance": {"source_sha256": sources}}
+            record = {"summary": {"v": value}, "provenance": {}}
             (results / f"{workload}.seed1.{kind}.json").write_text(json.dumps(record))
 
 
-def _checkout(path, source):
-    (path / "src" / "diffinv").mkdir(parents=True)
-    (path / "src" / "diffinv" / "inversion.py").write_text(source)
-    return path
-
-
-def test_sources_digest_is_the_benchmarks():
-    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    assert records.source_sha256(RUN.parents[1]) == run.source_sha256()
-
-
-def test_stale_unless_every_record_has_these_sources(tmp_path):
-    here = _checkout(tmp_path, "x = 1\n")
-    assert records.stale(here)  # no records
-    _write_records(here, records.source_sha256(here), 1)
-    assert not records.stale(here)
-    (here / "src" / "diffinv" / "inversion.py").write_text("x = 2\n")
-    assert records.stale(here)
-    _write_records(here, records.source_sha256(here), 1)
-    (here / "perfbench" / "results" / "cli-d256.seed1.trace-behaviour.json").unlink()
-    assert records.stale(here)
-
-
-@pytest.mark.parametrize("fresh", [False, True])
-def test_base_comparison_rebuilds_stale_records(tmp_path, monkeypatch, capsys, fresh):
-    """Records left by older sources are rebuilt, so they cannot read `same` against the base."""
-    base = _checkout(tmp_path / "base", "x = 1\n")
-    here = _checkout(tmp_path / "here", "x = 2\n")
-    # This checkout's records were built from the base's sources, and match its records.
-    _write_records(here, records.source_sha256(here if fresh else base), 1)
+def test_base_comparison_rebuilds_both_checkouts(tmp_path, monkeypatch, capsys):
+    """Records this checkout already holds are rebuilt, so stale ones cannot read `same`."""
+    base, here = tmp_path / "base", tmp_path / "here"
+    # Left over from older sources, and equal to what the base builds.
+    _write_records(here, 1)
     built = []
 
     def build(checkout):
         built.append(checkout)
-        _write_records(checkout, records.source_sha256(checkout), 1 if checkout == base else 2)
+        _write_records(checkout, 1 if checkout == base else 2)
 
     monkeypatch.setattr(records, "build", build)
     monkeypatch.chdir(here)
@@ -106,9 +76,5 @@ def test_base_comparison_rebuilds_stale_records(tmp_path, monkeypatch, capsys, f
     with pytest.raises(SystemExit) as exit_:
         records.main()
     out = capsys.readouterr().out
-    if fresh:
-        assert built == [base] and exit_.value.code == 0
-        assert out.count("same") == 6
-    else:
-        assert built == [here, base] and exit_.value.code == 1
-        assert out.count("differs") == 6 and "  summary.v: 1 -> 2" in out
+    assert built == [here, base] and exit_.value.code == 1
+    assert out.count("differs") == 6 and "  summary.v: 1 -> 2" in out

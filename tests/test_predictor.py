@@ -378,6 +378,21 @@ class TestPredictPair:
         assert seen == [PromptId.TARGET, PromptId.NULL]
         np.testing.assert_array_equal(out, guided_epsilon(inner, z, PromptId.TARGET, 2.5, 9))
 
+    @pytest.mark.parametrize("base, make", [
+        (ContractivePredictor, lambda cls: cls.default(16, seed=1)),
+        (AffinePredictor, lambda cls: cls.random(16, seed=1)),
+    ], ids=["contractive", "affine"])
+    def test_a_subclass_that_redefines_predict_alone_guides_through_it(self, base, make):
+        class Shifted(base):
+            def predict(self, z, prompt, t):
+                return super().predict(z, prompt, t) + t
+
+        plain, shifted = make(base), make(Shifted)
+        z = np.random.default_rng(5).standard_normal(16)
+        eps_cond, eps_null = shifted.predict_pair(z, PromptId.SOURCE, 7)
+        np.testing.assert_array_equal(eps_cond, plain.predict(z, PromptId.SOURCE, 7) + 7)
+        np.testing.assert_array_equal(eps_null, plain.predict(z, PromptId.NULL, 7) + 7)
+
     def test_a_ragged_pair_is_refused(self):
         class RaggedPair(predictor.NoisePredictor):
             def predict(self, z, prompt, t):
