@@ -169,7 +169,11 @@ def cmd_edit(opts: dict) -> int:
     steps = opts["steps"]
     z_0 = _load_input(opts)
     pred = _predictor(opts, z_0.size)
-    attention = AttentionMap(load_tensor(opts["attention"])) if opts["attention"] else None
+    values = load_tensor(opts["attention"]) if opts["attention"] else None
+    try:
+        attention = None if values is None else AttentionMap(values)
+    except ValueError as exc:  # the map's content errors name its file, as --in's do
+        raise ValueError(f"{opts['attention']}: {exc}") from exc
     schedule = build_schedule().subsample(steps)
     cfg = EditConfig(
         omega=opts["omega"],

@@ -2,9 +2,8 @@
 
 The one module that opens files.  Text tensors: first line `shape: d1 d2
 ...`, then whitespace-separated decimal reals in row-major order.  Binary
-tensors: an 8-byte magic, little-endian uint32 rank and dims, then float32
-data; lossy but fast.  The reader opens a file once and picks the layout
-by its magic; the writer picks the binary layout for `.bin` paths.  A CSV
+tensors (`.bin`, `.npy`): NumPy's `.npy` layout, written as float64.  The
+reader opens a file once and picks the layout by its first bytes.  A CSV
 table is a header line, then one comma-separated line per row.
 """
 
@@ -13,14 +12,14 @@ from __future__ import annotations
 import io
 import math
 import os
-import struct
+import tokenize
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .errors import check_real_array
 
-MAGIC = b"TENSRAW1"
 # Characters per text read: a one-line file is parsed in pieces no longer than this.
 _PIECE = 1 << 15
 
@@ -36,33 +35,17 @@ def save_tensor(path, array) -> None:
 
     Each refusal comes before the file is opened.  An array whose dtype is
     not integer or float (bool, string, object, complex) is refused rather
-    than converted; NaN and ±inf are written as they are.  A finite entry
-    beyond the float32 range is refused for `.bin` rather than stored as
-    inf, which `load_tensor` accepts but no run can use.  The text layout
-    writes one `%.17g` line per last-axis row, with `np.savetxt`, after the
-    `shape:` line.
+    than converted; NaN and ±inf are written as they are.  Both layouts keep
+    every float64 bit: `.bin` and `.npy` paths get NumPy's `.npy` layout,
+    others a `shape:` line, then one `%.17g` line per last-axis row.
     """
     path = Path(path)
-    array = check_real_array(array, f"{path}: tensor")
-    _check_shape(path, array.shape)
-    if path.suffix == ".bin":
-        with np.errstate(over="ignore"):  # reported below, by name
-            arr = np.asarray(array, dtype="<f4", order="C")
-        inf = np.isinf(arr)
-        if inf.any():
-            overflowed = np.count_nonzero(inf & np.isfinite(array))
-            if overflowed:
-                raise ValueError(
-                    f"{path}: finite entries overflow float32 in the .bin layout: "
-                    f"{overflowed} of {arr.size}"
-                )
+    arr = np.asarray(check_real_array(array, f"{path}: tensor"), dtype=np.float64, order="C")
+    _check_shape(path, arr.shape)
+    if path.suffix in (".bin", ".npy"):
         with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.data)
+            npy.write_array(fh, arr, allow_pickle=False)
         return
-    arr = np.asarray(array, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("shape: " + " ".join(str(d) for d in arr.shape) + "\n")
         np.savetxt(fh, arr.reshape(-1, arr.shape[-1] if arr.ndim else 1), fmt="%.17g")
@@ -84,42 +67,46 @@ def save_csv(path, header: str, rows) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    """The tensor stored at `path`, in whichever layout its first bytes name.
+    """The tensor stored at `path`, as float64, in whichever layout its first bytes name.
 
     A text body is parsed while it is read, a bounded piece at a time,
     straight into the result, so a load needs the result plus one piece.
-    Errors come in this order: header, shape, value count, then a value
-    that is not a number.
+    Errors come in this order: header, shape, the `.npy` dtype, value count
+    (before any allocation), then a text value that is not a number.
     """
     path = Path(path)
     # Unbuffered: the text decoder then reads the same chunks a text-mode
     # open would, so a decoding error names the same byte position.
     with open(path, "rb", buffering=0) as fh:
-        if fh.read(len(MAGIC)) == MAGIC:
-            return _binary_body(path, fh.read())
+        is_npy = fh.read(len(npy.MAGIC_PREFIX)) == npy.MAGIC_PREFIX
         fh.seek(0)
+        if is_npy:
+            return _npy_body(path, fh)
         text = io.TextIOWrapper(fh, encoding="utf-8")
-        header = text.readline()
-        if not header.startswith("shape:"):
-            raise ValueError(f"{path}: missing 'shape:' header line")
         try:
-            shape = tuple(int(tok) for tok in header[len("shape:") :].split())
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed shape header: {header.strip()!r}") from exc
-        _check_shape(path, shape)
-        expected = math.prod(shape)
-        # n values take at least 2n - 1 bytes; a shorter file can only fail the
-        # count, so it is counted without allocating what its header claims.
-        out = np.empty(expected) if 2 * expected - 1 <= os.fstat(fh.fileno()).st_size else None
-        found, bad = 0, None
-        for tokens in _text_pieces(text):
-            end = found + len(tokens)
-            if out is not None and bad is None:  # too many tokens also fail, on the count
-                try:
-                    out[found:end] = tokens
-                except ValueError as exc:
-                    bad = exc
-            found = end
+            header = text.readline()
+            if not header.startswith("shape:"):
+                raise ValueError(f"{path}: missing 'shape:' header line")
+            try:
+                shape = tuple(int(tok) for tok in header[len("shape:") :].split())
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed shape header: {header.strip()!r}") from exc
+            _check_shape(path, shape)
+            expected = math.prod(shape)
+            # n values take at least 2n - 1 bytes; a shorter file can only fail the
+            # count, so it is counted without allocating what its header claims.
+            out = np.empty(expected) if 2 * expected - 1 <= os.fstat(fh.fileno()).st_size else None
+            found, bad = 0, None
+            for tokens in _text_pieces(text):
+                end = found + len(tokens)
+                if out is not None and bad is None:  # too many tokens also fail, on the count
+                    try:
+                        out[found:end] = tokens
+                    except ValueError as exc:
+                        bad = exc
+                found = end
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if found != expected:
         raise ValueError(f"{path}: expected {expected} values for shape {shape}, found {found}")
     if bad is not None:
@@ -142,25 +129,27 @@ def _text_pieces(text):
         yield [carry]
 
 
-def _binary_body(path: Path, body: bytes) -> np.ndarray:
-    """Parse what follows the magic: rank, dims, then float32 data."""
-    if len(body) < 4:
-        raise ValueError(f"{path}: truncated header")
-    (ndim,) = struct.unpack_from("<I", body)
-    offset = 4
-    if len(body) < offset + 4 * ndim:
-        raise ValueError(f"{path}: truncated dims header")
-    shape = struct.unpack_from(f"<{ndim}I", body, offset)
+def _npy_body(path: Path, fh) -> np.ndarray:
+    """The `.npy` file open at its start in `fh`, of any integer or float dtype and order."""
+    try:
+        version = npy.read_magic(fh)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"version {version[0]}.{version[1]} is not read")
+        read = npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0
+        shape, fortran_order, dtype = read(fh)
+    except (ValueError, tokenize.TokenError) as exc:  # an unclosed header fails to tokenize
+        raise ValueError(f"{path}: bad .npy header: {exc}") from exc
+    shape, dtype = shape + dtype.shape, dtype.base  # as np.load reads a subarray dtype
     _check_shape(path, shape)
-    offset += 4 * ndim
+    check_real_array(np.empty(0, dtype), f"{path}: tensor")
     count = math.prod(shape)
-    if len(body) != offset + 4 * count:
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left != count * dtype.itemsize:
         raise ValueError(
-            f"{path}: expected {count} float32 values for shape {shape}, "
-            f"found {(len(body) - offset) // 4}"
+            f"{path}: expected {count} values for shape {shape}, found {left / dtype.itemsize:.15g}"
         )
-    data = np.frombuffer(body, dtype="<f4", count=count, offset=offset)
-    return data.astype(np.float64).reshape(shape)
+    data = np.fromfile(fh, dtype, count).reshape(shape, order="F" if fortran_order else "C")
+    return data.astype(np.float64, order="C", copy=False)
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -171,22 +160,26 @@ def parse_kv_file(path) -> dict[str, str]:
     """
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().lower().replace("-", "_")
-            value = value.strip()
-            if not key or not value:
-                raise ValueError(f"{path}:{lineno}: empty key or value")
-            if key in out:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate key '{key}' (first on line {first_line[key]})"
-                )
-            out[key] = value
-            first_line[key] = lineno
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().lower().replace("-", "_")
+        value = value.strip()
+        if not key or not value:
+            raise ValueError(f"{path}:{lineno}: empty key or value")
+        if key in out:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate key '{key}' (first on line {first_line[key]})"
+            )
+        out[key] = value
+        first_line[key] = lineno
     return out

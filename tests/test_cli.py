@@ -3,15 +3,24 @@ from pathlib import Path
 import dataclasses
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
 
-from diffinv import EditConfig, FixedPointConfig, MaskNormConfig, NoisePredictor, cli
-from diffinv.bench import ExperimentGrid
+from diffinv import (
+    ContractivePredictor,
+    EditConfig,
+    FixedPointConfig,
+    MaskNormConfig,
+    NoisePredictor,
+    PromptId,
+    build_schedule,
+    cli,
+    round_trip,
+)
+from diffinv.bench import ExperimentGrid, method_config
 from diffinv.cli import build_parser, main
-from diffinv.fileio import MAGIC, load_tensor, save_tensor
+from diffinv.fileio import load_tensor, save_tensor
 
 
 @pytest.fixture
@@ -23,6 +32,13 @@ def latent_file(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def api_round_trip(z_0, steps, omega):
+    """`(z_T, reconstruction)` from the library, as `invert` and `reconstruct` run by default."""
+    cfg = method_config(FixedPointConfig.variant, steps)
+    pred = ContractivePredictor.default(z_0.size, seed=0)
+    return round_trip(build_schedule().subsample(steps), pred, z_0, PromptId.SOURCE, omega, cfg)[:2]
 
 
 class TestExitCodes:
@@ -62,6 +78,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and str(named) in err, err
 
+    @pytest.mark.parametrize("flag", ["--in", "--config", "--predictor"])
+    def test_undecodable_file_is_usage_error_naming_it(self, tmp_path, latent_file, flag, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"steps = 10\n\xff\n")
+        assert run_cli("invert", "--in", latent_file, flag, bad) == 1
+        err = capsys.readouterr().err
+        decoding = "'utf-8' codec can't decode byte 0xff in position 11"
+        assert err.startswith(f"usage error: {bad}: {decoding}"), err
+
     def test_numeric_failure_is_exit_two(self, latent_file, capsys):
         code = run_cli(
             "edit", "--in", latent_file, "--eta", "30", "--steps", "10", "--candidates", "1"
@@ -94,10 +119,12 @@ class TestExitCodes:
 class TestInputFiles:
     @pytest.mark.parametrize("command", ["invert", "edit"])
     def test_empty_binary_input_is_usage_error(self, tmp_path, command, capsys):
-        path = tmp_path / "empty.bin"
-        path.write_bytes(MAGIC + struct.pack("<3I", 2, 2, 0))
+        path = tmp_path / "empty.npy"
+        np.save(path, np.zeros((2, 0)))
         assert run_cli(command, "--in", path) == 1
-        assert "shape entries must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"usage error: {path}: shape entries must be positive: (2, 0)\n"
+        )
 
     @pytest.mark.parametrize("command", ["invert", "reconstruct", "edit"])
     def test_non_finite_input_is_usage_error_naming_the_file(self, tmp_path, command, capsys):
@@ -152,13 +179,15 @@ class TestGuidanceScales:
         fields = dict(f.split("=") for f in capsys.readouterr().out.split() if "=" in f)
         assert np.isfinite(float(fields[key]))
 
-    def test_bin_output_beyond_float32_is_usage_error(self, tmp_path, capsys):
+    def test_bin_output_keeps_a_latent_beyond_float32(self, tmp_path):
         latent, out = tmp_path / "z.txt", tmp_path / "zt.bin"
-        save_tensor(latent, np.random.default_rng(0).standard_normal((4, 4)))
+        z_0 = np.random.default_rng(0).standard_normal((4, 4))
+        save_tensor(latent, z_0)
         argv = ("invert", "--in", latent, "--steps", "5", "--omega", "1e300", "--out", out)
-        assert run_cli(*argv) == 1
-        assert f"usage error: {out}: finite entries overflow" in capsys.readouterr().err
-        assert not out.exists()
+        assert run_cli(*argv) == 0
+        z_t = api_round_trip(z_0, 5, 1e300)[0]
+        assert np.abs(z_t).max() > np.finfo(np.float32).max
+        assert load_tensor(out).tobytes() == z_t.tobytes()
 
     @pytest.mark.parametrize("command", ["invert", "edit", "grid"])
     def test_non_finite_scale_in_config_is_usage_error(
@@ -255,6 +284,13 @@ class TestInvertReconstruct:
         rec = load_tensor(out)
         z0 = load_tensor(latent_file)
         assert np.linalg.norm(rec - z0) / np.linalg.norm(z0) == pytest.approx(err, rel=1e-6)
+
+    @pytest.mark.parametrize("suffix", [".bin", ".npy"])
+    def test_binary_reconstruction_is_bit_equal_to_the_api(self, tmp_path, latent_file, suffix):
+        out = tmp_path / f"rec{suffix}"
+        assert run_cli("reconstruct", "--in", latent_file, "--out", out, "--steps", "10") == 0
+        z_rec = api_round_trip(load_tensor(latent_file), 10, EditConfig.omega)[1]
+        assert load_tensor(out).tobytes() == z_rec.tobytes()
 
     def test_euler_with_large_guidance_reports_instead_of_crashing(self, latent_file, capsys):
         code = run_cli(
@@ -395,6 +431,21 @@ class TestEditCommand:
     def test_negative_seed_is_usage_error(self, latent_file, capsys):
         assert run_cli("edit", "--in", latent_file, "--steps", "10", "--seed", "-1") == 1
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [(np.ones((2, 2, 2)), "attention map must be a nonempty 2-D grid"),
+         (np.array([[1.0, np.nan]]), "attention map contains non-finite entries"),
+         (np.array([[1.0, -0.5]]), "attention map entries must be nonnegative")],
+        ids=["3d", "nan", "negative"],
+    )
+    def test_bad_attention_map_is_usage_error_naming_the_file(
+        self, tmp_path, latent_file, values, message, capsys
+    ):
+        attn = tmp_path / "attn.txt"
+        save_tensor(attn, values)
+        assert run_cli("edit", "--in", latent_file, "--steps", "5", "--attention", attn) == 1
+        assert capsys.readouterr().err == f"usage error: {attn}: {message}\n"
 
     def test_attention_file(self, tmp_path, latent_file):
         attn = tmp_path / "attn.txt"

@@ -452,6 +452,23 @@ class TestLoadPredictor:
         expected = 0.05 * np.tanh(weights[PromptId.SOURCE] @ z)
         np.testing.assert_allclose(pred.predict(z, PromptId.SOURCE, 1), expected, rtol=1e-12)
 
+    def test_npy_weight_files_predict_as_their_text_files(self, tmp_path):
+        rng = np.random.default_rng(9)
+        for p in PromptId:
+            w = 0.1 * rng.standard_normal((6, 6))
+            for suffix in (".txt", ".npy"):
+                save_tensor(tmp_path / f"w_{p.value}{suffix}", w)
+        preds = []
+        for suffix in (".txt", ".npy"):
+            spec = tmp_path / f"p{suffix}.cfg"
+            spec.write_text("kind = contractive\n" + "".join(
+                f"w_{p.value} = w_{p.value}{suffix}\n" for p in PromptId))
+            preds.append(load_predictor(spec))
+        z = np.random.default_rng(1).standard_normal(6)
+        for p in PromptId:
+            text, npy = (pred.predict(z, p, 1) for pred in preds)
+            assert npy.tobytes() == text.tobytes()
+
     def test_rejects_unknown_kind_and_partial_weights(self, tmp_path):
         spec = tmp_path / "p.cfg"
         spec.write_text("kind = mystery\n")

@@ -15,6 +15,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -191,23 +192,45 @@ def test_alpha_bar_subscripts_are_found(tmp_path):
     assert alpha_bar_subscripts(tmp_path) == ["step:3"]
 
 
-def open_calls(package: Path = PACKAGE) -> list[str]:
-    """`module:line` of each call to the builtin `open` outside `fileio.py`.
+NUMPY_FILE_FUNCTIONS = re.compile(r"(save|load)\w*|genfromtxt|fromfile")
 
+
+def touches_a_file(node: ast.AST) -> bool:
+    """Whether `node` calls `open` or a NumPy file function, or imports `numpy.lib.format`."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "open"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        return func.attr == "tofile" or (
+            isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy")
+            and NUMPY_FILE_FUNCTIONS.fullmatch(func.attr) is not None
+        )
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.lib.format") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numpy.lib.format" or (
+            node.module == "numpy.lib" and any(alias.name == "format" for alias in node.names)
+        )
+    return False
+
+
+def open_calls(package: Path = PACKAGE) -> list[str]:
+    """`module:line` of each place outside `fileio.py` that touches a file, in line order.
+
+    That is a call to the builtin `open`, to NumPy's file functions
+    (`np.save*`, `np.load*`, `np.savetxt`, `np.loadtxt`, `np.genfromtxt`,
+    `np.fromfile`, `.tofile`), or an import of `numpy.lib.format`.
     `fileio` owns every file the library reads or writes, so no other module
-    opens one.
+    opens one, through NumPy either.
     """
     found = []
     for path in sorted(package.glob("*.py")):
         if path.name == "fileio.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "open"
-            ):
-                found.append(f"{path.stem}:{node.lineno}")
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        lines = sorted(node.lineno for node in ast.walk(tree) if touches_a_file(node))
+        found += [f"{path.stem}:{line}" for line in lines]
     return found
 
 
@@ -221,3 +244,22 @@ def test_open_calls_are_found(tmp_path):
         '"""open(p) in a docstring."""\nfh = path.open()\n\nwith open(p, "w") as fh:\n    pass\n'
     )
     assert open_calls(tmp_path) == ["csv:4"]
+
+
+def test_numpy_file_calls_are_found(tmp_path):
+    (tmp_path / "fileio.py").write_text("from numpy.lib import format\nnp.save(p, a)\n")
+    (tmp_path / "store.py").write_text(
+        '"""np.load(p) in a docstring."""\n'
+        "import numpy.lib.format as npy\n"
+        "from numpy.lib import format, npyio\n"
+        "from numpy.lib.format import write_array\n"
+        "a = np.loadtxt(p)\n"
+        "numpy.savez(p, a)\n"
+        "a.tofile(fh)\n"
+        "b = np.fromfile(fh, count=3)\n"
+        "c = np.genfromtxt(p)\n"
+        "np.savetxt(fh, a)\n"
+        "from numpy.lib import npyio\n"
+        "d = model.load(p) + np.asarray(a).sum() + np.lib.stride_tricks.as_strided(a)\n"
+    )
+    assert open_calls(tmp_path) == [f"store:{line}" for line in range(2, 11)]
